@@ -16,10 +16,10 @@ from .gradcheck import gradient_check, miniature_model, standard_checks
 from .ingest import (DatasetStats, ParseResult, ReviewGroups, ReviewRecord,
                      Split, dataset_stats, group_reviews, parse_reviews,
                      parse_reviews_file, serialize_reviews, split_dataset)
-from .layers import (Conv1d, Dense, Dropout, Flatten, GruCell, LstmCell,
+from .layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
                      MaxPoolOverTime, Parameter)
 from .model import (DeepConn, DpHead, FmHead, ModelConfig, Tower, TowerConfig,
-                    build_config, fm_pairwise_reference, mse, mse_grad)
+                    build_config, fm_pairwise_reference, mse)
 from .optim import Adam, RMSprop, make_optimizer
 from .text import (EmbeddingTable, EncodedDocument, build_document, embed,
                    load_embeddings, tokenize)

@@ -21,7 +21,8 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
                      InfeasibleSplitError, NumericFault, ShapeError,
                      UnknownEntityError)
 from .ingest import SPLIT_MODES, dataset_stats, parse_reviews_file, split_dataset
-from .model import HEAD_KINDS, PRESETS, TOWER_KINDS, DeepConn, build_config
+from .model import (HEAD_KINDS, PRESETS, TOWER_KINDS, DeepConn, TowerConfig,
+                    build_config)
 from .text import OOV_POLICIES, load_embeddings
 from .train import (DocumentStore, TrainReport, evaluate, fit, load_checkpoint,
                     mean_predictor_mse, pairs_from_records, restore_parameters,
@@ -172,6 +173,11 @@ def _validate_run(args):
         problems.append(f"--epochs must be >= 0, got {args.epochs}")
     if hasattr(args, "doc_length") and args.doc_length < 1:
         problems.append(f"--doc-length must be >= 1, got {args.doc_length}")
+    if getattr(args, "tower", None) == "cnn":
+        kernel = args.kernel if args.kernel is not None else TowerConfig.kernel
+        if 1 <= args.doc_length < kernel:
+            problems.append(f"--doc-length {args.doc_length} is shorter than "
+                            f"the conv kernel ({kernel})")
     if hasattr(args, "dim") and args.dim < 1:
         problems.append(f"--dim must be >= 1, got {args.dim}")
     if getattr(args, "k", None) is not None and args.k < 1:
@@ -305,6 +311,11 @@ def cmd_evaluate(args):
         raise ConfigError(
             f"--dim {args.dim} does not match the checkpoint's embedding "
             f"dimension {model.config.tower.embedding_dim}")
+    tower = model.config.tower
+    if tower.kind == "cnn" and args.doc_length < tower.kernel:
+        raise ConfigError(
+            f"--doc-length {args.doc_length} is shorter than the checkpoint's "
+            f"conv kernel ({tower.kernel})")
     result, split = _load_split(args)
     if split is None or not split.test:
         raise ConfigError(f"{args.data}: no test records under this split")

@@ -13,6 +13,7 @@ from .model import DeepConn, DpHead, FmHead, ModelConfig, TowerConfig
 
 DEFAULT_EPS = 1e-5
 DEFAULT_THRESHOLD = 1e-4
+_MACHEPS = np.finfo(np.float64).eps
 
 
 def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
@@ -21,7 +22,13 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
     loss_fn() must run a full forward+backward pass with the *current*
     parameter values, accumulate gradients into `params`, and return the
     scalar loss.  It has to be deterministic across calls (fix any dropout
-    masks).  Error per entry is |a - n| / max(1e-8, |a| + |n|).
+    masks).  Error per entry is
+
+        max(0, |a - n| - macheps * |f| / eps) / max(1e-8, |a| + |n|)
+
+    where f is the larger of the two probed losses: the central difference
+    n is only known to within the rounding of f(x+eps) - f(x-eps), so a
+    tiny correct entry beside a large loss would otherwise read as wrong.
     """
     for p in params:
         p.zero_grad()
@@ -44,8 +51,9 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericFault(f"non-finite loss while probing {p.name}[{i}]")
             numeric = (f_plus - f_minus) / (2.0 * eps)
+            noise = _MACHEPS * max(abs(f_plus), abs(f_minus)) / eps
             a = gflat[i]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            err = max(0.0, abs(a - numeric) - noise) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)
     for p in params:
         p.zero_grad()  # probing calls accumulated junk

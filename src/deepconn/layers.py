@@ -172,10 +172,14 @@ class Conv1d:
         dz = np.asarray(dout) * (z > 0.0)
         self.kernels.grad += (dz.T @ windows).reshape(C, K, d)
         self.bias.grad += dz.sum(axis=0)
-        dwindows = dz @ self.kernels.value.reshape(C, -1)
+        dwindows = (dz @ self.kernels.value.reshape(C, -1)).reshape(L, K, d)
+        # col2im: kernel offset k of window l lands on row l*S + k.  While
+        # K <= 2S no row gets more than two terms, so the sum is the same
+        # in any order.
         dx = np.zeros((T, d))
-        for l in range(L):
-            dx[l * S:l * S + K] += dwindows[l].reshape(K, d)
+        span = S * (L - 1) + 1
+        for k in range(K):
+            dx[k:k + span:S] += dwindows[:, k]
         return dx
 
 
@@ -201,24 +205,6 @@ class MaxPoolOverTime:
         dx = np.zeros((L, C))
         dx[argmax, np.arange(C)] = dout
         return dx
-
-
-class Flatten:
-    """Reshape to 1-d. Structural layer; gradient is the inverse reshape."""
-
-    def __init__(self):
-        self._shape = None
-
-    def parameters(self):
-        return []
-
-    def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        self._shape = x.shape
-        return x.reshape(-1)
-
-    def backward(self, dout):
-        return np.asarray(dout).reshape(self._shape)
 
 
 class Dropout:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericFault, ShapeError
-from .layers import (Conv1d, Dense, Dropout, Flatten, GruCell, LstmCell,
+from .layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
                      MaxPoolOverTime, Parameter, glorot_uniform)
 
 TOWER_KINDS = ("cnn", "lstm", "gru")
@@ -124,7 +124,6 @@ class Tower:
             self.conv = Conv1d(d, config.hidden_units, config.kernel,
                                config.stride, rng, f"{name}.conv")
             self.pool = MaxPoolOverTime()
-            self.flatten = Flatten()
             self.cell = None
             feat = config.hidden_units
         else:
@@ -152,6 +151,7 @@ class Tower:
             layers = [("conv1d", {"channels": c.hidden_units, "kernel": c.kernel,
                                   "stride": c.stride, "activation": "relu"}),
                       ("maxpool_over_time", {}),
+                      # The paper's flatten: the pooled (C,) vector is already flat.
                       ("flatten", {})]
         else:
             layers = [(self.kind, {"units": c.hidden_units, "activation": "tanh"})]
@@ -167,7 +167,7 @@ class Tower:
                 f"{self.name}: expected (T, {self.config.embedding_dim}) "
                 f"document embedding, got {x.shape}")
         if self.kind == "cnn":
-            feat = self.flatten.forward(self.pool.forward(self.conv.forward(x)))
+            feat = self.pool.forward(self.conv.forward(x))
         else:
             feat = self._forward_recurrent(x, train, rng)
         if self.dropout is not None:
@@ -179,7 +179,7 @@ class Tower:
         if self.dropout is not None:
             dfeat = self.dropout.backward(dfeat)
         if self.kind == "cnn":
-            return self.conv.backward(self.pool.backward(self.flatten.backward(dfeat)))
+            return self.conv.backward(self.pool.backward(dfeat))
         return self._backward_recurrent(dfeat)
 
     def _forward_recurrent(self, x, train, rng):
@@ -399,10 +399,3 @@ def mse(predictions, targets):
     if not (np.isfinite(p).all() and np.isfinite(t).all()):
         raise NumericFault("non-finite value in mse inputs")
     return float(np.mean((t - p) ** 2))
-
-
-def mse_grad(predictions, targets):
-    """d mse / d predictions = 2 (p - t) / N."""
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    return 2.0 * (p - t) / p.size

@@ -6,7 +6,6 @@ post-padded with the reserved pad id 0, whose vector is all zeros.
 """
 
 import re
-import struct
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -164,46 +163,3 @@ def embed(doc, table):
             f"document {doc.owner!r} holds ids outside the table "
             f"(max valid {table.matrix.shape[0] - 1})")
     return table.matrix[ids]
-
-
-# Optional on-disk cache: uint32 header (T, count) then count rows of T
-# little-endian int32 ids.
-
-def save_document_cache(docs, path):
-    docs = list(docs)
-    if docs:
-        length = len(docs[0].ids)
-        for d in docs:
-            if len(d.ids) != length:
-                raise ConfigError("all cached documents must share one length")
-    else:
-        length = 0
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", length, len(docs)))
-        for d in docs:
-            fh.write(np.asarray(d.ids, dtype="<i4").tobytes())
-
-
-def load_document_cache(path):
-    """Returns (T, list of id arrays); n_real_tokens is taken as the
-    position after the last non-pad id (OOV-as-pad inside the stream is
-    not distinguishable in this format)."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DataFormatError(f"{path}: truncated cache header")
-        length, count = struct.unpack("<II", header)
-        body = fh.read()
-    expected = count * length * 4
-    if len(body) != expected:
-        raise DataFormatError(
-            f"{path}: expected {expected} body bytes, got {len(body)}")
-    docs = []
-    for i in range(count):
-        ids = np.frombuffer(body, dtype="<i4", count=length, offset=i * length * 4)
-        ids = ids.astype(np.int32)
-        nonpad = np.nonzero(ids != PAD_ID)[0]
-        n_real = int(nonpad[-1]) + 1 if nonpad.size else 0
-        ids.setflags(write=False)
-        docs.append(EncodedDocument(ids=ids, n_real_tokens=n_real))
-    return length, docs

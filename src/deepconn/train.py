@@ -1,9 +1,10 @@
 """Training loop, evaluation, checkpointing, and run reports.
 
-Documents are embedded once per run (embeddings are frozen, so the
-matrices never change) and shared read-only between training, validation,
-and test passes.  The loop itself is sequential: gradient accumulation on
-the shared parameters is stateful.
+Documents are kept as token ids and embedded on demand from the frozen
+table: `fit` embeds each distinct training user and item once per call,
+and `evaluate` encodes each distinct user and item once per call.  The
+loop itself is sequential: gradient accumulation on the shared
+parameters is stateful.
 """
 
 import json
@@ -32,41 +33,41 @@ def pairs_from_records(records):
 
 
 class DocumentStore:
-    """Embedded user and item documents built from a fixed review corpus.
+    """User and item documents, as token ids, built from a fixed review corpus.
 
-    Pass only training-portion records to keep test reviews out of every
-    document (the default protocol); pass the full record list to study
-    the leaky variant.
+    Each user and item keeps its `EncodedDocument` (T int32 ids); the
+    `*_embedding` accessors gather a fresh (T, d) matrix from the frozen
+    embedding table on every call.  Pass only training-portion records to
+    keep test reviews out of every document (the default protocol); pass
+    the full record list to study the leaky variant.
     """
 
     def __init__(self, records, table, doc_length):
         groups = group_reviews(records)
         self.doc_length = doc_length
         self.table = table
-        self._user_embeddings = {}
-        self._item_embeddings = {}
-        for user_id, reviews in groups.by_user.items():
-            doc = build_document([text for _, text in reviews], doc_length,
-                                 table, owner=user_id)
-            self._user_embeddings[user_id] = embed(doc, table)
-        for item_id, reviews in groups.by_item.items():
-            doc = build_document([text for _, text in reviews], doc_length,
-                                 table, owner=item_id)
-            self._item_embeddings[item_id] = embed(doc, table)
+        self._user_documents = {
+            user_id: build_document([text for _, text in reviews], doc_length,
+                                    table, owner=user_id)
+            for user_id, reviews in groups.by_user.items()}
+        self._item_documents = {
+            item_id: build_document([text for _, text in reviews], doc_length,
+                                    table, owner=item_id)
+            for item_id, reviews in groups.by_item.items()}
         ratings = [r.rating for r in records]
         self.global_mean = float(np.mean(ratings)) if ratings else 0.0
 
     def has_user(self, user_id):
-        return user_id in self._user_embeddings
+        return user_id in self._user_documents
 
     def has_item(self, item_id):
-        return item_id in self._item_embeddings
+        return item_id in self._item_documents
 
     def user_embedding(self, user_id):
-        return self._user_embeddings[user_id]
+        return embed(self._user_documents[user_id], self.table)
 
     def item_embedding(self, item_id):
-        return self._item_embeddings[item_id]
+        return embed(self._item_documents[item_id], self.table)
 
 
 @dataclass
@@ -154,8 +155,12 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
         "seed": seed,
     }, seed=seed)
 
-    user_docs = [store.user_embedding(p.user_id) for p in train_pairs]
-    item_docs = [store.item_embedding(p.item_id) for p in train_pairs]
+    # One matrix per distinct user and item, held for this call only;
+    # the per-pair lists share them.
+    users = {u: store.user_embedding(u) for u in {p.user_id for p in train_pairs}}
+    items = {i: store.item_embedding(i) for i in {p.item_id for p in train_pairs}}
+    user_docs = [users[p.user_id] for p in train_pairs]
+    item_docs = [items[p.item_id] for p in train_pairs]
     targets = np.array([p.rating for p in train_pairs])
     n = len(train_pairs)
 
@@ -220,12 +225,17 @@ def evaluate(model, store, pairs, clamp=False):
     Users or items without documents fall back to the store's global mean
     rating.  Returns (mse, counters); counters tallies "predicted",
     "cold_start_user", "cold_start_item".  Side-effect free.
+
+    Eval-mode towers are deterministic, so each distinct user and item is
+    encoded once and only the head runs per pair; the predictions are
+    bit-identical to calling `model.predict` on every pair.
     """
     if not pairs:
         raise ConfigError("cannot evaluate on an empty pair list")
     counters = {"predicted": 0, "cold_start_user": 0, "cold_start_item": 0}
     preds = np.empty(len(pairs))
     targets = np.empty(len(pairs))
+    user_latents, item_latents = {}, {}
     for j, pair in enumerate(pairs):
         targets[j] = pair.rating
         if not store.has_user(pair.user_id):
@@ -237,11 +247,21 @@ def evaluate(model, store, pairs, clamp=False):
             preds[j] = store.global_mean
             continue
         counters["predicted"] += 1
-        preds[j] = model.predict(store.user_embedding(pair.user_id),
-                                 store.item_embedding(pair.item_id))
+        x_u = _encode_once(user_latents, model.user_tower, store.user_embedding,
+                           pair.user_id)
+        x_i = _encode_once(item_latents, model.item_tower, store.item_embedding,
+                           pair.item_id)
+        preds[j] = model.head.predict(x_u, x_i)
     if clamp:
         preds = np.clip(preds, 1.0, 5.0)
     return mse(preds, targets), counters
+
+
+def _encode_once(latents, tower, embedding, entity_id):
+    """The entity's eval-mode latent vector, computed on its first use."""
+    if entity_id not in latents:
+        latents[entity_id] = tower.forward(embedding(entity_id))
+    return latents[entity_id]
 
 
 def mean_predictor_mse(pairs, mean):

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from deepconn.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main)
-from deepconn.train import TrainReport
+from deepconn.gradcheck import miniature_model
+from deepconn.train import TrainReport, save_checkpoint
 
 FAST_MODEL = ["--doc-length", "32", "--hidden-units", "8", "--dense-units", "8",
               "--dropout", "0", "--batch-size", "64"]
@@ -94,6 +95,23 @@ class TestTrain:
         for field in ("--train-fraction", "--lr", "--batch-size", "--doc-length"):
             assert field in err
 
+    @pytest.mark.parametrize("extra, code", [
+        ([], EXIT_CONFIG),                       # the presets' kernel is 8
+        (["--kernel", "5"], EXIT_CONFIG),
+        (["--kernel", "4"], EXIT_IO),            # valid; then the missing data
+        (["--tower", "gru"], EXIT_IO),           # no kernel to fit
+    ])
+    def test_doc_length_below_kernel_rejected_first(self, tmp_path, capsys,
+                                                    extra, code):
+        # The input files do not exist, so exit 2 here means the check ran
+        # before anything was read.
+        argv = ["train", "--data", str(tmp_path / "missing.jsonl"),
+                "--embeddings", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "x"), "--doc-length", "4"] + extra
+        assert main(argv) == code
+        if code == EXIT_CONFIG:
+            assert "--doc-length 4" in capsys.readouterr().err
+
     def test_grid_tags_echoed(self, sample_reviews_path, toy_embeddings_path,
                               tmp_path, capsys):
         out = tmp_path / "gru_run"
@@ -143,6 +161,17 @@ class TestEvaluate:
                      "--dim", "100"])
         assert code == EXIT_CONFIG
 
+    def test_doc_length_below_checkpoint_kernel_rejected_first(self, tmp_path,
+                                                               capsys):
+        checkpoint = tmp_path / "mini.ckpt"
+        save_checkpoint(miniature_model("cnn"), checkpoint)  # kernel 4, d=8
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--data", str(tmp_path / "missing.jsonl"),
+                     "--embeddings", str(tmp_path / "missing.txt"),
+                     "--dim", "8", "--doc-length", "3"])
+        assert code == EXIT_CONFIG
+        assert "conv kernel (4)" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_runs_and_is_deterministic(self, sample_reviews_path, capsys):
@@ -191,8 +220,19 @@ class TestGradcheckCommand:
     def test_corrupted_hook_fails_at_five_percent(self, capsys):
         assert main(["gradcheck", "--corrupt-gradients"]) == EXIT_VERIFY
         out = capsys.readouterr().out
-        assert "FAIL" in out
+        assert out.count("FAIL") == 11
         assert "4.76" in out  # 0.1 / 2.1 relative error
+
+    def test_seed_with_tiny_gradients_passes(self, capsys):
+        # full_model_gru_fm holds an entry of 1.5e-7 beside a loss of
+        # about 16, below what the central difference resolves.
+        assert main(["gradcheck", "--seed", "1346559176"]) == EXIT_OK
+        assert capsys.readouterr().out.count("PASS") == 11
+
+    def test_corrupted_hook_fails_every_case_at_other_seed(self, capsys):
+        assert main(["gradcheck", "--corrupt-gradients",
+                     "--seed", "1346559176"]) == EXIT_VERIFY
+        assert capsys.readouterr().out.count("FAIL") == 11
 
     def test_threshold_flag(self, capsys):
         # absurdly loose threshold lets even corrupted gradients pass

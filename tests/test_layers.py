@@ -5,13 +5,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepconn.errors import ConfigError, NumericFault, ShapeError
-from deepconn.gradcheck import gradient_check
+from deepconn.gradcheck import DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check
 from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
                              MaxPoolOverTime, Parameter, sigmoid)
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _conv_input_grad_by_position(layer, x, dout):
+    """Conv1d's input gradient as a Python loop over the L output positions:
+    the reference for the col2im in Conv1d.backward."""
+    T, d = x.shape
+    K, S, C = layer.kernel, layer.stride, layer.channels
+    L = layer.output_length(T)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (K, d))
+    windows = windows[::S, 0].reshape(L, K * d)
+    z = windows @ layer.kernels.value.reshape(C, -1).T + layer.bias.value
+    dwindows = (dout * (z > 0.0)) @ layer.kernels.value.reshape(C, -1)
+    dx = np.zeros((T, d))
+    for l in range(L):
+        dx[l * S:l * S + K] += dwindows[l].reshape(K, d)
+    return dx
 
 
 class TestDense:
@@ -86,6 +102,22 @@ class TestConv1d:
             L = layer.output_length(T)
             assert L == (T - K) // S + 1
             assert layer.forward(np.zeros((T, 2))).shape == (L, 1)
+
+    @given(K=st.integers(1, 12), S=st.integers(1, 8), extra=st.integers(0, 40),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_backward_matches_per_position_loop(self, K, S, extra, seed):
+        rng = _rng(seed)
+        layer = Conv1d(3, 4, kernel=K, stride=S, rng=rng)
+        x = rng.standard_normal((K + extra, 3))
+        dout = rng.standard_normal(layer.forward(x).shape)
+        dx = layer.backward(dout)
+        expected = _conv_input_grad_by_position(layer, x, dout)
+        if K <= 2 * S:
+            # at most two terms per row: the same sum in either order
+            npt.assert_array_equal(dx, expected)
+        else:
+            npt.assert_allclose(dx, expected, rtol=0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = _rng(11)
@@ -311,6 +343,24 @@ class TestGradientCheckHarness:
 
         err = gradient_check(loss_fn, [x])
         assert 0.04 < err < 0.06  # |0.1 g| / |2.1 g|
+
+    def _tiny_gradient_beside_large_loss(self, grad_error):
+        # loss = 16 + g x with g = 1e-8: the central difference resolves g
+        # only to about macheps * 16 / eps = 3.6e-10.
+        x = Parameter(np.array(0.3), "x")
+
+        def loss_fn():
+            x.grad += 1e-8 + grad_error
+            return 16.0 + 1e-8 * float(x.value)
+
+        return gradient_check(loss_fn, [x])
+
+    def test_rounding_noise_of_central_difference_not_flagged(self):
+        assert self._tiny_gradient_beside_large_loss(0.0) < DEFAULT_THRESHOLD
+
+    def test_error_of_ten_noise_floors_flagged(self):
+        noise = np.finfo(np.float64).eps * 16.0 / DEFAULT_EPS
+        assert self._tiny_gradient_beside_large_loss(10 * noise) > DEFAULT_THRESHOLD
 
     def test_non_finite_loss_raises(self):
         x = Parameter(np.array(3.0), "x")

@@ -8,7 +8,7 @@ from deepconn.errors import ConfigError, ShapeError
 from deepconn.gradcheck import gradient_check, miniature_model
 from deepconn.model import (DeepConn, DpHead, FmHead, ModelConfig, Tower,
                             TowerConfig, build_config, fm_pairwise_reference,
-                            mse, mse_grad)
+                            mse)
 
 
 def _rng(seed=0):
@@ -214,10 +214,6 @@ class TestMse:
         p = rng.standard_normal(50)
         t = rng.standard_normal(50)
         assert mse(p, t) > 0.0
-
-    def test_grad_direction(self):
-        g = mse_grad([2.0, 1.0], [1.0, 1.0])
-        npt.assert_allclose(g, [1.0, 0.0])
 
 
 class TestDeepConn:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from deepconn.errors import ConfigError, DataFormatError, ShapeError
 from deepconn.text import (PAD_ID, EmbeddingTable, build_document, embed,
-                           load_document_cache, load_embeddings,
-                           save_document_cache, tokenize)
+                           load_embeddings, tokenize)
 
 
 class TestTokenize:
@@ -186,30 +185,3 @@ class TestEmbed:
         mat = embed(doc, table)
         mat[0, 0] = 123.0  # a copy; the frozen table must not change
         npt.assert_array_equal(table.vector("good"), [1.0, 2.0, 3.0, 4.0])
-
-
-class TestDocumentCache:
-    def test_round_trip(self, tmp_path):
-        table = _toy_table()
-        docs = [build_document(["good film"], 6, table, owner="u1"),
-                build_document(["bad"], 6, table, owner="u2")]
-        path = tmp_path / "cache.bin"
-        save_document_cache(docs, path)
-        T, loaded = load_document_cache(path)
-        assert T == 6 and len(loaded) == 2
-        npt.assert_array_equal(loaded[0].ids, docs[0].ids)
-        npt.assert_array_equal(loaded[1].ids, docs[1].ids)
-        assert loaded[0].n_real_tokens == 2
-
-    def test_truncated_file(self, tmp_path):
-        table = _toy_table()
-        docs = [build_document(["good"], 6, table)]
-        path = tmp_path / "cache.bin"
-        save_document_cache(docs, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(DataFormatError):
-            load_document_cache(path)
-        path.write_bytes(data[:5])
-        with pytest.raises(DataFormatError):
-            load_document_cache(path)

@@ -5,10 +5,11 @@ import pytest
 from deepconn.errors import (CheckpointError, ConfigError, NumericFault,
                              ShapeError)
 from deepconn.gradcheck import miniature_model
-from deepconn.ingest import ReviewRecord
-from deepconn.model import DeepConn, ModelConfig, TowerConfig
-from deepconn.synthetic import DirectStore, make_micro_dataset
-from deepconn.text import EmbeddingTable
+from deepconn.ingest import ReviewRecord, group_reviews
+from deepconn.model import DeepConn, ModelConfig, TowerConfig, mse
+from deepconn.synthetic import (DirectStore, make_micro_dataset,
+                                make_sample_corpus, make_token_vectors)
+from deepconn.text import EmbeddingTable, build_document, embed
 from deepconn.train import (DocumentStore, RatedPair, TrainReport, evaluate,
                             fit, load_checkpoint, mean_predictor_mse,
                             pairs_from_records, restore_parameters,
@@ -23,6 +24,31 @@ def _tiny_setup(seed=0, n_users=6, n_items=4, T=10, dim=8):
              for u in range(n_users) for i in range(n_items)]
     mean = float(np.mean([p.rating for p in pairs]))
     return miniature_model(seed=seed), DirectStore(users, items, mean), pairs
+
+
+def _text_store(T=12, dim=8):
+    records = make_sample_corpus(n_reviews=60, n_users=8, n_items=6, seed=3)
+    table = EmbeddingTable(dim, make_token_vectors(dim=dim, seed=4))
+    return records, table, DocumentStore(records, table, doc_length=T)
+
+
+def _per_pair_evaluate(model, store, pairs):
+    """evaluate() as one model.predict per pair: the reference for its
+    encode-each-entity-once loop."""
+    counters = {"predicted": 0, "cold_start_user": 0, "cold_start_item": 0}
+    preds = []
+    for p in pairs:
+        if not store.has_user(p.user_id):
+            counters["cold_start_user"] += 1
+            preds.append(store.global_mean)
+        elif not store.has_item(p.item_id):
+            counters["cold_start_item"] += 1
+            preds.append(store.global_mean)
+        else:
+            counters["predicted"] += 1
+            preds.append(model.predict(store.user_embedding(p.user_id),
+                                       store.item_embedding(p.item_id)))
+    return mse(preds, [p.rating for p in pairs]), counters
 
 
 class TestDocumentStore:
@@ -40,6 +66,26 @@ class TestDocumentStore:
         npt.assert_array_equal(store.user_embedding("u1")[:3, 0], [1, 1, 0])
         npt.assert_array_equal(store.user_embedding("u1")[2, 1], 1.0)
         assert store.global_mean == pytest.approx(10.0 / 3.0)
+
+    def test_keeps_int32_ids_not_matrices(self):
+        records, _, store = _text_store(T=12)
+        docs = (list(store._user_documents.values())
+                + list(store._item_documents.values()))
+        assert len(docs) == 8 + 6
+        assert all(doc.ids.dtype == np.int32 for doc in docs)
+        assert sum(doc.ids.nbytes for doc in docs) <= len(docs) * 12 * 4
+
+    def test_embedding_is_the_embedded_document(self):
+        records, table, store = _text_store(T=12)
+        groups = group_reviews(records)
+        for by_entity, embedding in ((groups.by_user, store.user_embedding),
+                                     (groups.by_item, store.item_embedding)):
+            for entity_id, reviews in by_entity.items():
+                doc = build_document([text for _, text in reviews], 12, table)
+                npt.assert_array_equal(embedding(entity_id), embed(doc, table))
+        # every call gathers a fresh matrix, so writing to one is harmless
+        store.user_embedding("user000")[...] = 7.0
+        assert not np.any(store.user_embedding("user000") == 7.0)
 
 
 class TestFit:
@@ -192,6 +238,24 @@ class TestEvaluate:
         model, store, _ = _tiny_setup()
         with pytest.raises(ConfigError):
             evaluate(model, store, [])
+
+    @pytest.mark.parametrize("kind, head", [("cnn", "dp"), ("gru", "fm"),
+                                            ("lstm", "dp")])
+    def test_bit_identical_to_per_pair_predict(self, kind, head):
+        records, _, store = _text_store(T=12)
+        config = ModelConfig(tower=TowerConfig(
+            kind=kind, embedding_dim=8, hidden_units=4, kernel=4, stride=2,
+            dense_units=4, dropout_rate=0.2), head=head, fm_rank=2)
+        model = DeepConn(config, seed=5)
+        model.head.w.value[:] = 0.1  # exercise the first-order term too
+        pairs = pairs_from_records(records) + [
+            RatedPair("nobody", "item000", 4.0), RatedPair("user001", "nothing", 2.0),
+            RatedPair("nobody", "nothing", 1.0)]
+        assert len({p.user_id for p in pairs}) < len(pairs) // 2  # users repeat
+        value, counters = evaluate(model, store, pairs)
+        assert (value, counters) == _per_pair_evaluate(model, store, pairs)
+        assert counters == {"predicted": 60, "cold_start_user": 2,
+                            "cold_start_item": 1}
 
 
 class TestCheckpoint:
