@@ -24,9 +24,9 @@ from .ingest import SPLIT_MODES, dataset_stats, parse_reviews_file, split_datase
 from .model import (HEAD_KINDS, PRESETS, TOWER_KINDS, DeepConn, TowerConfig,
                     build_config)
 from .text import OOV_POLICIES, load_embeddings
-from .train import (DocumentStore, TrainReport, evaluate, fit, load_checkpoint,
-                    mean_predictor_mse, pairs_from_records, restore_parameters,
-                    save_checkpoint)
+from .train import (DocumentStore, TrainReport, atomic_open, evaluate, fit,
+                    load_checkpoint, mean_predictor_mse, pairs_from_records,
+                    restore_parameters, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -278,8 +278,10 @@ def cmd_train(args):
     model, store, report, split = _train_once(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (out / "curves.csv").write_text(report.curves_csv(), encoding="utf-8")
+    with atomic_open(out / "report.json") as fh:
+        fh.write(report.to_json().encode("utf-8"))
+    with atomic_open(out / "curves.csv") as fh:
+        fh.write(report.curves_csv().encode("utf-8"))
     save_checkpoint(model, out / "model.ckpt")
     if report.best_parameters is not None:
         final = [p.value.copy() for p in model.parameters()]
@@ -381,7 +383,8 @@ def cmd_gradcheck(args):
 
 def cmd_export_curves(args):
     report = TrainReport.from_json(Path(args.report).read_text(encoding="utf-8"))
-    Path(args.out).write_text(report.curves_csv(), encoding="utf-8")
+    with atomic_open(args.out) as fh:
+        fh.write(report.curves_csv().encode("utf-8"))
     print(f"wrote {args.out} ({len(report.epochs)} epochs)")
     return EXIT_OK
 

@@ -120,37 +120,14 @@ def _case_dropout(rng):
     return loss_fn, pre.parameters()
 
 
-def _case_gru(rng, steps=3):
-    cell = GruCell(3, 4, rng=rng, name="check.gru")
-    xs = rng.standard_normal((steps, 3))
+def _case_recurrent(cell_cls, rng):
+    cell = cell_cls(3, 4, rng=rng)
+    xs = rng.standard_normal((3, 3))
     w = rng.standard_normal(4)
 
     def loss_fn():
-        cell.reset()
-        s = cell.initial_state()
-        for t in range(steps):
-            s = cell.step(s, xs[t])
-        ds = w
-        for t in reversed(range(steps)):
-            ds, _ = cell.backward_step(ds)
-        return float(w @ s)
-
-    return loss_fn, cell.parameters()
-
-
-def _case_lstm(rng, steps=3):
-    cell = LstmCell(3, 4, rng=rng, name="check.lstm")
-    xs = rng.standard_normal((steps, 3))
-    w = rng.standard_normal(4)
-
-    def loss_fn():
-        cell.reset()
-        h, c = cell.initial_state()
-        for t in range(steps):
-            h, c = cell.step((h, c), xs[t])
-        dh, dc = w, np.zeros(4)
-        for t in reversed(range(steps)):
-            dh, dc, _ = cell.backward_step(dh, dc)
+        h = cell.forward(xs)
+        cell.backward(w)
         return float(w @ h)
 
     return loss_fn, cell.parameters()
@@ -220,8 +197,8 @@ STANDARD_CASES = (
     ("conv1d", _case_conv1d),
     ("maxpool_over_time", _case_maxpool),
     ("dropout_fixed_mask", _case_dropout),
-    ("gru_3step", _case_gru),
-    ("lstm_3step", _case_lstm),
+    ("gru_3step", lambda rng: _case_recurrent(GruCell, rng)),
+    ("lstm_3step", lambda rng: _case_recurrent(LstmCell, rng)),
     ("dp_head", _case_dp_head),
     ("fm_head", _case_fm_head),
     ("full_model_cnn_dp", lambda rng: _case_full_model(rng, "cnn", "dp")),

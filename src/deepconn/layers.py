@@ -6,8 +6,10 @@ accumulating parameter gradients with `+=`.  Gradients therefore add up
 across calls until `zero_grad()` is invoked, which is what the optimizers
 and the finite-difference checker rely on.
 
-Single-sample convention throughout: a document is a (T, d) matrix, hidden
-states are 1-d vectors.  Batching is a loop one level up.
+Every layer, the recurrent cells included, takes one whole sample: a
+document is a (T, d) matrix, hidden states are 1-d vectors.  Batching is a
+loop one level up.  The cells also expose the single timestep their shared
+unroll is built from.
 """
 
 import numpy as np
@@ -245,16 +247,47 @@ class Dropout:
         return np.asarray(dout) * mask * scale
 
 
-class GruCell:
-    """Gated recurrent unit, no bias terms.
+class _RecurrentCell:
+    """The unroll shared by GruCell and LstmCell.
+
+    A cell's state is a tuple whose first entry is the hidden vector.
+    `step(state, x_t)` returns the next state and pushes its cache on a
+    stack; `backward_step(dstate)` pops the latest cache and returns
+    (dstate_prev, dx_t).  A recurrent-dropout `mask` scales the hidden
+    vector before every step, and its gradient after every backward step.
+    """
+
+    def forward(self, x, mask=None):
+        """Run over a (T, input_dim) document; returns the final hidden vector."""
+        x = np.asarray(x, dtype=np.float64)
+        self._stack = []
+        state = self.initial_state()
+        for x_t in x:
+            if mask is not None:
+                state = (state[0] * mask,) + state[1:]
+            state = self.step(state, x_t)
+        self._unroll = (len(x), mask)
+        return state[0]
+
+    def backward(self, dh):
+        """(T, input_dim) input gradient, given that of the final hidden vector."""
+        T, mask = self._unroll
+        dstate = (dh,) + self.initial_state()[1:]
+        dx = np.zeros((T, self.input_dim))
+        for t in reversed(range(T)):
+            dstate, dx[t] = self.backward_step(dstate)
+            if mask is not None:
+                dstate = (dstate[0] * mask,) + dstate[1:]
+        return dx
+
+
+class GruCell(_RecurrentCell):
+    """Gated recurrent unit, no bias terms; the state is (s,).
 
     z   = sigmoid(x_t @ U_z + s_prev @ W_z)
     r   = sigmoid(x_t @ U_r + s_prev @ W_r)
     h   = tanh(x_t @ U_h + (s_prev * r) @ W_h)
     s_t = (1 - z) * s_prev + z * h
-
-    Step caches pile up on a stack; `backward_step` pops them in reverse,
-    so a T-step unroll is T `step` calls followed by T `backward_step` calls.
     """
 
     def __init__(self, input_dim, hidden_dim, rng=None, name="gru"):
@@ -273,12 +306,10 @@ class GruCell:
         return [self.U_z, self.U_r, self.U_h, self.W_z, self.W_r, self.W_h]
 
     def initial_state(self):
-        return np.zeros(self.hidden_dim)
+        return (np.zeros(self.hidden_dim),)
 
-    def reset(self):
-        self._stack.clear()
-
-    def step(self, s_prev, x_t):
+    def step(self, state, x_t):
+        (s_prev,) = state
         s_prev = np.asarray(s_prev, dtype=np.float64)
         x_t = np.asarray(x_t, dtype=np.float64)
         if x_t.shape != (self.input_dim,) or s_prev.shape != (self.hidden_dim,):
@@ -290,12 +321,12 @@ class GruCell:
         h = np.tanh(x_t @ self.U_h.value + (s_prev * r) @ self.W_h.value)
         s_t = (1.0 - z) * s_prev + z * h
         self._stack.append((x_t, s_prev, z, r, h))
-        return s_t
+        return (s_t,)
 
-    def backward_step(self, ds_t):
-        """Gradient of one step; returns (ds_prev, dx_t)."""
+    def backward_step(self, dstate):
+        """Gradient of one step; returns ((ds_prev,), dx_t)."""
         x_t, s_prev, z, r, h = self._stack.pop()
-        ds_t = np.asarray(ds_t, dtype=np.float64)
+        ds_t = np.asarray(dstate[0], dtype=np.float64)
 
         dz = ds_t * (h - s_prev)
         dh = ds_t * z
@@ -322,11 +353,13 @@ class GruCell:
         dx_t += da_z @ self.U_z.value.T
         ds_prev += da_z @ self.W_z.value.T
 
-        return ds_prev, dx_t
+        return (ds_prev,), dx_t
 
 
-class LstmCell:
-    """Standard LSTM cell with per-gate biases; forget-gate bias starts at 1.
+class LstmCell(_RecurrentCell):
+    """Standard LSTM cell with per-gate biases; the state is (h, c).
+
+    The forget-gate bias starts at 1.
 
     i = sigmoid(x @ U_i + h_prev @ W_i + b_i)
     f = sigmoid(x @ U_f + h_prev @ W_f + b_f)
@@ -363,9 +396,6 @@ class LstmCell:
     def initial_state(self):
         return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
 
-    def reset(self):
-        self._stack.clear()
-
     def step(self, state, x_t):
         h_prev, c_prev = state
         h_prev = np.asarray(h_prev, dtype=np.float64)
@@ -387,9 +417,10 @@ class LstmCell:
         self._stack.append((x_t, h_prev, c_prev, i, f, o, g, tc))
         return h, c
 
-    def backward_step(self, dh, dc):
-        """Gradient of one step; returns (dh_prev, dc_prev, dx_t)."""
+    def backward_step(self, dstate):
+        """Gradient of one step; returns ((dh_prev, dc_prev), dx_t)."""
         x_t, h_prev, c_prev, i, f, o, g, tc = self._stack.pop()
+        dh, dc = dstate
         dh = np.asarray(dh, dtype=np.float64)
         dc = np.asarray(dc, dtype=np.float64) + dh * o * (1.0 - tc * tc)
 
@@ -413,4 +444,4 @@ class LstmCell:
             self.b[gate].grad += da[gate]
             dx_t += da[gate] @ self.U[gate].value.T
             dh_prev += da[gate] @ self.W[gate].value.T
-        return dh_prev, dc_prev, dx_t
+        return (dh_prev, dc_prev), dx_t

@@ -58,6 +58,9 @@ class ModelConfig:
             problems.append(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.fm_rank < 1:
             problems.append(f"fm_rank must be >= 1, got {self.fm_rank}")
+        if self.pure_dot and self.head != "dp":
+            problems.append(
+                f"pure_dot applies only to the dp head, got head {self.head!r}")
         return problems
 
     def to_dict(self):
@@ -120,29 +123,21 @@ class Tower:
         self.name = name
         self.kind = config.kind
         d = config.embedding_dim
+        self.conv = self.cell = None
         if self.kind == "cnn":
             self.conv = Conv1d(d, config.hidden_units, config.kernel,
                                config.stride, rng, f"{name}.conv")
             self.pool = MaxPoolOverTime()
-            self.cell = None
-            feat = config.hidden_units
         else:
             cell_cls = GruCell if self.kind == "gru" else LstmCell
             self.cell = cell_cls(d, config.hidden_units, rng, f"{name}.{self.kind}")
-            self.conv = None
-            feat = config.hidden_units
         self.dropout = Dropout(config.dropout_rate) if config.dropout_rate > 0 else None
-        self.dense = Dense(feat, config.dense_units, "relu", rng, f"{name}.dense")
-        self._recurrent_cache = None
+        self.dense = Dense(config.hidden_units, config.dense_units, "relu", rng,
+                           f"{name}.dense")
 
     def parameters(self):
-        params = []
-        if self.conv is not None:
-            params.extend(self.conv.parameters())
-        if self.cell is not None:
-            params.extend(self.cell.parameters())
-        params.extend(self.dense.parameters())
-        return params
+        encoder = self.conv if self.kind == "cnn" else self.cell
+        return encoder.parameters() + self.dense.parameters()
 
     def stack(self):
         """Layer descriptors in forward order, for structural inspection."""
@@ -169,7 +164,14 @@ class Tower:
         if self.kind == "cnn":
             feat = self.pool.forward(self.conv.forward(x))
         else:
-            feat = self._forward_recurrent(x, train, rng)
+            rate = self.config.recurrent_dropout_rate
+            mask = None
+            if train and rate > 0.0:
+                if rng is None:
+                    raise ConfigError("train-mode recurrent dropout needs an rng")
+                # One mask per sequence, applied to the state input at every step.
+                mask = (rng.random(self.config.hidden_units) >= rate) / (1.0 - rate)
+            feat = self.cell.forward(x, mask)
         if self.dropout is not None:
             feat = self.dropout.forward(feat, train=train, rng=rng)
         return self.dense.forward(feat)
@@ -180,49 +182,7 @@ class Tower:
             dfeat = self.dropout.backward(dfeat)
         if self.kind == "cnn":
             return self.conv.backward(self.pool.backward(dfeat))
-        return self._backward_recurrent(dfeat)
-
-    def _forward_recurrent(self, x, train, rng):
-        cell = self.cell
-        cell.reset()
-        T = x.shape[0]
-        rate = self.config.recurrent_dropout_rate
-        mask = None
-        if train and rate > 0.0:
-            if rng is None:
-                raise ConfigError("train-mode recurrent dropout needs an rng")
-            # One mask per sequence, applied to the state input at every step.
-            mask = (rng.random(self.config.hidden_units) >= rate) / (1.0 - rate)
-        if self.kind == "gru":
-            s = cell.initial_state()
-            for t in range(T):
-                s_in = s * mask if mask is not None else s
-                s = cell.step(s_in, x[t])
-            final = s
-        else:
-            h, c = cell.initial_state()
-            for t in range(T):
-                h_in = h * mask if mask is not None else h
-                h, c = cell.step((h_in, c), x[t])
-            final = h
-        self._recurrent_cache = (T, mask)
-        return final
-
-    def _backward_recurrent(self, dfinal):
-        T, mask = self._recurrent_cache
-        dx = np.zeros((T, self.config.embedding_dim))
-        if self.kind == "gru":
-            ds = dfinal
-            for t in reversed(range(T)):
-                ds_in, dx[t] = self.cell.backward_step(ds)
-                ds = ds_in * mask if mask is not None else ds_in
-        else:
-            dh = dfinal
-            dc = np.zeros(self.config.hidden_units)
-            for t in reversed(range(T)):
-                dh_in, dc, dx[t] = self.cell.backward_step(dh, dc)
-                dh = dh_in * mask if mask is not None else dh_in
-        return dx
+        return self.cell.backward(dfeat)
 
 
 class DpHead:

@@ -8,9 +8,12 @@ parameters is stateful.
 """
 
 import json
+import os
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -178,8 +181,11 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
                 y = model.forward(user_docs[idx], item_docs[idx],
                                   train=True, rng=dropout_rng)
                 if not np.isfinite(y):
+                    pair = train_pairs[idx]
                     raise NumericFault(
-                        f"epoch {epoch}, batch at {start}: non-finite prediction")
+                        f"epoch {epoch}, batch at {start}, pair {idx} (user "
+                        f"{pair.user_id!r}, item {pair.item_id!r}): "
+                        "non-finite prediction")
                 residuals[j] = y - targets[idx]
                 model.backward(2.0 * residuals[j] / len(batch))
                 preds[j] = y
@@ -270,6 +276,25 @@ def mean_predictor_mse(pairs, mean):
     return mse(np.full(len(pairs), float(mean)), targets)
 
 
+@contextmanager
+def atomic_open(path):
+    """A binary file handle whose contents replace `path` only on success.
+
+    Writes go to a temp file beside `path`, which `os.replace` moves into
+    place once the block ends.  If the block raises, the temp file is
+    removed and any existing file at `path` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # Checkpoint format: 8-byte magic, little-endian uint64 manifest length,
 # JSON manifest (names, shapes, precision, model config), then each
 # parameter's raw float64 little-endian bytes in manifest order.
@@ -287,7 +312,7 @@ def save_checkpoint(model, path):
         "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -111,6 +112,15 @@ class TestTrain:
         assert main(argv) == code
         if code == EXIT_CONFIG:
             assert "--doc-length 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_pure_dot_with_fm_head_rejected_first(self, tmp_path, capsys, command):
+        # Missing input files again: exit 2 means nothing was read.
+        argv = [command, "--data", str(tmp_path / "missing.jsonl"),
+                "--embeddings", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "x"), "--head", "fm", "--pure-dot"]
+        assert main(argv) == EXIT_CONFIG
+        assert "pure_dot" in capsys.readouterr().err
 
     def test_grid_tags_echoed(self, sample_reviews_path, toy_embeddings_path,
                               tmp_path, capsys):
@@ -284,3 +294,27 @@ def test_console_entry_point_runs(sample_reviews_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "reviews: 1000" in proc.stdout
+
+
+@pytest.mark.parametrize("model", [
+    ["--tower", "cnn", "--doc-length", "64", "--epochs", "2"],
+    ["--tower", "lstm", "--doc-length", "16", "--train-fraction", "0.3",
+     "--recurrent-dropout", "0.2", "--epochs", "1"],
+])
+def test_outputs_identical_across_blas_thread_counts(sample_reviews_path,
+                                                     toy_embeddings_path,
+                                                     tmp_path, model):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepconn.cli", "train",
+             "--data", str(sample_reviews_path),
+             "--embeddings", str(toy_embeddings_path), "--out", str(out),
+             "--seed", "9", "--no-timing"] + model,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("report.json", "curves.csv", "model.ckpt")])
+    assert outputs[0] == outputs[1]

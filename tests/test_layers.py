@@ -222,32 +222,33 @@ class TestGruCell:
         for p in cell.parameters():
             p.value[:] = 0.0
         s_prev = np.array([1.0, -2.0, 0.5, 4.0])
-        s_t = cell.step(s_prev, np.ones(3))
+        (s_t,) = cell.step((s_prev,), np.ones(3))
         npt.assert_allclose(s_t, 0.5 * s_prev, rtol=0, atol=1e-15)
 
     def test_zero_state_zero_weights(self):
         cell = GruCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        npt.assert_array_equal(cell.step(np.zeros(4), np.ones(3)), np.zeros(4))
+        (s_t,) = cell.step((np.zeros(4),), np.ones(3))
+        npt.assert_array_equal(s_t, np.zeros(4))
 
     def test_gates_stay_in_unit_interval(self):
         rng = _rng(23)
         cell = GruCell(3, 4, rng=rng)
-        s = cell.initial_state()
+        (s,) = cell.initial_state()
         for t in range(20):
             x = 10.0 * rng.standard_normal(3)
             z = sigmoid(x @ cell.U_z.value + s @ cell.W_z.value)
             r = sigmoid(x @ cell.U_r.value + s @ cell.W_r.value)
             assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
-            s = cell.step(s, x)
+            (s,) = cell.step((s,), x)
             # convex combination of s_prev and |h| < 1 keeps the sup norm bounded
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
 
     def test_shape_mismatch(self):
         cell = GruCell(3, 4, rng=_rng())
         with pytest.raises(ShapeError):
-            cell.step(np.zeros(5), np.zeros(3))
+            cell.step((np.zeros(5),), np.zeros(3))
 
     def test_gradient_three_step_unroll(self):
         rng = _rng(29)
@@ -256,13 +257,8 @@ class TestGruCell:
         w = rng.standard_normal(4)
 
         def loss_fn():
-            cell.reset()
-            s = cell.initial_state()
-            for t in range(3):
-                s = cell.step(s, xs[t])
-            ds = w
-            for t in reversed(range(3)):
-                ds, _ = cell.backward_step(ds)
+            s = cell.forward(xs)
+            cell.backward(w)
             return float(w @ s)
 
         assert gradient_check(loss_fn, cell.parameters()) < 1e-4
@@ -308,16 +304,56 @@ class TestLstmCell:
         w = rng.standard_normal(4)
 
         def loss_fn():
-            cell.reset()
-            h, c = cell.initial_state()
-            for t in range(3):
-                h, c = cell.step((h, c), xs[t])
-            dh, dc = w, np.zeros(4)
-            for t in reversed(range(3)):
-                dh, dc, _ = cell.backward_step(dh, dc)
+            h = cell.forward(xs)
+            cell.backward(w)
             return float(w @ h)
 
         assert gradient_check(loss_fn, cell.parameters()) < 1e-4
+
+
+def _unroll_by_hand(cell, x, dfinal, mask):
+    """Reference: the per-cell step/backward_step loops, written out."""
+    T, H = len(x), cell.hidden_dim
+    dx = np.zeros_like(x)
+    if isinstance(cell, GruCell):
+        s = np.zeros(H)
+        for t in range(T):
+            s_in = s * mask if mask is not None else s
+            (s,) = cell.step((s_in,), x[t])
+        ds = dfinal
+        for t in reversed(range(T)):
+            (ds_in,), dx[t] = cell.backward_step((ds,))
+            ds = ds_in * mask if mask is not None else ds_in
+        return s, dx
+    h, c = np.zeros(H), np.zeros(H)
+    for t in range(T):
+        h_in = h * mask if mask is not None else h
+        h, c = cell.step((h_in, c), x[t])
+    dh, dc = dfinal, np.zeros(H)
+    for t in reversed(range(T)):
+        (dh_in, dc), dx[t] = cell.backward_step((dh, dc))
+        dh = dh_in * mask if mask is not None else dh_in
+    return h, dx
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@pytest.mark.parametrize("masked", [False, True])
+def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
+    rng = _rng(41)
+    x = rng.standard_normal((7, 3))
+    dfinal = rng.standard_normal(4)
+    mask = (rng.random(4) >= 0.3) / 0.7 if masked else None
+    cell, ref = cell_cls(3, 4, rng=_rng(43)), cell_cls(3, 4, rng=_rng(43))
+    h_ref, dx_ref = _unroll_by_hand(ref, x, dfinal, mask)
+
+    cell.forward(x[:2])  # an eval-mode forward with no backward leaves no trace
+    h = cell.forward(x, mask)
+    dx = cell.backward(dfinal)
+    npt.assert_array_equal(h, h_ref)
+    npt.assert_array_equal(dx, dx_ref)
+    for p, q in zip(cell.parameters(), ref.parameters()):
+        npt.assert_array_equal(p.grad, q.grad)
+    assert cell._stack == []
 
 
 class TestGradientCheckHarness:

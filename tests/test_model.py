@@ -43,6 +43,13 @@ class TestConfig:
         config = build_config("comparison", kind="lstm", head="fm", fm_rank=4)
         assert ModelConfig.from_dict(config.to_dict()) == config
 
+    def test_pure_dot_needs_the_dp_head(self):
+        with pytest.raises(ConfigError, match="pure_dot"):
+            build_config("comparison", head="fm", pure_dot=True)
+        with pytest.raises(ConfigError, match="pure_dot"):
+            DeepConn(ModelConfig(head="fm", pure_dot=True))
+        assert build_config("comparison", head="dp", pure_dot=True).pure_dot
+
 
 class TestTower:
     def test_cnn_shape_chain(self):
@@ -290,6 +297,19 @@ class TestStructure:
         assert stack[0][0] == kind
         assert stack[0][1] == {"units": 64, "activation": "tanh"}
         assert dict(stack)["dropout"]["rate"] == pytest.approx(0.10)
+
+    @pytest.mark.parametrize("kind, cell_names", [
+        ("gru", ["U_z", "U_r", "U_h", "W_z", "W_r", "W_h"]),
+        ("lstm", ["U_i", "W_i", "b_i", "U_f", "W_f", "b_f",
+                  "U_o", "W_o", "b_o", "U_g", "W_g", "b_g"]),
+    ])
+    def test_recurrent_parameter_names_pinned(self, kind, cell_names):
+        # These names, in this order, are the v1 checkpoint manifest.
+        model = miniature_model(kind, "dp")
+        expected = [f"{tower}.{name}" for tower in ("user_tower", "item_tower")
+                    for name in [f"{kind}.{n}" for n in cell_names]
+                    + ["dense.W", "dense.b"]] + ["head.beta0", "head.w"]
+        assert [p.name for p in model.parameters()] == expected
 
     def test_filters_override_realizes_two_channel_reading(self):
         config = build_config("baseline-replica", hidden_units=2)

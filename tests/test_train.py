@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -183,8 +185,13 @@ class TestFit:
     def test_non_finite_parameter_faults_with_context(self):
         model, store, pairs = _tiny_setup(seed=9)
         model.parameters()[0].value[...] = np.nan
-        with pytest.raises(NumericFault, match="epoch 1"):
+        with pytest.raises(NumericFault, match="epoch 1") as info:
             fit(model, store, pairs, epochs=1, batch_size=8, seed=0)
+        found = re.search(r"batch at 0, pair (\d+) \(user '(\w+)', item '(\w+)'\)",
+                          str(info.value))
+        assert found, str(info.value)
+        pair = pairs[int(found.group(1))]
+        assert (pair.user_id, pair.item_id) == found.group(2, 3)
 
     def test_empty_training_set_rejected(self):
         model, store, _ = _tiny_setup()
@@ -296,6 +303,21 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        model = miniature_model("gru", seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        params = model.parameters()
+        params[0].value += 1.0
+        # Not convertible to float64: the write fails after the manifest and
+        # the first few parameters have gone out.
+        params[3].value = np.full(params[3].shape, "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "nope.ckpt"
