@@ -156,7 +156,11 @@ def build_parser():
 
 
 def _validate_run(args):
-    """Collect every invalid field before any computation."""
+    """Collect every invalid field before any computation.
+
+    Returns the model config for the commands that take model flags
+    (train, compare) and None for the others.
+    """
     problems = []
     if not 0.0 < args.train_fraction < 1.0:
         problems.append(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
@@ -182,8 +186,15 @@ def _validate_run(args):
         problems.append(f"--dim must be >= 1, got {args.dim}")
     if getattr(args, "k", None) is not None and args.k < 1:
         problems.append(f"--k must be >= 1, got {args.k}")
+    config = None
+    if hasattr(args, "tower"):
+        try:
+            config = _model_config(args)
+        except ConfigError as exc:
+            problems.append(str(exc))
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    return config
 
 
 def _model_config(args):
@@ -246,8 +257,7 @@ def cmd_stats(args):
 
 def _train_once(args):
     """Shared by train and compare: returns (model, store, report, split)."""
-    _validate_run(args)
-    config = _model_config(args)
+    config = _validate_run(args)
     result, split = _load_split(args)
     if split is None:
         raise ConfigError(f"{args.data}: no valid records to train on")
@@ -382,7 +392,10 @@ def cmd_gradcheck(args):
 
 
 def cmd_export_curves(args):
-    report = TrainReport.from_json(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        report = TrainReport.from_json(Path(args.report).read_bytes())
+    except DataFormatError as exc:
+        raise DataFormatError(f"{args.report}: {exc}") from exc
     with atomic_open(args.out) as fh:
         fh.write(report.curves_csv().encode("utf-8"))
     print(f"wrote {args.out} ({len(report.epochs)} epochs)")
@@ -409,7 +422,7 @@ def _apply_config_file(parser, argv):
         return
     try:
         defaults = json.loads(Path(known.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{known.config}: not valid JSON ({exc})") from exc
     if not isinstance(defaults, dict):
         raise ConfigError(f"{known.config}: config file must hold a JSON object")

@@ -134,7 +134,7 @@ def _case_recurrent(cell_cls, rng):
 
 
 def _case_dp_head(rng):
-    head = DpHead(5, rng=rng, name="check.dp")
+    head = DpHead(5, name="check.dp")
     head.w.value[:] = rng.standard_normal(10)
     head.beta0.value[...] = 0.3
     # Feed the head from dense layers so its input gradients are verified too.

@@ -2,8 +2,8 @@
 
 The input is newline-delimited JSON with one review object per line; only
 four keys matter: reviewerID, asin, reviewText, overall.  Parsing is
-lenient by default — bad lines become skip records, not exceptions —
-because real dumps contain irregular rows.
+lenient — bad lines become skip records, not exceptions — because real
+dumps contain irregular rows.
 """
 
 import json
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, InfeasibleSplitError
+from .errors import ConfigError, InfeasibleSplitError
 
 REQUIRED_KEYS = ("reviewerID", "asin", "reviewText", "overall")
 SPLIT_MODES = ("by_review", "by_user_holdout")
@@ -58,11 +58,10 @@ def _validate_line(obj):
     return ReviewRecord(user_id, item_id, rating, text), None
 
 
-def parse_reviews(stream, strict=False):
+def parse_reviews(stream):
     """Read JSON-lines reviews from a file-like object or iterable of lines.
 
-    Returns a ParseResult; in strict mode the first bad line raises
-    DataFormatError instead of being recorded as a skip.
+    Returns a ParseResult; every bad line is recorded as a skip.
     """
     records = []
     skips = []
@@ -74,26 +73,21 @@ def parse_reviews(stream, strict=False):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            reason = f"invalid JSON ({exc.msg})"
-            if strict:
-                raise DataFormatError(f"line {line_number}: {reason}") from exc
-            skips.append((line_number, reason))
+            skips.append((line_number, f"invalid JSON ({exc.msg})"))
             continue
         if not isinstance(obj, dict):
             obj = {}
         record, reason = _validate_line(obj)
         if record is None:
-            if strict:
-                raise DataFormatError(f"line {line_number}: {reason}")
             skips.append((line_number, reason))
             continue
         records.append(record)
     return ParseResult(records, skips)
 
 
-def parse_reviews_file(path, strict=False):
+def parse_reviews_file(path):
     with open(path, "rb") as fh:
-        return parse_reviews(fh, strict=strict)
+        return parse_reviews(fh)
 
 
 def serialize_reviews(records):
@@ -109,10 +103,6 @@ def serialize_reviews(records):
 class ReviewGroups:
     by_user: dict  # user_id -> [(item_id, text), ...] in input order
     by_item: dict  # item_id -> [(user_id, text), ...] in input order
-
-    @property
-    def total_texts(self):
-        return sum(len(v) for v in self.by_user.values())
 
 
 def group_reviews(records):

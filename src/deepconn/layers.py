@@ -8,8 +8,10 @@ and the finite-difference checker rely on.
 
 Every layer, the recurrent cells included, takes one whole sample: a
 document is a (T, d) matrix, hidden states are 1-d vectors.  Batching is a
-loop one level up.  The cells also expose the single timestep their shared
-unroll is built from.
+loop one level up.  GruCell and LstmCell share one unroll, and each
+gate's weight gradients go through one routine; each cell writes out only
+its own step and backward step.  `sigmoid` is tanh-based, so it needs no
+branch on the sign of its input.
 """
 
 import numpy as np
@@ -36,33 +38,26 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-def glorot_uniform(shape, rng, fan_in=None, fan_out=None):
+def glorot_uniform(shape, rng):
     """Uniform init with limit sqrt(6 / (fan_in + fan_out)).
 
     For 2-d weights the fans are the two axes; conv kernels (C, K, d)
     use fan_in = K*d and fan_out = C.
     """
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-        elif len(shape) == 3:
-            c, k, d = shape
-            fan_in, fan_out = k * d, c
-        else:
-            raise ConfigError(f"cannot infer fans for shape {shape}")
+    if len(shape) == 2:
+        fan_in, fan_out = shape
+    elif len(shape) == 3:
+        c, k, d = shape
+        fan_in, fan_out = k * d, c
+    else:
+        raise ConfigError(f"cannot infer fans for shape {shape}")
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
 def sigmoid(x):
-    # Split by sign to avoid exp overflow on large negative inputs.
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates instead of overflowing, so no input needs a branch.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
@@ -247,6 +242,14 @@ class Dropout:
         return np.asarray(dout) * mask * scale
 
 
+def _gate_backward(U, W, x_t, h_in, da):
+    """Add one gate's weight gradients, given the gradient `da` of its
+    pre-activation x_t @ U + h_in @ W; returns the gradients of x_t and h_in."""
+    U.grad += np.outer(x_t, da)
+    W.grad += np.outer(h_in, da)
+    return da @ U.value.T, da @ W.value.T
+
+
 class _RecurrentCell:
     """The unroll shared by GruCell and LstmCell.
 
@@ -326,33 +329,19 @@ class GruCell(_RecurrentCell):
     def backward_step(self, dstate):
         """Gradient of one step; returns ((ds_prev,), dx_t)."""
         x_t, s_prev, z, r, h = self._stack.pop()
-        ds_t = np.asarray(dstate[0], dtype=np.float64)
-
-        dz = ds_t * (h - s_prev)
-        dh = ds_t * z
+        (ds_t,) = dstate
         ds_prev = ds_t * (1.0 - z)
 
-        da_h = dh * (1.0 - h * h)            # h = tanh(a_h)
-        sr = s_prev * r
-        self.U_h.grad += np.outer(x_t, da_h)
-        self.W_h.grad += np.outer(sr, da_h)
-        dx_t = da_h @ self.U_h.value.T
-        dsr = da_h @ self.W_h.value.T
+        da_h = ds_t * z * (1.0 - h * h)              # h = tanh(a_h)
+        dx_t, dsr = _gate_backward(self.U_h, self.W_h, x_t, s_prev * r, da_h)
         ds_prev += dsr * r
-        dr = dsr * s_prev
 
-        da_r = dr * r * (1.0 - r)            # r = sigmoid(a_r)
-        self.U_r.grad += np.outer(x_t, da_r)
-        self.W_r.grad += np.outer(s_prev, da_r)
-        dx_t += da_r @ self.U_r.value.T
-        ds_prev += da_r @ self.W_r.value.T
-
-        da_z = dz * z * (1.0 - z)            # z = sigmoid(a_z)
-        self.U_z.grad += np.outer(x_t, da_z)
-        self.W_z.grad += np.outer(s_prev, da_z)
-        dx_t += da_z @ self.U_z.value.T
-        ds_prev += da_z @ self.W_z.value.T
-
+        da_r = dsr * s_prev * r * (1.0 - r)          # r = sigmoid(a_r)
+        da_z = ds_t * (h - s_prev) * z * (1.0 - z)   # z = sigmoid(a_z)
+        for U, W, da in ((self.U_r, self.W_r, da_r), (self.U_z, self.W_z, da_z)):
+            dx_gate, ds_gate = _gate_backward(U, W, x_t, s_prev, da)
+            dx_t += dx_gate
+            ds_prev += ds_gate
         return (ds_prev,), dx_t
 
 
@@ -421,27 +410,19 @@ class LstmCell(_RecurrentCell):
         """Gradient of one step; returns ((dh_prev, dc_prev), dx_t)."""
         x_t, h_prev, c_prev, i, f, o, g, tc = self._stack.pop()
         dh, dc = dstate
-        dh = np.asarray(dh, dtype=np.float64)
-        dc = np.asarray(dc, dtype=np.float64) + dh * o * (1.0 - tc * tc)
-
-        do = dh * tc
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_prev = dc * f
-
+        dc = dc + dh * o * (1.0 - tc * tc)
         da = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "g": dg * (1.0 - g * g),
+            "i": dc * g * i * (1.0 - i),
+            "f": dc * c_prev * f * (1.0 - f),
+            "o": dh * tc * o * (1.0 - o),
+            "g": dc * i * (1.0 - g * g),
         }
         dx_t = np.zeros(self.input_dim)
         dh_prev = np.zeros(self.hidden_dim)
         for gate in self.GATES:
-            self.U[gate].grad += np.outer(x_t, da[gate])
-            self.W[gate].grad += np.outer(h_prev, da[gate])
             self.b[gate].grad += da[gate]
-            dx_t += da[gate] @ self.U[gate].value.T
-            dh_prev += da[gate] @ self.W[gate].value.T
-        return (dh_prev, dc_prev), dx_t
+            dx_gate, dh_gate = _gate_backward(self.U[gate], self.W[gate], x_t,
+                                              h_prev, da[gate])
+            dx_t += dx_gate
+            dh_prev += dh_gate
+        return (dh_prev, dc * f), dx_t

@@ -193,7 +193,7 @@ class DpHead:
 
     kind = "dp"
 
-    def __init__(self, latent_dim, rng=None, pure_dot=False, name="head"):
+    def __init__(self, latent_dim, pure_dot=False, name="head"):
         self.latent_dim = latent_dim
         self.pure_dot = pure_dot
         self.beta0 = Parameter(0.0, f"{name}.beta0")
@@ -320,17 +320,13 @@ class DeepConn:
         self.item_tower = Tower(config.tower, rng, "item_tower")
         m = config.tower.dense_units
         if config.head == "dp":
-            self.head = DpHead(m, rng, pure_dot=config.pure_dot, name="head")
+            self.head = DpHead(m, pure_dot=config.pure_dot, name="head")
         else:
             self.head = FmHead(m, config.fm_rank, rng, name="head")
 
     def parameters(self):
         return (self.user_tower.parameters() + self.item_tower.parameters()
                 + self.head.parameters())
-
-    def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
 
     def forward(self, user_doc_embedding, item_doc_embedding, train=False, rng=None):
         x_u = self.user_tower.forward(user_doc_embedding, train=train, rng=rng)

@@ -18,6 +18,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 PAD_ID = 0
 OOV_POLICIES = ("zero", "hash_bucket")
+_OOV_BUCKETS = 16
+_OOV_BUCKET_SEED = 0
 
 
 def tokenize(text):
@@ -33,12 +35,12 @@ class EmbeddingTable:
     """Immutable token -> vector lookup.
 
     Row 0 is the reserved pad entry (all zeros).  Unknown tokens map to
-    the pad row under the "zero" policy, or to one of `n_buckets` seeded
-    random rows under "hash_bucket".  Vectors are frozen: the backing
+    the pad row under the "zero" policy, or to one of 16 seeded random
+    rows under "hash_bucket".  Vectors are frozen: the backing
     matrix is read-only for the lifetime of the table.
     """
 
-    def __init__(self, dim, vectors, oov_policy="zero", n_buckets=16, seed=0):
+    def __init__(self, dim, vectors, oov_policy="zero"):
         if dim < 1:
             raise ConfigError(f"embedding dim must be >= 1, got {dim}")
         if oov_policy not in OOV_POLICIES:
@@ -64,13 +66,8 @@ class EmbeddingTable:
         self.n_tokens = len(self._ids)
         self._first_bucket_id = len(rows)
         if oov_policy == "hash_bucket":
-            if n_buckets < 1:
-                raise ConfigError(f"hash_bucket policy needs n_buckets >= 1, got {n_buckets}")
-            self.n_buckets = n_buckets
-            bucket_rng = np.random.default_rng(seed)
-            rows.extend(0.1 * bucket_rng.standard_normal((n_buckets, dim)))
-        else:
-            self.n_buckets = 0
+            bucket_rng = np.random.default_rng(_OOV_BUCKET_SEED)
+            rows.extend(0.1 * bucket_rng.standard_normal((_OOV_BUCKETS, dim)))
         self.matrix = np.vstack(rows) if rows else np.zeros((1, dim))
         self.matrix.setflags(write=False)
 
@@ -86,7 +83,7 @@ class EmbeddingTable:
         if known is not None:
             return known
         if self.oov_policy == "hash_bucket":
-            bucket = zlib.crc32(token.encode("utf-8")) % self.n_buckets
+            bucket = zlib.crc32(token.encode("utf-8")) % _OOV_BUCKETS
             return self._first_bucket_id + bucket
         return PAD_ID
 
@@ -94,7 +91,7 @@ class EmbeddingTable:
         return self.matrix[self.id_for(token)]
 
 
-def load_embeddings(path, dim, oov_policy="zero", n_buckets=16):
+def load_embeddings(path, dim, oov_policy="zero"):
     """Read a text embedding file: one `token v1 ... v<dim>` line per entry.
 
     Wrong arity or a non-finite float is a format error naming the line;
@@ -102,31 +99,34 @@ def load_embeddings(path, dim, oov_policy="zero", n_buckets=16):
     """
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if parts == [""]:
-                continue
-            if len(parts) != dim + 1:
-                raise DataFormatError(
-                    f"{path}: line {line_number}: expected 1 token + {dim} floats, "
-                    f"got {len(parts)} fields")
-            token = parts[0]
-            try:
-                vec = np.array([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}: line {line_number}: bad float ({exc})") from exc
-            if not np.isfinite(vec).all():
-                raise DataFormatError(
-                    f"{path}: line {line_number}: non-finite embedding value")
-            if token in seen:
-                warnings.warn(
-                    f"{path}: line {line_number}: duplicate token {token!r}, "
-                    "last occurrence wins")
-            seen.add(token)
-            entries.append((token, vec))
-    return EmbeddingTable(dim, entries, oov_policy=oov_policy, n_buckets=n_buckets)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_number, line in enumerate(fh, start=1):
+                parts = line.rstrip("\n").split(" ")
+                if parts == [""]:
+                    continue
+                if len(parts) != dim + 1:
+                    raise DataFormatError(
+                        f"{path}: line {line_number}: expected 1 token + {dim} floats, "
+                        f"got {len(parts)} fields")
+                token = parts[0]
+                try:
+                    vec = np.array([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}: line {line_number}: bad float ({exc})") from exc
+                if not np.isfinite(vec).all():
+                    raise DataFormatError(
+                        f"{path}: line {line_number}: non-finite embedding value")
+                if token in seen:
+                    warnings.warn(
+                        f"{path}: line {line_number}: duplicate token {token!r}, "
+                        "last occurrence wins")
+                seen.add(token)
+                entries.append((token, vec))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    return EmbeddingTable(dim, entries, oov_policy=oov_policy)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CheckpointError, ConfigError, NumericFault, ShapeError)
+from .errors import (CheckpointError, ConfigError, DataFormatError,
+                     NumericFault, ShapeError)
 from .ingest import group_reviews
 from .model import DeepConn, ModelConfig, mse
 from .optim import make_optimizer
@@ -117,15 +118,23 @@ class TrainReport:
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
-        report = cls(config=payload["config"], seed=payload["seed"],
-                     test_mse=payload.get("test_mse"),
-                     best_validation_epoch=payload.get("best_validation_epoch"),
-                     optimizer_steps=payload.get("optimizer_steps", 0),
-                     cold_start_counts=payload.get("cold_start_counts"))
-        for e in payload["epochs"]:
-            report.epochs.append(EpochStats(e["epoch"], e["train_loss"],
-                                            e["validation_loss"], e["seconds"]))
+        """Inverse of to_json; anything else is a DataFormatError."""
+        try:
+            payload = json.loads(text)
+            report = cls(config=payload["config"], seed=payload["seed"],
+                         test_mse=payload.get("test_mse"),
+                         best_validation_epoch=payload.get("best_validation_epoch"),
+                         optimizer_steps=payload.get("optimizer_steps", 0),
+                         cold_start_counts=payload.get("cold_start_counts"))
+            for e in payload["epochs"]:
+                val = e["validation_loss"]
+                report.epochs.append(EpochStats(
+                    int(e["epoch"]), float(e["train_loss"]),
+                    None if val is None else float(val), float(e["seconds"])))
+        except KeyError as exc:
+            raise DataFormatError(f"report lacks the key {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise DataFormatError(f"not a training report ({exc})") from exc
         return report
 
 
@@ -175,7 +184,6 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
         sq_error_sum = 0.0
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            preds = np.empty(len(batch))
             residuals = np.empty(len(batch))
             for j, idx in enumerate(batch):
                 y = model.forward(user_docs[idx], item_docs[idx],
@@ -188,7 +196,6 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
                         "non-finite prediction")
                 residuals[j] = y - targets[idx]
                 model.backward(2.0 * residuals[j] / len(batch))
-                preds[j] = y
             sq_error_sum += float(np.sum(residuals ** 2))
             try:
                 opt.step()
@@ -320,6 +327,23 @@ def save_checkpoint(model, path):
             fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
+def _read_manifest(path, manifest):
+    """The model config and the (name, shape) entries of a version-1 manifest."""
+    if not isinstance(manifest, dict) or \
+            manifest.get("format") != "deepconn-checkpoint":
+        raise CheckpointError(f"{path}: unknown manifest format")
+    version = manifest.get("version")
+    if type(version) is not int or version != 1:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    try:
+        entries = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+        return ModelConfig.from_dict(manifest["config"]), entries
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: manifest lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest ({exc})") from exc
+
+
 def load_checkpoint(path, model=None):
     """Rebuild (or fill) a model from a checkpoint; bit-exact round trip.
 
@@ -341,21 +365,18 @@ def load_checkpoint(path, model=None):
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
-        if manifest.get("format") != "deepconn-checkpoint":
-            raise CheckpointError(f"{path}: unknown manifest format")
+        config, entries = _read_manifest(path, manifest)
         if model is None:
-            model = DeepConn(ModelConfig.from_dict(manifest["config"]))
+            model = DeepConn(config)
         params = model.parameters()
-        entries = manifest["params"]
         if len(entries) != len(params):
             raise ShapeError(
                 f"checkpoint has {len(entries)} parameters, model has {len(params)}")
-        for p, entry in zip(params, entries):
-            if p.name != entry["name"]:
+        for p, (name, shape) in zip(params, entries):
+            if p.name != name:
                 raise ShapeError(
                     f"parameter order mismatch: model {p.name!r} vs "
-                    f"checkpoint {entry['name']!r}")
-            shape = tuple(entry["shape"])
+                    f"checkpoint {name!r}")
             if p.value.shape != shape:
                 raise ShapeError(
                     f"parameter {p.name!r}: checkpoint shape {shape}, "

@@ -90,10 +90,11 @@ class TestTrain:
                      "--embeddings", str(toy_embeddings_path),
                      "--out", str(tmp_path / "x"),
                      "--train-fraction", "1.5", "--lr", "-2",
-                     "--batch-size", "0", "--doc-length", "0"])
+                     "--batch-size", "0", "--doc-length", "0", "--dropout", "2"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        for field in ("--train-fraction", "--lr", "--batch-size", "--doc-length"):
+        for field in ("--train-fraction", "--lr", "--batch-size", "--doc-length",
+                      "dropout_rate"):
             assert field in err
 
     @pytest.mark.parametrize("extra, code", [
@@ -121,6 +122,15 @@ class TestTrain:
                 "--out", str(tmp_path / "x"), "--head", "fm", "--pure-dot"]
         assert main(argv) == EXIT_CONFIG
         assert "pure_dot" in capsys.readouterr().err
+
+    def test_non_utf8_embedding_file_is_io_error(self, sample_reviews_path,
+                                                 tmp_path, capsys):
+        emb = tmp_path / "latin1.txt"
+        emb.write_bytes("caf\xe9 0.5 0.5\n".encode("latin-1"))
+        code = main(_train_argv(sample_reviews_path, emb, tmp_path / "x",
+                                extra=["--dim", "2"]))
+        assert code == EXIT_IO
+        assert f"{emb}: not UTF-8" in capsys.readouterr().err
 
     def test_grid_tags_echoed(self, sample_reviews_path, toy_embeddings_path,
                               tmp_path, capsys):
@@ -251,6 +261,23 @@ class TestGradcheckCommand:
 
 
 class TestExportCurves:
+    @pytest.mark.parametrize("content", [
+        b"not json", b"[1, 2]", b'{"config": {}, "seed": 0}',
+        b'{"config": {}, "seed": 0, "epochs": [{"epoch": 1}]}',
+        b'{"config": {}, "seed": 0, "epochs": 3}', b"\xff\xfe{}",
+        b'{"config": {}, "seed": 0, "epochs": [{"epoch": 1, "train_loss": 1.0, '
+        b'"validation_loss": null, "seconds": null}]}',
+    ], ids=["not-json", "not-object", "no-epochs", "epoch-lacks-keys",
+            "epochs-not-list", "not-utf8", "seconds-null"])
+    def test_malformed_report_is_io_error(self, tmp_path, capsys, content):
+        report = tmp_path / "report.json"
+        report.write_bytes(content)
+        code = main(["export-curves", "--report", str(report),
+                     "--out", str(tmp_path / "curves.csv")])
+        assert code == EXIT_IO
+        assert str(report) in capsys.readouterr().err
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_round_trip_equals_original(self, sample_reviews_path,
                                         toy_embeddings_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -280,6 +307,14 @@ class TestConfigFile:
         assert report.seed == 3
         assert report.config["run"]["doc_length"] == 32
         assert len(report.epochs) == 1
+
+    @pytest.mark.parametrize("content", [b'{"epochs": 1', b'{"epochs": "\xe9"}'],
+                             ids=["not-json", "not-utf8"])
+    def test_unreadable_config_file_rejected(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["--config", str(cfg), "gradcheck"]) == EXIT_CONFIG
+        assert f"{cfg}: not valid JSON" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepconn.errors import ConfigError, DataFormatError, InfeasibleSplitError
+from deepconn.errors import ConfigError, InfeasibleSplitError
 from deepconn.ingest import (DatasetStats, ReviewRecord, dataset_stats,
                              group_reviews, parse_reviews, serialize_reviews,
                              split_dataset)
@@ -43,10 +43,6 @@ class TestParse:
         assert len(result.skips) == 1
         assert result.skips[0][0] == 2
         assert "2" in result.skip_report()
-
-    def test_strict_mode_raises(self):
-        with pytest.raises(DataFormatError, match="line 1"):
-            parse_reviews(io.StringIO("{oops\n"), strict=True)
 
     def test_missing_key_skipped_and_counted(self):
         broken = {"reviewerID": "u1", "asin": "m1", "overall": 5.0}
@@ -92,7 +88,7 @@ class TestGroup:
         pairs = [(f"u{rnd.randrange(8)}", f"m{rnd.randrange(5)}") for _ in range(60)]
         records = _make_records(pairs)
         groups = group_reviews(records)
-        assert groups.total_texts == 60
+        assert sum(len(v) for v in groups.by_user.values()) == 60
         assert sum(len(v) for v in groups.by_item.values()) == 60
         user_pairs = {(u, m) for u, lst in groups.by_user.items() for m, _ in lst}
         item_pairs = {(u, m) for m, lst in groups.by_item.items() for u, _ in lst}

@@ -215,6 +215,32 @@ class TestDropout:
         assert gradient_check(loss_fn, pre.parameters()) < 1e-6
 
 
+def _sign_split_sigmoid(x):
+    """The earlier sigmoid, split by sign so exp never overflows: the
+    reference for the tanh form."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=64))
+    def test_matches_sign_split_reference(self, xs):
+        x = np.array(xs)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = sigmoid(x)
+        npt.assert_allclose(out, _sign_split_sigmoid(x), rtol=0, atol=2.3e-16)
+
+    def test_exact_at_zero_and_the_float_extremes(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = sigmoid(np.array([-1e308, 0.0, 1e308]))
+        npt.assert_array_equal(out, [0.0, 0.5, 1.0])
+
+
 class TestGruCell:
     def test_zero_weights_halve_state(self):
         # z = r = sigmoid(0) = 0.5, h = tanh(0) = 0, so s_t = 0.5 * s_prev.

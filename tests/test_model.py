@@ -107,12 +107,12 @@ class TestTower:
 
 class TestDpHead:
     def test_plain_dot_product(self):
-        head = DpHead(3, rng=_rng())
+        head = DpHead(3)
         x = np.array([1.0, 2.0, 3.0])
         assert head.predict(x, x) == pytest.approx(14.0)
 
     def test_zero_user_vector_kills_dot_term(self):
-        head = DpHead(3, rng=_rng())
+        head = DpHead(3)
         head.beta0.value[...] = 0.7
         head.w.value[:] = np.arange(6, dtype=float)
         x_i = np.array([1.0, 1.0, 1.0])
@@ -120,20 +120,20 @@ class TestDpHead:
         assert head.predict(np.zeros(3), x_i) == pytest.approx(expected)
 
     def test_bias_only_for_orthogonal_vectors(self):
-        head = DpHead(2, rng=_rng())
+        head = DpHead(2)
         head.beta0.value[...] = 0.5
         assert head.predict(np.array([1.0, 0.0]),
                             np.array([0.0, 1.0])) == pytest.approx(0.5)
 
     def test_bilinear_in_user_vector_when_first_order_zero(self):
-        head = DpHead(3, rng=_rng())
+        head = DpHead(3)
         rng = _rng(8)
         x_u, x_i = rng.standard_normal(3), rng.standard_normal(3)
         base = head.predict(x_u, x_i)
         assert head.predict(2.5 * x_u, x_i) == pytest.approx(2.5 * base)
 
     def test_pure_dot_disables_first_order(self):
-        head = DpHead(2, rng=_rng(), pure_dot=True)
+        head = DpHead(2, pure_dot=True)
         head.beta0.value[...] = 9.0
         head.w.value[:] = 9.0
         x = np.array([1.0, 2.0])
@@ -141,7 +141,7 @@ class TestDpHead:
         assert head.parameters() == []
 
     def test_dimension_mismatch(self):
-        head = DpHead(3, rng=_rng())
+        head = DpHead(3)
         with pytest.raises(ShapeError):
             head.predict(np.zeros(3), np.zeros(4))
 

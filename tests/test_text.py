@@ -33,13 +33,13 @@ class TestTokenize:
         assert tokenize(" ".join(tokens)) == tokens
 
 
-def _toy_table(dim=4, oov_policy="zero", n_buckets=4):
+def _toy_table(dim=4, oov_policy="zero"):
     vectors = {
         "good": np.arange(1, dim + 1, dtype=float),
         "film": -np.ones(dim),
         "bad": np.full(dim, 0.5),
     }
-    return EmbeddingTable(dim, vectors, oov_policy=oov_policy, n_buckets=n_buckets)
+    return EmbeddingTable(dim, vectors, oov_policy=oov_policy)
 
 
 class TestEmbeddingTable:
@@ -64,7 +64,7 @@ class TestEmbeddingTable:
         npt.assert_array_equal(table.vector("zzz"), np.zeros(4))
 
     def test_oov_hash_bucket_policy(self):
-        table = _toy_table(oov_policy="hash_bucket", n_buckets=4)
+        table = _toy_table(oov_policy="hash_bucket")
         i1 = table.id_for("zzz")
         assert i1 == table.id_for("zzz")  # deterministic
         assert i1 >= table._first_bucket_id

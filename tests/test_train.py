@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -12,10 +14,10 @@ from deepconn.model import DeepConn, ModelConfig, TowerConfig, mse
 from deepconn.synthetic import (DirectStore, make_micro_dataset,
                                 make_sample_corpus, make_token_vectors)
 from deepconn.text import EmbeddingTable, build_document, embed
-from deepconn.train import (DocumentStore, RatedPair, TrainReport, evaluate,
-                            fit, load_checkpoint, mean_predictor_mse,
-                            pairs_from_records, restore_parameters,
-                            save_checkpoint)
+from deepconn.train import (CHECKPOINT_MAGIC, DocumentStore, RatedPair,
+                            TrainReport, evaluate, fit, load_checkpoint,
+                            mean_predictor_mse, pairs_from_records,
+                            restore_parameters, save_checkpoint)
 
 
 def _tiny_setup(seed=0, n_users=6, n_items=4, T=10, dim=8):
@@ -323,6 +325,36 @@ class TestCheckpoint:
         path = tmp_path / "nope.ckpt"
         path.write_bytes(b"hello world, definitely not a checkpoint")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("manifest, match", [
+        (["deepconn-checkpoint", 1], "unknown manifest format"),
+        ({"format": "deepconn-checkpoint", "version": 99, "config": {},
+          "params": []}, "version 99"),
+        ({"format": "deepconn-checkpoint", "version": "1", "config": {},
+          "params": []}, "version '1'"),
+        ({"format": "deepconn-checkpoint", "config": {}, "params": []},
+         "version None"),
+        ({"format": "deepconn-checkpoint", "version": 1, "params": []},
+         "lacks the key 'config'"),
+        ({"format": "deepconn-checkpoint", "version": 1,
+          "config": {"tower": {}}}, "lacks the key 'params'"),
+        ({"format": "deepconn-checkpoint", "version": 1, "config": {"tower": {}},
+          "params": [{"shape": [2]}]}, "lacks the key 'name'"),
+        ({"format": "deepconn-checkpoint", "version": 1, "config": {"tower": {}},
+          "params": [{"name": "head.w"}]}, "lacks the key 'shape'"),
+        ({"format": "deepconn-checkpoint", "version": 1, "config": {},
+          "params": []}, "lacks the key 'tower'"),
+        ({"format": "deepconn-checkpoint", "version": 1,
+          "config": {"tower": {"depth": 3}}, "params": []}, "malformed manifest"),
+    ], ids=["not-object", "version-99", "version-string", "no-version",
+            "no-config", "no-params", "no-name", "no-shape", "no-tower",
+            "unknown-tower-field"])
+    def test_malformed_manifest_is_checkpoint_error(self, tmp_path, manifest, match):
+        blob = json.dumps(manifest).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_mismatched_config_names_parameter(self, tmp_path):
