@@ -50,10 +50,6 @@ def _model_arguments(parser):
     group.add_argument("--preset", choices=PRESETS, default="comparison")
     group.add_argument("--tower", choices=TOWER_KINDS, default="cnn")
     group.add_argument("--head", choices=HEAD_KINDS, default="dp")
-    group.add_argument("--dim", type=int, default=50,
-                       help="embedding dimension, must match the embedding file")
-    group.add_argument("--doc-length", type=int, default=300,
-                       help="tokens per user/item document (default 300)")
     group.add_argument("--hidden-units", type=int, default=None,
                        help="conv channels (cnn) or recurrent units (preset default)")
     group.add_argument("--filters", type=int, default=None,
@@ -66,7 +62,19 @@ def _model_arguments(parser):
     group.add_argument("--fm-rank", type=int, default=None)
     group.add_argument("--pure-dot", action="store_true",
                        help="dp head without the trainable first-order term")
+
+
+def _document_arguments(parser):
+    group = parser.add_argument_group("documents")
+    group.add_argument("--dim", type=int, default=50,
+                       help="embedding dimension, must match the embedding file")
+    group.add_argument("--doc-length", type=int, default=300,
+                       help="tokens per user/item document (default 300)")
     group.add_argument("--oov-policy", choices=OOV_POLICIES, default="zero")
+    group.add_argument("--leak-test-reviews", action="store_true",
+                       help="include test reviews in the documents (leaky variant)")
+    group.add_argument("--clamp", action="store_true",
+                       help="clamp predictions to [1, 5] at evaluation")
 
 
 def _training_arguments(parser):
@@ -75,28 +83,18 @@ def _training_arguments(parser):
     group.add_argument("--lr", type=float, default=0.001)
     group.add_argument("--batch-size", type=int, default=32)
     group.add_argument("--epochs", type=int, default=10)
-    group.add_argument("--leak-test-reviews", action="store_true",
-                       help="include test reviews in the documents (leaky variant)")
-    group.add_argument("--clamp", action="store_true",
-                       help="clamp predictions to [1, 5] at evaluation")
     group.add_argument("--no-timing", action="store_true",
                        help="write 0.0 for all seconds fields (byte-stable reports)")
 
 
-def build_parser():
+def _build_parser():
+    """The deepconn parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="deepconn",
         description="Review-based rating prediction: twin-tower text encoders "
                     "with a dot-product or factorization-machine head, plus an "
                     "item-item cosine CF baseline.")
-    config_parent = argparse.ArgumentParser(add_help=False)
-    config_parent.add_argument("--config", type=str, default=None,
-                               help="JSON file of flag defaults (flags still win)")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file of flag defaults (flags still win)")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[config_parent], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_stats = sub.add_parser("stats", help="dataset counts and skip report")
     p_stats.add_argument("--data", required=True)
@@ -109,18 +107,15 @@ def build_parser():
                          help="output directory (report.json, curves.csv, model.ckpt)")
     _split_arguments(p_train)
     _model_arguments(p_train)
+    _document_arguments(p_train)
     _training_arguments(p_train)
 
     p_eval = sub.add_parser("evaluate", help="test MSE of a saved checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--embeddings", required=True)
-    p_eval.add_argument("--dim", type=int, default=50)
-    p_eval.add_argument("--doc-length", type=int, default=300)
-    p_eval.add_argument("--oov-policy", choices=OOV_POLICIES, default="zero")
-    p_eval.add_argument("--leak-test-reviews", action="store_true")
-    p_eval.add_argument("--clamp", action="store_true")
     _split_arguments(p_eval)
+    _document_arguments(p_eval)
 
     p_base = sub.add_parser("baseline", help="item-item cosine CF test MSE")
     p_base.add_argument("--data", required=True)
@@ -138,6 +133,7 @@ def build_parser():
     p_cmp.add_argument("--k", type=int, default=None)
     _split_arguments(p_cmp)
     _model_arguments(p_cmp)
+    _document_arguments(p_cmp)
     _training_arguments(p_cmp)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference checks for "
@@ -152,7 +148,13 @@ def build_parser():
     p_exp = sub.add_parser("export-curves", help="loss-curve CSV from a report")
     p_exp.add_argument("--report", required=True)
     p_exp.add_argument("--out", required=True)
-    return parser
+
+    # --config may come before or after the command.  SUPPRESS keeps the
+    # command's parser from resetting a path given before the command.
+    for p in (parser, *sub.choices.values()):
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="JSON file of flag defaults (flags still win)")
+    return parser, sub.choices
 
 
 def _validate_run(args):
@@ -177,11 +179,11 @@ def _validate_run(args):
         problems.append(f"--epochs must be >= 0, got {args.epochs}")
     if hasattr(args, "doc_length") and args.doc_length < 1:
         problems.append(f"--doc-length must be >= 1, got {args.doc_length}")
-    if getattr(args, "tower", None) == "cnn":
+    if hasattr(args, "tower"):
         kernel = args.kernel if args.kernel is not None else TowerConfig.kernel
-        if 1 <= args.doc_length < kernel:
-            problems.append(f"--doc-length {args.doc_length} is shorter than "
-                            f"the conv kernel ({kernel})")
+        problem = _doc_length_problem(args.doc_length, args.tower, kernel)
+        if problem:
+            problems.append(problem)
     if hasattr(args, "dim") and args.dim < 1:
         problems.append(f"--dim must be >= 1, got {args.dim}")
     if getattr(args, "k", None) is not None and args.k < 1:
@@ -195,6 +197,13 @@ def _validate_run(args):
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return config
+
+
+def _doc_length_problem(doc_length, kind, kernel):
+    """Why a tower cannot read documents of this length, or None."""
+    if kind == "cnn" and 1 <= doc_length < kernel:
+        return f"--doc-length {doc_length} is shorter than the conv kernel ({kernel})"
+    return None
 
 
 def _model_config(args):
@@ -324,10 +333,9 @@ def cmd_evaluate(args):
             f"--dim {args.dim} does not match the checkpoint's embedding "
             f"dimension {model.config.tower.embedding_dim}")
     tower = model.config.tower
-    if tower.kind == "cnn" and args.doc_length < tower.kernel:
-        raise ConfigError(
-            f"--doc-length {args.doc_length} is shorter than the checkpoint's "
-            f"conv kernel ({tower.kernel})")
+    problem = _doc_length_problem(args.doc_length, tower.kind, tower.kernel)
+    if problem:
+        raise ConfigError(f"{args.checkpoint}: {problem}")
     result, split = _load_split(args)
     if split is None or not split.test:
         raise ConfigError(f"{args.data}: no test records under this split")
@@ -413,38 +421,34 @@ COMMANDS = {
 }
 
 
-def _apply_config_file(parser, argv):
-    """Pre-parse --config and install its values as parser defaults."""
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", type=str, default=None)
-    known, _ = probe.parse_known_args(argv)
-    if known.config is None:
-        return
+def _apply_config_file(path, commands, command):
+    """Install the JSON file's values as defaults of `command`'s parser.
+
+    A key must name a flag of some command; the chosen command takes the
+    keys that name its own flags.
+    """
     try:
-        defaults = json.loads(Path(known.config).read_text(encoding="utf-8"))
+        defaults = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{known.config}: not valid JSON ({exc})") from exc
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(defaults, dict):
-        raise ConfigError(f"{known.config}: config file must hold a JSON object")
-    known_flags = {action.dest for sub in parser._subparsers._group_actions
-                   for sub_parser in sub.choices.values()
-                   for action in sub_parser._actions}
-    unknown = set(defaults) - known_flags
+        raise ConfigError(f"{path}: config file must hold a JSON object")
+    flags = {name: {a.dest for a in p._actions} for name, p in commands.items()}
+    unknown = set(defaults) - set().union(*flags.values())
     if unknown:
-        raise ConfigError(f"{known.config}: unknown config keys {sorted(unknown)}")
-    for sub in parser._subparsers._group_actions:
-        for sub_parser in sub.choices.values():
-            valid = {a.dest for a in sub_parser._actions}
-            sub_parser.set_defaults(**{k: v for k, v in defaults.items()
-                                       if k in valid})
+        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+    commands[command].set_defaults(
+        **{k: v for k, v in defaults.items() if k in flags[command]})
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    parser, commands = _build_parser()
     try:
-        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if hasattr(args, "config"):
+            _apply_config_file(args.config, commands, args.command)
+            args = parser.parse_args(argv)
         return COMMANDS[args.command](args)
     except (ConfigError, InfeasibleSplitError, UnknownEntityError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -113,7 +113,7 @@ def _case_dropout(rng):
     w = rng.standard_normal(6)
 
     def loss_fn():
-        out = drop.forward(pre.forward(x), train=True, mask=mask)
+        out = drop.forward(pre.forward(x), mask)
         pre.backward(drop.backward(w))
         return float(w @ out)
 

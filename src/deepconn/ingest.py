@@ -176,8 +176,9 @@ def split_dataset(records, train_fraction, validation_fraction=0.0, seed=0,
     if not 0.0 <= validation_fraction < 1.0:
         raise ConfigError(
             f"validation_fraction must lie in [0, 1), got {validation_fraction}")
-    if train_fraction + validation_fraction > 1.0:
-        raise ConfigError("train_fraction + validation_fraction exceeds 1")
+    if train_fraction + validation_fraction >= 1.0:
+        raise ConfigError(
+            "train_fraction + validation_fraction must leave room for a test set")
 
     n = len(records)
     rng = np.random.default_rng(seed)

@@ -12,6 +12,11 @@ loop one level up.  GruCell and LstmCell share one unroll, and each
 gate's weight gradients go through one routine; each cell writes out only
 its own step and backward step.  `sigmoid` is tanh-based, so it needs no
 branch on the sign of its input.
+
+Layers draw no random numbers after construction: the model's Tower
+draws every dropout mask, the recurrent one and the feature one, and
+hands it to `GruCell`/`LstmCell.forward` or `Dropout.forward`.  A layer
+with weights takes the rng they are drawn from as a required argument.
 """
 
 import numpy as np
@@ -85,10 +90,9 @@ def _activation_grad(name, z, out):
 class Dense:
     """Fully connected layer: activation(x @ W + b)."""
 
-    def __init__(self, n_in, n_out, activation="identity", rng=None, name="dense"):
+    def __init__(self, n_in, n_out, activation, rng, name="dense"):
         if activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
@@ -124,10 +128,9 @@ class Conv1d:
     with L = floor((T - K) / S) + 1 output positions.
     """
 
-    def __init__(self, in_dim, channels, kernel=8, stride=6, rng=None, name="conv"):
+    def __init__(self, in_dim, channels, kernel, stride, rng, name="conv"):
         if kernel < 1 or stride < 1 or channels < 1:
             raise ConfigError("conv1d needs channels, kernel and stride >= 1")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.in_dim = in_dim
         self.channels = channels
         self.kernel = kernel
@@ -205,7 +208,12 @@ class MaxPoolOverTime:
 
 
 class Dropout:
-    """Inverted dropout: keep with probability 1-p and scale kept entries by 1/(1-p)."""
+    """Inverted dropout: keep with probability 1-p and scale kept entries by 1/(1-p).
+
+    The layer applies a mask; it does not draw one.  The Tower draws the
+    boolean mask (`rng.random(n) >= rate`) in train mode and passes none
+    in eval mode, where the layer is the identity.
+    """
 
     def __init__(self, rate):
         if not 0.0 <= rate < 1.0:
@@ -216,21 +224,13 @@ class Dropout:
     def parameters(self):
         return []
 
-    def forward(self, x, train=False, rng=None, mask=None):
-        """Eval mode (train=False) is the identity.
-
-        In train mode the mask is drawn from `rng` unless an explicit
-        boolean `mask` is supplied (used by the gradient checker, which
-        needs the same mask on every evaluation).
-        """
+    def forward(self, x, mask=None):
+        """x with the boolean `mask` applied and kept entries rescaled;
+        x itself when there is no mask."""
         x = np.asarray(x, dtype=np.float64)
-        if not train or self.rate == 0.0:
+        if mask is None:
             self._cache = None
             return x
-        if mask is None:
-            if rng is None:
-                raise ConfigError("train-mode dropout needs an rng or an explicit mask")
-            mask = rng.random(x.shape) >= self.rate
         scale = 1.0 / (1.0 - self.rate)
         self._cache = (mask, scale)
         return x * mask * scale
@@ -293,8 +293,7 @@ class GruCell(_RecurrentCell):
     s_t = (1 - z) * s_prev + z * h
     """
 
-    def __init__(self, input_dim, hidden_dim, rng=None, name="gru"):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, input_dim, hidden_dim, rng, name="gru"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.U_z = Parameter(glorot_uniform((input_dim, hidden_dim), rng), f"{name}.U_z")
@@ -360,8 +359,7 @@ class LstmCell(_RecurrentCell):
 
     GATES = ("i", "f", "o", "g")
 
-    def __init__(self, input_dim, hidden_dim, rng=None, name="lstm"):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, input_dim, hidden_dim, rng, name="lstm"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.U = {}

@@ -41,6 +41,9 @@ class TowerConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 problems.append(f"{name} must be in [0, 1), got {rate}")
+        if self.kind == "cnn" and self.recurrent_dropout_rate > 0.0:
+            problems.append("recurrent_dropout_rate applies only to gru/lstm "
+                            f"towers, got {self.recurrent_dropout_rate} with cnn")
         return problems
 
 
@@ -155,25 +158,28 @@ class Tower:
         layers.append(("dense", {"units": c.dense_units, "activation": "relu"}))
         return layers
 
-    def forward(self, doc_embedding, train=False, rng=None):
+    def forward(self, doc_embedding, rng=None):
+        """Latent vector of a (T, embedding_dim) document.  An rng means
+        train mode: the tower draws its recurrent, then its feature
+        dropout mask from it.  Without one it runs in eval mode."""
         x = np.asarray(doc_embedding, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.embedding_dim:
             raise ShapeError(
                 f"{self.name}: expected (T, {self.config.embedding_dim}) "
                 f"document embedding, got {x.shape}")
+        units = self.config.hidden_units
         if self.kind == "cnn":
             feat = self.pool.forward(self.conv.forward(x))
         else:
             rate = self.config.recurrent_dropout_rate
             mask = None
-            if train and rate > 0.0:
-                if rng is None:
-                    raise ConfigError("train-mode recurrent dropout needs an rng")
+            if rng is not None and rate > 0.0:
                 # One mask per sequence, applied to the state input at every step.
-                mask = (rng.random(self.config.hidden_units) >= rate) / (1.0 - rate)
+                mask = (rng.random(units) >= rate) / (1.0 - rate)
             feat = self.cell.forward(x, mask)
         if self.dropout is not None:
-            feat = self.dropout.forward(feat, train=train, rng=rng)
+            mask = None if rng is None else rng.random(units) >= self.dropout.rate
+            feat = self.dropout.forward(feat, mask)
         return self.dense.forward(feat)
 
     def backward(self, dvec):
@@ -190,8 +196,6 @@ class DpHead:
 
     pure_dot drops the trainable first-order part and predicts x_u . x_i alone.
     """
-
-    kind = "dp"
 
     def __init__(self, latent_dim, pure_dot=False, name="head"):
         self.latent_dim = latent_dim
@@ -240,12 +244,9 @@ class FmHead:
     0.5 * sum_f [ (sum_i V_if z_i)^2 - sum_i V_if^2 z_i^2 ].
     """
 
-    kind = "fm"
-
-    def __init__(self, latent_dim, rank=8, rng=None, name="head"):
+    def __init__(self, latent_dim, rank, rng, name="head"):
         if rank < 1:
             raise ConfigError(f"fm rank must be >= 1, got {rank}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.latent_dim = latent_dim
         self.rank = rank
         self.beta0 = Parameter(0.0, f"{name}.beta0")
@@ -328,9 +329,11 @@ class DeepConn:
         return (self.user_tower.parameters() + self.item_tower.parameters()
                 + self.head.parameters())
 
-    def forward(self, user_doc_embedding, item_doc_embedding, train=False, rng=None):
-        x_u = self.user_tower.forward(user_doc_embedding, train=train, rng=rng)
-        x_i = self.item_tower.forward(item_doc_embedding, train=train, rng=rng)
+    def forward(self, user_doc_embedding, item_doc_embedding, rng=None):
+        """Predicted rating; an rng means train mode, and both towers draw
+        their dropout masks from it, user tower first."""
+        x_u = self.user_tower.forward(user_doc_embedding, rng)
+        x_i = self.item_tower.forward(item_doc_embedding, rng)
         return self.head.predict(x_u, x_i)
 
     def backward(self, dy):
@@ -341,7 +344,7 @@ class DeepConn:
 
     def predict(self, user_doc_embedding, item_doc_embedding):
         """Eval-mode forward: deterministic, no dropout."""
-        return self.forward(user_doc_embedding, item_doc_embedding, train=False)
+        return self.forward(user_doc_embedding, item_doc_embedding)
 
 
 def mse(predictions, targets):

@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericFault
 
+# Adam's moment decays and RMSprop's mean-square decay; EPS guards both divisions.
+_BETA1, _BETA2, _RHO, _EPS = 0.9, 0.999, 0.9, 1e-8
+
 
 def _check_finite_grads(params):
     for p in params:
@@ -24,19 +27,11 @@ class Adam:
     theta -= lr * mhat / (sqrt(vhat) + eps)
     """
 
-    kind = "adam"
-
-    def __init__(self, params, learning_rate=0.001, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    def __init__(self, params, learning_rate=0.001):
         if learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -45,15 +40,15 @@ class Adam:
         _check_finite_grads(self.params)
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - _BETA1 ** t
+        bias2 = 1.0 - _BETA2 ** t
         for i, p in enumerate(self.params):
             g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
+            self._m[i] = _BETA1 * self._m[i] + (1.0 - _BETA1) * g
+            self._v[i] = _BETA2 * self._v[i] + (1.0 - _BETA2) * g * g
             m_hat = self._m[i] / bias1
             v_hat = self._v[i] / bias2
-            p.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
             p.zero_grad()
 
 
@@ -64,17 +59,11 @@ class RMSprop:
     theta -= lr * g / (sqrt(v) + eps)
     """
 
-    kind = "rmsprop"
-
-    def __init__(self, params, learning_rate=0.001, rho=0.9, eps=1e-8):
+    def __init__(self, params, learning_rate=0.001):
         if learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
-        if not 0 <= rho < 1:
-            raise ConfigError(f"rmsprop rho must lie in [0, 1), got {rho}")
         self.params = list(params)
         self.learning_rate = learning_rate
-        self.rho = rho
-        self.eps = eps
         self.step_count = 0
         self._v = [np.zeros_like(p.value) for p in self.params]
 
@@ -83,16 +72,16 @@ class RMSprop:
         self.step_count += 1
         for i, p in enumerate(self.params):
             g = p.grad
-            self._v[i] = self.rho * self._v[i] + (1.0 - self.rho) * g * g
-            p.value -= self.learning_rate * g / (np.sqrt(self._v[i]) + self.eps)
+            self._v[i] = _RHO * self._v[i] + (1.0 - _RHO) * g * g
+            p.value -= self.learning_rate * g / (np.sqrt(self._v[i]) + _EPS)
             p.zero_grad()
 
 
 OPTIMIZERS = {"adam": Adam, "rmsprop": RMSprop}
 
 
-def make_optimizer(kind, params, learning_rate=0.001, **kwargs):
+def make_optimizer(kind, params, learning_rate=0.001):
     if kind not in OPTIMIZERS:
         raise ConfigError(f"unknown optimizer {kind!r}, expected one of "
                           f"{tuple(OPTIMIZERS)}")
-    return OPTIMIZERS[kind](params, learning_rate=learning_rate, **kwargs)
+    return OPTIMIZERS[kind](params, learning_rate=learning_rate)

@@ -186,8 +186,7 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
             batch = order[start:start + batch_size]
             residuals = np.empty(len(batch))
             for j, idx in enumerate(batch):
-                y = model.forward(user_docs[idx], item_docs[idx],
-                                  train=True, rng=dropout_rng)
+                y = model.forward(user_docs[idx], item_docs[idx], dropout_rng)
                 if not np.isfinite(y):
                     pair = train_pairs[idx]
                     raise NumericFault(
@@ -344,11 +343,12 @@ def _read_manifest(path, manifest):
         raise CheckpointError(f"{path}: malformed manifest ({exc})") from exc
 
 
-def load_checkpoint(path, model=None):
-    """Rebuild (or fill) a model from a checkpoint; bit-exact round trip.
+def load_checkpoint(path):
+    """Rebuild a model from a checkpoint; bit-exact round trip.
 
-    With `model` given, its parameter names and shapes must match the
-    manifest — a mismatch is a ShapeError naming the parameter.
+    The names and shapes of the parameters built from the manifest's config
+    must match the manifest's own list; a mismatch is a ShapeError naming
+    the parameter.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -366,8 +366,7 @@ def load_checkpoint(path, model=None):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
         config, entries = _read_manifest(path, manifest)
-        if model is None:
-            model = DeepConn(config)
+        model = DeepConn(config)
         params = model.parameters()
         if len(entries) != len(params):
             raise ShapeError(

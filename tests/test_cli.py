@@ -116,12 +116,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_pure_dot_with_fm_head_rejected_first(self, tmp_path, capsys, command):
-        # Missing input files again: exit 2 means nothing was read.
-        argv = [command, "--data", str(tmp_path / "missing.jsonl"),
-                "--embeddings", str(tmp_path / "missing.txt"),
-                "--out", str(tmp_path / "x"), "--head", "fm", "--pure-dot"]
-        assert main(argv) == EXIT_CONFIG
-        assert "pure_dot" in capsys.readouterr().err
+        # Knobs that cannot act: --pure-dot with the fm head, and recurrent
+        # dropout on a cnn tower.  Missing input files again: exit 2 means
+        # nothing was read.
+        for knob, field in ((["--head", "fm", "--pure-dot"], "pure_dot"),
+                            (["--tower", "cnn", "--recurrent-dropout", "0.2"],
+                             "recurrent_dropout_rate")):
+            argv = [command, "--data", str(tmp_path / "missing.jsonl"),
+                    "--embeddings", str(tmp_path / "missing.txt"),
+                    "--out", str(tmp_path / "x")] + knob
+            assert main(argv) == EXIT_CONFIG
+            assert field in capsys.readouterr().err
 
     def test_non_utf8_embedding_file_is_io_error(self, sample_reviews_path,
                                                  tmp_path, capsys):
@@ -297,16 +302,19 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"epochs": 1, "seed": 11, "doc_length": 32,
                                    "hidden_units": 8, "dense_units": 8,
                                    "dropout": 0.0, "no_timing": True}))
-        out = tmp_path / "run"
-        code = main(["--config", str(cfg), "train",
-                     "--data", str(sample_reviews_path),
-                     "--embeddings", str(toy_embeddings_path),
-                     "--out", str(out), "--seed", "3"])  # flag beats config
-        assert code == EXIT_OK
-        report = TrainReport.from_json((out / "report.json").read_text())
-        assert report.seed == 3
-        assert report.config["run"]["doc_length"] == 32
-        assert len(report.epochs) == 1
+        config = ["--config", str(cfg)]
+        # --config goes before or after the command.
+        for name, order in (("before", lambda cmd: config + cmd),
+                            ("after", lambda cmd: cmd + config)):
+            out = tmp_path / name
+            command = ["train", "--data", str(sample_reviews_path),
+                       "--embeddings", str(toy_embeddings_path),
+                       "--out", str(out), "--seed", "3"]  # flag beats config
+            assert main(order(command)) == EXIT_OK
+            report = TrainReport.from_json((out / "report.json").read_text())
+            assert report.seed == 3
+            assert report.config["run"]["doc_length"] == 32
+            assert len(report.epochs) == 1
 
     @pytest.mark.parametrize("content", [b'{"epochs": 1', b'{"epochs": "\xe9"}'],
                              ids=["not-json", "not-utf8"])

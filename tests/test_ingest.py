@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepconn.errors import ConfigError, InfeasibleSplitError
-from deepconn.ingest import (DatasetStats, ReviewRecord, dataset_stats,
-                             group_reviews, parse_reviews, serialize_reviews,
-                             split_dataset)
+from deepconn.ingest import (SPLIT_MODES, DatasetStats, ReviewRecord,
+                             dataset_stats, group_reviews, parse_reviews,
+                             serialize_reviews, split_dataset)
 
 
 def _jsonl(*objs):
@@ -179,7 +179,7 @@ class TestSplit:
             split_dataset(records, 0.5, 0.0, seed=0, mode="by_user_holdout")
 
     @pytest.mark.parametrize("train,val", [(0.0, 0.1), (1.0, 0.0), (-0.2, 0.0),
-                                           (0.5, 0.6), (0.5, -0.1)])
+                                           (0.5, 0.6), (0.5, -0.1), (0.5, 0.5)])
     def test_invalid_fractions(self, train, val):
         records = _make_records([("u1", "m1")] * 4)
         with pytest.raises(ConfigError):
@@ -189,9 +189,20 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split_dataset([], 0.9, 0.0, seed=0)
 
-    @given(n=st.integers(4, 60), seed=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_partition_property(self, n, seed):
+    @given(n=st.integers(4, 60), seed=st.integers(0, 1000),
+           train=st.floats(0.05, 0.9), val_share=st.floats(0.0, 0.95),
+           mode=st.sampled_from(SPLIT_MODES))
+    @settings(max_examples=60, deadline=None)
+    def test_partition_property(self, n, seed, train, val_share, mode):
+        val = (1.0 - train) * val_share  # always leaves room for a test set
         records = _make_records([(f"u{i % 7}", f"m{i % 5}") for i in range(n)])
-        split = split_dataset(records, 0.6, 0.2, seed=seed)
-        assert len(split) == n
+        split = split_dataset(records, train, val, seed=seed, mode=mode)
+        parts = [{id(r) for r in part}
+                 for part in (split.train, split.validation, split.test)]
+        # Complete and disjoint: every record lands in exactly one part.
+        assert sum(map(len, parts)) == len(split) == n
+        assert set().union(*parts) == {id(r) for r in records}
+        if mode == "by_user_holdout":
+            test_users = {r.user_id for r in split.test}
+            assert not test_users & {r.user_id
+                                     for r in split.train + split.validation}

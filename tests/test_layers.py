@@ -44,7 +44,7 @@ class TestDense:
         npt.assert_array_equal(layer.forward(np.array([1.0, -1.0])), [1.0, 0.0])
 
     def test_shape_mismatch(self):
-        layer = Dense(3, 2, rng=_rng())
+        layer = Dense(3, 2, "identity", _rng())
         with pytest.raises(ShapeError):
             layer.forward(np.zeros(4))
 
@@ -174,11 +174,12 @@ class TestMaxPool:
 class TestDropout:
     def test_zero_rate_train_is_identity(self):
         x = _rng(1).standard_normal(10)
-        npt.assert_array_equal(Dropout(0.0).forward(x, train=True), x)
+        mask = _rng(3).random(10) >= 0.0
+        npt.assert_array_equal(Dropout(0.0).forward(x, mask), x)
 
     def test_eval_is_identity_for_any_rate(self):
         x = _rng(2).standard_normal(10)
-        npt.assert_array_equal(Dropout(0.7).forward(x, train=False), x)
+        npt.assert_array_equal(Dropout(0.7).forward(x), x)
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):
@@ -189,13 +190,13 @@ class TestDropout:
     def test_inverted_scaling_preserves_mean(self):
         # E[kept * 1/(1-p)] = 1 for unit entries.
         x = np.ones(100_000)
-        out = Dropout(0.1).forward(x, train=True, rng=_rng(5))
+        out = Dropout(0.1).forward(x, _rng(5).random(x.shape) >= 0.1)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_backward_uses_recorded_mask(self):
         drop = Dropout(0.5)
         mask = np.array([True, False, True, False])
-        out = drop.forward(np.ones(4), train=True, mask=mask)
+        out = drop.forward(np.ones(4), mask)
         npt.assert_array_equal(out, [2.0, 0.0, 2.0, 0.0])
         npt.assert_array_equal(drop.backward(np.ones(4)), [2.0, 0.0, 2.0, 0.0])
 
@@ -208,7 +209,7 @@ class TestDropout:
         w = rng.standard_normal(6)
 
         def loss_fn():
-            out = drop.forward(pre.forward(x), train=True, mask=mask)
+            out = drop.forward(pre.forward(x), mask)
             pre.backward(drop.backward(w))
             return float(w @ out)
 

@@ -34,6 +34,10 @@ class TestConfig:
             build_config("original")
         with pytest.raises(ConfigError):
             build_config("comparison", learning_rate=0.1)
+        with pytest.raises(ConfigError, match="recurrent_dropout_rate"):
+            build_config("comparison", kind="cnn", recurrent_dropout_rate=0.2)
+        assert build_config("comparison", kind="gru",
+                            recurrent_dropout_rate=0.2).tower.recurrent_dropout_rate
 
     def test_baseline_replica_is_cnn_only(self):
         with pytest.raises(ConfigError):
@@ -98,11 +102,38 @@ class TestTower:
                 return np.linspace(0.1, 0.9, np.prod(shape)).reshape(shape)
 
         def loss_fn():
-            out = tower.forward(doc, train=True, rng=SameMaskRng())
+            out = tower.forward(doc, SameMaskRng())
             tower.backward(w)
             return float(w @ out)
 
         assert gradient_check(loss_fn, tower.parameters()) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
+    def test_rng_draws_recurrent_then_feature_mask(self, kind):
+        # An rng means train mode: one rng.random(H) per mask, recurrent
+        # mask first.  No rng means eval mode, with no mask at all.
+        recurrent = 0.0 if kind == "cnn" else 0.2
+        config = TowerConfig(kind=kind, embedding_dim=5, hidden_units=4,
+                             kernel=2, stride=1, dense_units=3, dropout_rate=0.3,
+                             recurrent_dropout_rate=recurrent)
+        tower = Tower(config, _rng(5), "t")
+        doc = _rng(6).standard_normal((6, 5))
+        rng, draws = _rng(7), _rng(7)
+        out = tower.forward(doc, rng)
+
+        def features(recurrent_mask):
+            if kind == "cnn":
+                return tower.pool.forward(tower.conv.forward(doc))
+            return tower.cell.forward(doc, recurrent_mask)
+
+        mask = None
+        if kind != "cnn":
+            mask = (draws.random(4) >= recurrent) / (1.0 - recurrent)
+        feat = features(mask) * (draws.random(4) >= 0.3) * (1.0 / (1.0 - 0.3))
+        npt.assert_array_equal(out, tower.dense.forward(feat))
+        assert rng.random() == draws.random()  # no further draws
+        npt.assert_array_equal(tower.forward(doc),
+                               tower.dense.forward(features(None)))
 
 
 class TestDpHead:

@@ -358,15 +358,21 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_mismatched_config_names_parameter(self, tmp_path):
+        # The manifest's config says dense_units 6; its parameter list and
+        # payload are those of the saved dense_units 4 model.
         model, _, _ = _tiny_setup(seed=19)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        bigger = DeepConn(ModelConfig(
-            tower=TowerConfig(kind="cnn", embedding_dim=8, hidden_units=4,
-                              kernel=4, stride=2, dense_units=6,
-                              dropout_rate=0.0), head="dp", fm_rank=2))
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        (length,) = struct.unpack("<Q", raw[len(CHECKPOINT_MAGIC):start])
+        manifest = json.loads(raw[start:start + length])
+        manifest["config"]["tower"]["dense_units"] = 6
+        blob = json.dumps(manifest).encode("utf-8")
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+                         + raw[start + length:])
         with pytest.raises(ShapeError, match="dense"):
-            load_checkpoint(path, model=bigger)
+            load_checkpoint(path)
 
 
 class TestReport:
