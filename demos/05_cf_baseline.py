@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from deepconn import (RatingMatrix, ReviewRecord, evaluate_cf,
-                      item_similarity, parse_reviews_file, predict_cf,
-                      split_dataset)
+                      item_similarity, parse_reviews_file,
+                      predict_cf_with_source, split_dataset)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,7 +30,8 @@ def main():
     print("miniature similarity matrix:")
     print(np.round(sims, 3))
     print(f"cos(m1, m2) over co-raters [3,4] vs [4,3] = {sims[i, j]:.4f}")
-    print(f"prediction for (u3, m2): {predict_cf(matrix, sims, 'u3', 'm2'):.4f}")
+    value, _ = predict_cf_with_source(matrix, sims, "u3", "m2")
+    print(f"prediction for (u3, m2): {value:.4f}")
 
     # now the bundled corpus
     records = parse_reviews_file(ROOT / "data" / "sample_reviews.jsonl").records

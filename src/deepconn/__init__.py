@@ -7,7 +7,7 @@ float64 numpy with hand-written backward passes verified against finite
 differences, plus an item-item cosine CF baseline for comparison.
 """
 
-from .baseline import (RatingMatrix, evaluate_cf, item_similarity, predict_cf,
+from .baseline import (RatingMatrix, evaluate_cf, item_similarity,
                        predict_cf_with_source)
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DeepConnError, InfeasibleSplitError, NumericFault,
@@ -19,7 +19,7 @@ from .ingest import (DatasetStats, ParseResult, ReviewGroups, ReviewRecord,
 from .layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
                      MaxPoolOverTime, Parameter)
 from .model import (DeepConn, DpHead, FmHead, ModelConfig, Tower, TowerConfig,
-                    build_config, fm_pairwise_reference, mse)
+                    build_config, mse)
 from .optim import Adam, RMSprop, make_optimizer
 from .text import (EmbeddingTable, EncodedDocument, build_document, embed,
                    load_embeddings, tokenize)

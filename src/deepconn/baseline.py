@@ -77,21 +77,15 @@ def item_similarity(matrix):
     return sims
 
 
-def predict_cf(matrix, sims, user_id, item_id, k=None):
-    """Similarity-weighted rating estimate for (user, item).
+def predict_cf_with_source(matrix, sims, user_id, item_id, k=None):
+    """Similarity-weighted rating estimate for (user, item), and which rule
+    produced it: "cf", "user_mean", or "global_mean".
 
     Neighbors are the user's rated items (the target itself excluded)
     with positive similarity to the target, trimmed to the top-k most
     similar when k is given.  Empty neighborhood falls back to the user's
     mean rating, then to the global mean.
     """
-    value, _ = predict_cf_with_source(matrix, sims, user_id, item_id, k)
-    return value
-
-
-def predict_cf_with_source(matrix, sims, user_id, item_id, k=None):
-    """predict_cf plus which rule produced the value:
-    "cf", "user_mean", or "global_mean"."""
     if k is not None and k < 1:
         raise ConfigError(f"neighborhood size k must be >= 1, got {k}")
     if user_id not in matrix.user_index:

@@ -20,7 +20,8 @@ from .baseline import (RatingMatrix, evaluate_cf, item_similarity,
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      InfeasibleSplitError, NumericFault, ShapeError,
                      UnknownEntityError)
-from .ingest import SPLIT_MODES, dataset_stats, parse_reviews_file, split_dataset
+from .ingest import (SPLIT_MODES, dataset_stats, parse_reviews_file, split_dataset,
+                     split_problems)
 from .model import (HEAD_KINDS, PRESETS, TOWER_KINDS, DeepConn, TowerConfig,
                     build_config)
 from .text import OOV_POLICIES, load_embeddings
@@ -163,14 +164,8 @@ def _validate_run(args):
     Returns the model config for the commands that take model flags
     (train, compare) and None for the others.
     """
-    problems = []
-    if not 0.0 < args.train_fraction < 1.0:
-        problems.append(f"--train-fraction must lie in (0, 1), got {args.train_fraction}")
-    if not 0.0 <= args.val_fraction < 1.0:
-        problems.append(f"--val-fraction must lie in [0, 1), got {args.val_fraction}")
-    if args.train_fraction + args.val_fraction >= 1.0:
-        problems.append("--train-fraction plus --val-fraction must leave room "
-                        "for a test set")
+    problems = [f"--train-fraction/--val-fraction: {problem}"
+                for problem in split_problems(args.train_fraction, args.val_fraction)]
     if hasattr(args, "lr") and args.lr <= 0:
         problems.append(f"--lr must be > 0, got {args.lr}")
     if hasattr(args, "batch_size") and args.batch_size < 1:
@@ -190,6 +185,7 @@ def _validate_run(args):
         problems.append(f"--k must be >= 1, got {args.k}")
     config = None
     if hasattr(args, "tower"):
+        problems.extend(_idle_knob_problems(args))
         try:
             config = _model_config(args)
         except ConfigError as exc:
@@ -197,6 +193,20 @@ def _validate_run(args):
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
     return config
+
+
+def _idle_knob_problems(args):
+    """Model flags given explicitly that the chosen tower or head would ignore."""
+    problems = []
+    if args.tower != "cnn":
+        problems += [f"--{flag} has no effect on a {args.tower} tower"
+                     for flag in ("kernel", "stride")
+                     if getattr(args, flag) is not None]
+    if args.head == "dp" and args.fm_rank is not None:
+        problems.append("--fm-rank has no effect on the dp head")
+    if args.filters is not None and args.hidden_units is not None:
+        problems.append("--filters and --hidden-units set the same width; give one")
+    return problems
 
 
 def _doc_length_problem(doc_length, kind, kernel):
@@ -224,16 +234,19 @@ def _model_config(args):
                         embedding_dim=args.dim, head=args.head, **overrides)
 
 
-def _load_split(args):
+def _read_reviews(args):
     result = parse_reviews_file(args.data)
     if result.skips:
         print(result.skip_report(), file=sys.stderr)
-    if not result.records:
-        return result, None
-    split = split_dataset(result.records, args.train_fraction,
-                          args.val_fraction, seed=args.seed,
-                          mode=args.split_mode)
-    return result, split
+    return result
+
+
+def _split(args, records):
+    """The run's split of `records`; None when there are none."""
+    if not records:
+        return None
+    return split_dataset(records, args.train_fraction, args.val_fraction,
+                         seed=args.seed, mode=args.split_mode)
 
 
 def _document_corpus(split, leak_test_reviews):
@@ -253,7 +266,13 @@ def _run_echo(args, keys):
 
 
 def cmd_stats(args):
-    result, split = _load_split(args)
+    result = _read_reviews(args)
+    try:
+        split = _split(args, result.records)
+    except InfeasibleSplitError as exc:
+        # The counts of a corpus too small for this split still print.
+        print(f"no split: {exc}", file=sys.stderr)
+        split = None
     stats = dataset_stats(result.records, split)
     print(f"reviews: {stats.n_reviews}")
     print(f"users:   {stats.n_users}")
@@ -267,7 +286,7 @@ def cmd_stats(args):
 def _train_once(args):
     """Shared by train and compare: returns (model, store, report, split)."""
     config = _validate_run(args)
-    result, split = _load_split(args)
+    split = _split(args, _read_reviews(args).records)
     if split is None:
         raise ConfigError(f"{args.data}: no valid records to train on")
     table = load_embeddings(args.embeddings, args.dim, oov_policy=args.oov_policy)
@@ -280,11 +299,8 @@ def _train_once(args):
                  optimizer=args.optimizer, learning_rate=args.lr,
                  epochs=args.epochs, batch_size=args.batch_size,
                  seed=args.seed, record_timing=not args.no_timing)
-    if split.test:
-        test_mse, counters = evaluate(model, store, pairs_from_records(split.test),
-                                      clamp=args.clamp)
-        report.test_mse = test_mse
-        report.cold_start_counts = counters
+    report.test_mse, report.cold_start_counts = evaluate(
+        model, store, pairs_from_records(split.test), clamp=args.clamp)
     report.config["run"] = _run_echo(args, (
         "data", "embeddings", "train_fraction", "val_fraction", "split_mode",
         "seed", "preset", "tower", "head", "dim", "doc_length", "oov_policy",
@@ -309,18 +325,16 @@ def cmd_train(args):
         restore_parameters(model, final)
 
     total = report.epochs[-1].seconds if report.epochs else 0.0
-    print(f"{args.tower} | {args.dim}d | {_hms(total)} | "
-          f"{report.test_mse if report.test_mse is not None else 'n/a'}")
+    print(f"{args.tower} | {args.dim}d | {_hms(total)} | {report.test_mse}")
     for e in report.epochs:
         val = f"{e.validation_loss:.6f}" if e.validation_loss is not None else "-"
         print(f"  epoch {e.epoch}: train {e.train_loss:.6f}  val {val}  "
               f"{e.seconds:.1f}s")
-    if report.test_mse is not None:
-        test_pairs = pairs_from_records(split.test)
-        print(f"test MSE: {report.test_mse:.6f}")
-        print(f"global-mean reference MSE: "
-              f"{mean_predictor_mse(test_pairs, store.global_mean):.6f}")
-        print(f"cold-start fallbacks: {report.cold_start_counts}")
+    test_pairs = pairs_from_records(split.test)
+    print(f"test MSE: {report.test_mse:.6f}")
+    print(f"global-mean reference MSE: "
+          f"{mean_predictor_mse(test_pairs, store.global_mean):.6f}")
+    print(f"cold-start fallbacks: {report.cold_start_counts}")
     print(f"wrote {out / 'report.json'}, {out / 'curves.csv'}, {out / 'model.ckpt'}")
     return EXIT_OK
 
@@ -336,9 +350,9 @@ def cmd_evaluate(args):
     problem = _doc_length_problem(args.doc_length, tower.kind, tower.kernel)
     if problem:
         raise ConfigError(f"{args.checkpoint}: {problem}")
-    result, split = _load_split(args)
-    if split is None or not split.test:
-        raise ConfigError(f"{args.data}: no test records under this split")
+    split = _split(args, _read_reviews(args).records)
+    if split is None:
+        raise ConfigError(f"{args.data}: no valid records to split")
     table = load_embeddings(args.embeddings, args.dim, oov_policy=args.oov_policy)
     store = DocumentStore(_document_corpus(split, args.leak_test_reviews),
                           table, args.doc_length)
@@ -353,9 +367,9 @@ def cmd_evaluate(args):
 
 def cmd_baseline(args):
     _validate_run(args)
-    result, split = _load_split(args)
-    if split is None or not split.test:
-        raise ConfigError(f"{args.data}: no test records under this split")
+    split = _split(args, _read_reviews(args).records)
+    if split is None:
+        raise ConfigError(f"{args.data}: no valid records to split")
     matrix = RatingMatrix(split.train + split.validation)
     sims = item_similarity(matrix)
     cf_mse, counters = evaluate_cf(matrix, sims, split.test, k=args.k)

@@ -116,11 +116,20 @@ def group_reviews(records):
 
 @dataclass
 class Split:
+    """A train/validation/test partition; train and test are never empty."""
+
     train: list
     validation: list
     test: list
     mode: str
     seed: int
+
+    def __post_init__(self):
+        if not self.train or not self.test:
+            raise InfeasibleSplitError(
+                f"{self.mode} split gives train/validation/test sizes "
+                f"{len(self.train)}/{len(self.validation)}/{len(self.test)}; "
+                f"train and test each need at least one record")
 
     def __len__(self):
         return len(self.train) + len(self.validation) + len(self.test)
@@ -155,6 +164,20 @@ def _round_half_up(x):
     return int(np.floor(x + 0.5))
 
 
+def split_problems(train_fraction, validation_fraction):
+    """What is wrong with a pair of split fractions, as a list of messages."""
+    problems = []
+    if not 0.0 < train_fraction < 1.0:
+        problems.append(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    if not 0.0 <= validation_fraction < 1.0:
+        problems.append(
+            f"validation_fraction must lie in [0, 1), got {validation_fraction}")
+    if train_fraction + validation_fraction >= 1.0:
+        problems.append(
+            "train_fraction + validation_fraction must leave room for a test set")
+    return problems
+
+
 def split_dataset(records, train_fraction, validation_fraction=0.0, seed=0,
                   mode="by_review"):
     """Deterministic train/validation/test partition.
@@ -166,19 +189,17 @@ def split_dataset(records, train_fraction, validation_fraction=0.0, seed=0,
     until the test size target is met, so no test user is ever seen in
     training; the remaining records are split by_review between train and
     validation.
+
+    Rounding can leave train or test without a record; that split raises
+    InfeasibleSplitError.
     """
     if mode not in SPLIT_MODES:
         raise ConfigError(f"unknown split mode {mode!r}, expected one of {SPLIT_MODES}")
     if not records:
         raise ConfigError("cannot split an empty record list")
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
-    if not 0.0 <= validation_fraction < 1.0:
-        raise ConfigError(
-            f"validation_fraction must lie in [0, 1), got {validation_fraction}")
-    if train_fraction + validation_fraction >= 1.0:
-        raise ConfigError(
-            "train_fraction + validation_fraction must leave room for a test set")
+    problems = split_problems(train_fraction, validation_fraction)
+    if problems:
+        raise ConfigError("; ".join(problems))
 
     n = len(records)
     rng = np.random.default_rng(seed)

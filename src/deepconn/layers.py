@@ -8,10 +8,11 @@ and the finite-difference checker rely on.
 
 Every layer, the recurrent cells included, takes one whole sample: a
 document is a (T, d) matrix, hidden states are 1-d vectors.  Batching is a
-loop one level up.  GruCell and LstmCell share one unroll, and each
-gate's weight gradients go through one routine; each cell writes out only
-its own step and backward step.  `sigmoid` is tanh-based, so it needs no
-branch on the sign of its input.
+loop one level up.  GruCell and LstmCell share one unroll; each writes out
+only its own step and backward step, with one product per weight role on
+gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's `b` (G, H)).  The
+per-gate Parameters a cell returns are views of their gate's slices.
+`sigmoid` is tanh-based, so it needs no branch on the sign of its input.
 
 Layers draw no random numbers after construction: the model's Tower
 draws every dropout mask, the recurrent one and the feature one, and
@@ -242,12 +243,15 @@ class Dropout:
         return np.asarray(dout) * mask * scale
 
 
-def _gate_backward(U, W, x_t, h_in, da):
-    """Add one gate's weight gradients, given the gradient `da` of its
-    pre-activation x_t @ U + h_in @ W; returns the gradients of x_t and h_in."""
-    U.grad += np.outer(x_t, da)
-    W.grad += np.outer(h_in, da)
-    return da @ U.value.T, da @ W.value.T
+def _gate_stacked(gates, name, gate_names):
+    """The gates stacked gate-first in one Parameter, and one Parameter per
+    gate whose value and grad are views of its C-contiguous slice.  The views
+    skip Parameter.__init__, which would copy."""
+    stacked = Parameter(gates, name)
+    views = [Parameter.__new__(Parameter) for _ in gate_names]
+    for k, (p, g) in enumerate(zip(views, gate_names)):
+        p.value, p.grad, p.name = stacked.value[k], stacked.grad[k], f"{name}_{g}"
+    return stacked, views
 
 
 class _RecurrentCell:
@@ -259,6 +263,9 @@ class _RecurrentCell:
     (dstate_prev, dx_t).  A recurrent-dropout `mask` scales the hidden
     vector before every step, and its gradient after every backward step.
     """
+
+    def parameters(self):
+        return list(self._parameters)
 
     def forward(self, x, mask=None):
         """Run over a (T, input_dim) document; returns the final hidden vector."""
@@ -291,21 +298,19 @@ class GruCell(_RecurrentCell):
     r   = sigmoid(x_t @ U_r + s_prev @ W_r)
     h   = tanh(x_t @ U_h + (s_prev * r) @ W_h)
     s_t = (1 - z) * s_prev + z * h
+
+    `U` (3, d, H) and `W` (3, H, H) stack the gates z, r, h.
     """
 
     def __init__(self, input_dim, hidden_dim, rng, name="gru"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.U_z = Parameter(glorot_uniform((input_dim, hidden_dim), rng), f"{name}.U_z")
-        self.U_r = Parameter(glorot_uniform((input_dim, hidden_dim), rng), f"{name}.U_r")
-        self.U_h = Parameter(glorot_uniform((input_dim, hidden_dim), rng), f"{name}.U_h")
-        self.W_z = Parameter(glorot_uniform((hidden_dim, hidden_dim), rng), f"{name}.W_z")
-        self.W_r = Parameter(glorot_uniform((hidden_dim, hidden_dim), rng), f"{name}.W_r")
-        self.W_h = Parameter(glorot_uniform((hidden_dim, hidden_dim), rng), f"{name}.W_h")
+        U = [glorot_uniform((input_dim, hidden_dim), rng) for _ in "zrh"]
+        W = [glorot_uniform((hidden_dim, hidden_dim), rng) for _ in "zrh"]
+        self.U, U_gates = _gate_stacked(U, f"{name}.U", "zrh")
+        self.W, W_gates = _gate_stacked(W, f"{name}.W", "zrh")
+        self._parameters = U_gates + W_gates
         self._stack = []
-
-    def parameters(self):
-        return [self.U_z, self.U_r, self.U_h, self.W_z, self.W_r, self.W_h]
 
     def initial_state(self):
         return (np.zeros(self.hidden_dim),)
@@ -318,9 +323,10 @@ class GruCell(_RecurrentCell):
             raise ShapeError(
                 f"gru step expected x ({self.input_dim},) and state "
                 f"({self.hidden_dim},), got {x_t.shape} and {s_prev.shape}")
-        z = sigmoid(x_t @ self.U_z.value + s_prev @ self.W_z.value)
-        r = sigmoid(x_t @ self.U_r.value + s_prev @ self.W_r.value)
-        h = np.tanh(x_t @ self.U_h.value + (s_prev * r) @ self.W_h.value)
+        W = self.W.value
+        xu = x_t @ self.U.value
+        z, r = sigmoid(xu[:2] + s_prev @ W[:2])
+        h = np.tanh(xu[2] + (s_prev * r) @ W[2])
         s_t = (1.0 - z) * s_prev + z * h
         self._stack.append((x_t, s_prev, z, r, h))
         return (s_t,)
@@ -329,18 +335,20 @@ class GruCell(_RecurrentCell):
         """Gradient of one step; returns ((ds_prev,), dx_t)."""
         x_t, s_prev, z, r, h = self._stack.pop()
         (ds_t,) = dstate
-        ds_prev = ds_t * (1.0 - z)
-
-        da_h = ds_t * z * (1.0 - h * h)              # h = tanh(a_h)
-        dx_t, dsr = _gate_backward(self.U_h, self.W_h, x_t, s_prev * r, da_h)
-        ds_prev += dsr * r
-
-        da_r = dsr * s_prev * r * (1.0 - r)          # r = sigmoid(a_r)
-        da_z = ds_t * (h - s_prev) * z * (1.0 - z)   # z = sigmoid(a_z)
-        for U, W, da in ((self.U_r, self.W_r, da_r), (self.U_z, self.W_z, da_z)):
-            dx_gate, ds_gate = _gate_backward(U, W, x_t, s_prev, da)
-            dx_t += dx_gate
-            ds_prev += ds_gate
+        W = self.W.value
+        da_h = ds_t * z * (1.0 - h * h)                   # h = tanh(a_h)
+        dsr = W[2] @ da_h
+        da = np.stack([ds_t * (h - s_prev) * z * (1.0 - z),  # z = sigmoid(a_z)
+                       dsr * s_prev * r * (1.0 - r),         # r = sigmoid(a_r)
+                       da_h])
+        s_in = np.stack([s_prev, s_prev, s_prev * r])
+        self.U.grad += x_t[:, None] * da[:, None, :]
+        self.W.grad += s_in[:, :, None] * da[:, None, :]
+        # Gates summed h, r, z, left to right, as in the per-gate reference
+        # in tests/test_layers.py: another order moves the last bits.
+        dx = (da[:, None, :] @ self.U.value.transpose(0, 2, 1))[:, 0]
+        dx_t = dx[2] + dx[1] + dx[0]
+        ds_prev = ds_t * (1.0 - z) + dsr * r + W[1] @ da[1] + W[0] @ da[0]
         return (ds_prev,), dx_t
 
 
@@ -355,6 +363,8 @@ class LstmCell(_RecurrentCell):
     g = tanh   (x @ U_g + h_prev @ W_g + b_g)
     c = f * c_prev + i * g
     h = o * tanh(c)
+
+    `U` (4, d, H), `W` (4, H, H) and `b` (4, H) stack the gates i, f, o, g.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -362,23 +372,16 @@ class LstmCell(_RecurrentCell):
     def __init__(self, input_dim, hidden_dim, rng, name="lstm"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.U = {}
-        self.W = {}
-        self.b = {}
-        for gate in self.GATES:
-            self.U[gate] = Parameter(
-                glorot_uniform((input_dim, hidden_dim), rng), f"{name}.U_{gate}")
-            self.W[gate] = Parameter(
-                glorot_uniform((hidden_dim, hidden_dim), rng), f"{name}.W_{gate}")
-            bias = np.ones(hidden_dim) if gate == "f" else np.zeros(hidden_dim)
-            self.b[gate] = Parameter(bias, f"{name}.b_{gate}")
+        U, W = zip(*[(glorot_uniform((input_dim, hidden_dim), rng),
+                      glorot_uniform((hidden_dim, hidden_dim), rng))
+                     for _ in self.GATES])
+        b = np.zeros((len(self.GATES), hidden_dim))
+        b[1] = 1.0  # forget gate
+        self.U, U_gates = _gate_stacked(U, f"{name}.U", self.GATES)
+        self.W, W_gates = _gate_stacked(W, f"{name}.W", self.GATES)
+        self.b, b_gates = _gate_stacked(b, f"{name}.b", self.GATES)
+        self._parameters = [p for ps in zip(U_gates, W_gates, b_gates) for p in ps]
         self._stack = []
-
-    def parameters(self):
-        out = []
-        for gate in self.GATES:
-            out.extend([self.U[gate], self.W[gate], self.b[gate]])
-        return out
 
     def initial_state(self):
         return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
@@ -392,12 +395,9 @@ class LstmCell(_RecurrentCell):
             raise ShapeError(
                 f"lstm step expected x ({self.input_dim},) and state "
                 f"({self.hidden_dim},), got {x_t.shape} and {h_prev.shape}")
-        a = {g: x_t @ self.U[g].value + h_prev @ self.W[g].value + self.b[g].value
-             for g in self.GATES}
-        i = sigmoid(a["i"])
-        f = sigmoid(a["f"])
-        o = sigmoid(a["o"])
-        g = np.tanh(a["g"])
+        a = x_t @ self.U.value + h_prev @ self.W.value + self.b.value
+        i, f, o = sigmoid(a[:3])
+        g = np.tanh(a[3])
         c = f * c_prev + i * g
         tc = np.tanh(c)
         h = o * tc
@@ -409,18 +409,14 @@ class LstmCell(_RecurrentCell):
         x_t, h_prev, c_prev, i, f, o, g, tc = self._stack.pop()
         dh, dc = dstate
         dc = dc + dh * o * (1.0 - tc * tc)
-        da = {
-            "i": dc * g * i * (1.0 - i),
-            "f": dc * c_prev * f * (1.0 - f),
-            "o": dh * tc * o * (1.0 - o),
-            "g": dc * i * (1.0 - g * g),
-        }
-        dx_t = np.zeros(self.input_dim)
-        dh_prev = np.zeros(self.hidden_dim)
-        for gate in self.GATES:
-            self.b[gate].grad += da[gate]
-            dx_gate, dh_gate = _gate_backward(self.U[gate], self.W[gate], x_t,
-                                              h_prev, da[gate])
-            dx_t += dx_gate
-            dh_prev += dh_gate
-        return (dh_prev, dc * f), dx_t
+        da = np.stack([dc * g * i * (1.0 - i),
+                       dc * c_prev * f * (1.0 - f),
+                       dh * tc * o * (1.0 - o),
+                       dc * i * (1.0 - g * g)])
+        self.U.grad += x_t[:, None] * da[:, None, :]
+        self.W.grad += h_prev[:, None] * da[:, None, :]
+        self.b.grad += da
+        dx = (da[:, None, :] @ self.U.value.transpose(0, 2, 1))[:, 0]
+        dh_in = (da[:, None, :] @ self.W.value.transpose(0, 2, 1))[:, 0]
+        dh_prev = dh_in[0] + dh_in[1] + dh_in[2] + dh_in[3]
+        return (dh_prev, dc * f), dx[0] + dx[1] + dx[2] + dx[3]

@@ -11,18 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deepconn.baseline import RatingMatrix, item_similarity, predict_cf
+from deepconn.baseline import RatingMatrix, item_similarity, predict_cf_with_source
 from deepconn.cli import EXIT_OK, main
 from deepconn.gradcheck import standard_checks
 from deepconn.ingest import ReviewRecord, parse_reviews_file, split_dataset
-from deepconn.model import (DeepConn, ModelConfig, Tower, TowerConfig,
-                            build_config, fm_pairwise_reference)
+from deepconn.model import DeepConn, ModelConfig, Tower, TowerConfig, build_config
 from deepconn.synthetic import make_micro_dataset
 from deepconn.text import load_embeddings
 from deepconn.train import (DocumentStore, TrainReport, evaluate, fit,
                             load_checkpoint, mean_predictor_mse,
                             pairs_from_records)
 
+from fm_oracle import fm_pairwise_reference
 from test_baseline import brute_force_predict
 
 
@@ -126,7 +126,7 @@ def test_criterion_5_cf_baseline_exactness():
         t = wm.item_index["t"]
         ws[t, wm.item_index["m1"]] = ws[wm.item_index["m1"], t] = 0.8
         ws[t, wm.item_index["m3"]] = ws[wm.item_index["m3"], t] = 0.2
-        assert abs(predict_cf(wm, ws, "u", "t") - 3.6) < 1e-12
+        assert abs(predict_cf_with_source(wm, ws, "u", "t")[0] - 3.6) < 1e-12
 
         # brute-force agreement on 100 random 5x5 rating matrices
         rng = np.random.default_rng(77)
@@ -147,7 +147,8 @@ def test_criterion_5_cf_baseline_exactness():
                 for item in items:
                     expected = brute_force_predict(ratings, users, items,
                                                    user, item)
-                    assert abs(predict_cf(mtx, s, user, item) - expected) < 1e-12
+                    actual, _ = predict_cf_with_source(mtx, s, user, item)
+                    assert abs(actual - expected) < 1e-12
                     compared += 1
         assert compared > 500
 

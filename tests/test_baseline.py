@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from deepconn.baseline import (RatingMatrix, evaluate_cf, item_similarity,
-                               predict_cf, predict_cf_with_source)
+                               predict_cf_with_source)
 from deepconn.errors import UnknownEntityError
 from deepconn.ingest import ReviewRecord
 
@@ -112,7 +112,8 @@ class TestPredictCf:
         sims[t, matrix.item_index["m1"]] = sims[matrix.item_index["m1"], t] = 0.8
         sims[t, matrix.item_index["m3"]] = sims[matrix.item_index["m3"], t] = 0.2
         np.fill_diagonal(sims, 1.0)
-        assert predict_cf(matrix, sims, "u", "t") == pytest.approx(3.6, abs=1e-12)
+        value, _ = predict_cf_with_source(matrix, sims, "u", "t")
+        assert value == pytest.approx(3.6, abs=1e-12)
 
     def test_perfect_twin(self):
         records = _records([("u", "twin", 5), ("x", "t", 3), ("x", "twin", 3)])
@@ -121,7 +122,7 @@ class TestPredictCf:
         np.fill_diagonal(sims, 1.0)
         t, tw = matrix.item_index["t"], matrix.item_index["twin"]
         sims[t, tw] = sims[tw, t] = 1.0
-        assert predict_cf(matrix, sims, "u", "t") == 5.0
+        assert predict_cf_with_source(matrix, sims, "u", "t")[0] == 5.0
 
     def test_zero_similarities_fall_back_to_user_mean(self):
         records = _records([("u", "m1", 4), ("u", "m2", 2), ("x", "t", 3)])
@@ -135,7 +136,7 @@ class TestPredictCf:
         matrix = RatingMatrix(THREE_USER_FIXTURE)
         sims = item_similarity(matrix)
         with pytest.raises(UnknownEntityError):
-            predict_cf(matrix, sims, "nobody", "m1")
+            predict_cf_with_source(matrix, sims, "nobody", "m1")
 
     def test_unknown_item_falls_back(self):
         matrix = RatingMatrix(THREE_USER_FIXTURE)
@@ -153,8 +154,8 @@ class TestPredictCf:
         a, b = matrix.item_index["a"], matrix.item_index["b"]
         sims[t, a] = sims[a, t] = 0.9
         sims[t, b] = sims[b, t] = 0.5
-        assert predict_cf(matrix, sims, "u", "t", k=1) == 5.0
-        blended = predict_cf(matrix, sims, "u", "t", k=2)
+        assert predict_cf_with_source(matrix, sims, "u", "t", k=1)[0] == 5.0
+        blended = predict_cf_with_source(matrix, sims, "u", "t", k=2)[0]
         assert blended == pytest.approx((0.9 * 5 + 0.5 * 1) / 1.4)
 
     def test_prediction_is_convex_combination(self):
@@ -193,7 +194,7 @@ class TestPredictCf:
             for user in users:
                 for item in items:
                     expected = brute_force_predict(ratings, users, items, user, item)
-                    actual = predict_cf(matrix, sims, user, item)
+                    actual, _ = predict_cf_with_source(matrix, sims, user, item)
                     assert actual == pytest.approx(expected, abs=1e-12)
                     checked += 1
         assert checked > 500

@@ -116,12 +116,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_pure_dot_with_fm_head_rejected_first(self, tmp_path, capsys, command):
-        # Knobs that cannot act: --pure-dot with the fm head, and recurrent
-        # dropout on a cnn tower.  Missing input files again: exit 2 means
-        # nothing was read.
+        # Knobs that cannot act: --pure-dot with the fm head, recurrent
+        # dropout on a cnn tower, conv geometry on a recurrent tower, a rank
+        # for the dp head, and a width given twice.  Missing input files
+        # again: exit 2 means nothing was read.
         for knob, field in ((["--head", "fm", "--pure-dot"], "pure_dot"),
                             (["--tower", "cnn", "--recurrent-dropout", "0.2"],
-                             "recurrent_dropout_rate")):
+                             "recurrent_dropout_rate"),
+                            (["--tower", "gru", "--kernel", "4"], "--kernel"),
+                            (["--tower", "lstm", "--stride", "2"], "--stride"),
+                            (["--fm-rank", "4"], "--fm-rank"),
+                            (["--filters", "8", "--hidden-units", "8"], "--filters")):
             argv = [command, "--data", str(tmp_path / "missing.jsonl"),
                     "--embeddings", str(tmp_path / "missing.txt"),
                     "--out", str(tmp_path / "x")] + knob
@@ -234,6 +239,20 @@ class TestCompare:
         assert "deepconn-dp" in out
         assert "item-cf" in out
         assert "global-mean" in out
+
+    def test_split_without_test_records_rejected_before_training(
+            self, sample_reviews_path, toy_embeddings_path, tmp_path, capsys,
+            monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("deepconn.cli.fit", no_training)
+        code = main(["compare", "--data", str(sample_reviews_path),
+                     "--embeddings", str(toy_embeddings_path),
+                     "--out", str(tmp_path / "cmp"),
+                     "--train-fraction", "0.9995", "--val-fraction", "0.0004"])
+        assert code == EXIT_CONFIG
+        assert "sizes 1000/0/0" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

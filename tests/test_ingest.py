@@ -173,6 +173,17 @@ class TestSplit:
         assert not test_users & other_users
         assert len(split) == 300
 
+    @pytest.mark.parametrize("mode", SPLIT_MODES)
+    @pytest.mark.parametrize("n,train,val,sizes", [
+        (4, 0.7, 0.29, "3/1/0"),     # rounding up train and validation
+        (20, 0.9, 0.09, "18/2/0"),   # leaves no test record
+        (4, 0.1, 0.0, "0/0/4"),      # rounding down leaves no train record
+    ])
+    def test_empty_train_or_test_is_infeasible(self, mode, n, train, val, sizes):
+        records = _make_records([(f"u{i}", f"m{i}") for i in range(n)])
+        with pytest.raises(InfeasibleSplitError, match=f"sizes {sizes};"):
+            split_dataset(records, train, val, seed=0, mode=mode)
+
     def test_user_holdout_needs_three_users(self):
         records = _make_records([("u1", "m1"), ("u2", "m2")])
         with pytest.raises(InfeasibleSplitError):
@@ -196,7 +207,11 @@ class TestSplit:
     def test_partition_property(self, n, seed, train, val_share, mode):
         val = (1.0 - train) * val_share  # always leaves room for a test set
         records = _make_records([(f"u{i % 7}", f"m{i % 5}") for i in range(n)])
-        split = split_dataset(records, train, val, seed=seed, mode=mode)
+        try:
+            split = split_dataset(records, train, val, seed=seed, mode=mode)
+        except InfeasibleSplitError:
+            return
+        assert split.train and split.test
         parts = [{id(r) for r in part}
                  for part in (split.train, split.validation, split.test)]
         # Complete and disjoint: every record lands in exactly one part.

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepconn.errors import ConfigError, NumericFault, ShapeError
-from deepconn.gradcheck import DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check
+from deepconn.gradcheck import (DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check,
+                                miniature_model)
 from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
                              MaxPoolOverTime, Parameter, sigmoid)
+from deepconn.optim import Adam
+from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
 
 def _rng(seed=0):
@@ -265,8 +268,8 @@ class TestGruCell:
         (s,) = cell.initial_state()
         for t in range(20):
             x = 10.0 * rng.standard_normal(3)
-            z = sigmoid(x @ cell.U_z.value + s @ cell.W_z.value)
-            r = sigmoid(x @ cell.U_r.value + s @ cell.W_r.value)
+            z = sigmoid(x @ cell.U.value[0] + s @ cell.W.value[0])
+            r = sigmoid(x @ cell.U.value[1] + s @ cell.W.value[1])
             assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
             (s,) = cell.step((s,), x)
             # convex combination of s_prev and |h| < 1 keeps the sup norm bounded
@@ -297,7 +300,7 @@ class TestLstmCell:
         cell = LstmCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        cell.b["f"].value[:] = 1.0
+        cell.b.value[1] = 1.0
         c_prev = np.array([1.0, -1.0, 2.0, 0.25])
         h, c = cell.step((np.zeros(4), c_prev), np.ones(3))
         npt.assert_allclose(c, sigmoid(np.ones(4)) * c_prev, atol=1e-15)
@@ -313,8 +316,8 @@ class TestLstmCell:
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell(3, 4, rng=_rng())
-        npt.assert_array_equal(cell.b["f"].value, np.ones(4))
-        npt.assert_array_equal(cell.b["i"].value, np.zeros(4))
+        npt.assert_array_equal(cell.b.value[1], np.ones(4))
+        npt.assert_array_equal(cell.b.value[0], np.zeros(4))
 
     def test_cell_state_finite_on_bounded_unroll(self):
         rng = _rng(31)
@@ -381,6 +384,144 @@ def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
     for p, q in zip(cell.parameters(), ref.parameters()):
         npt.assert_array_equal(p.grad, q.grad)
     assert cell._stack == []
+
+
+def _per_gate_unroll(cell, x, dfinal, mask):
+    """Reference for the gate-stacked cells: the GRU/LSTM equations with one
+    small product per gate and weight role, each gate's gradients added in
+    turn.  Reads the cell's weights; returns (final hidden vector, dx,
+    {parameter name: gradient})."""
+    P = {p.name.rsplit(".", 1)[1]: p.value.copy() for p in cell.parameters()}
+    dP = {name: np.zeros_like(v) for name, v in P.items()}
+
+    def gate_backward(gate, x_t, h_in, da):
+        dP["U_" + gate] += np.outer(x_t, da)
+        dP["W_" + gate] += np.outer(h_in, da)
+        return da @ P["U_" + gate].T, da @ P["W_" + gate].T
+
+    T, H = len(x), cell.hidden_dim
+    dx = np.zeros_like(x)
+    if isinstance(cell, GruCell):
+        s, cache = np.zeros(H), []
+        for t in range(T):
+            s_prev = s * mask if mask is not None else s
+            z = sigmoid(x[t] @ P["U_z"] + s_prev @ P["W_z"])
+            r = sigmoid(x[t] @ P["U_r"] + s_prev @ P["W_r"])
+            h = np.tanh(x[t] @ P["U_h"] + (s_prev * r) @ P["W_h"])
+            s = (1.0 - z) * s_prev + z * h
+            cache.append((s_prev, z, r, h))
+        ds_t = dfinal
+        for t in reversed(range(T)):
+            s_prev, z, r, h = cache[t]
+            ds_prev = ds_t * (1.0 - z)
+            da_h = ds_t * z * (1.0 - h * h)
+            dx[t], dsr = gate_backward("h", x[t], s_prev * r, da_h)
+            ds_prev += dsr * r
+            da_r = dsr * s_prev * r * (1.0 - r)
+            da_z = ds_t * (h - s_prev) * z * (1.0 - z)
+            for gate, da in (("r", da_r), ("z", da_z)):
+                dx_gate, ds_gate = gate_backward(gate, x[t], s_prev, da)
+                dx[t] += dx_gate
+                ds_prev += ds_gate
+            ds_t = ds_prev * mask if mask is not None else ds_prev
+        return s, dx, dP
+    gates = ("i", "f", "o", "g")
+    h, c, cache = np.zeros(H), np.zeros(H), []
+    for t in range(T):
+        h_prev = h * mask if mask is not None else h
+        a = {g: x[t] @ P["U_" + g] + h_prev @ P["W_" + g] + P["b_" + g] for g in gates}
+        i, f, o, g = sigmoid(a["i"]), sigmoid(a["f"]), sigmoid(a["o"]), np.tanh(a["g"])
+        c_prev, c = c, f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        cache.append((h_prev, c_prev, i, f, o, g, tc))
+    dh, dc = dfinal, np.zeros(H)
+    for t in reversed(range(T)):
+        h_prev, c_prev, i, f, o, g, tc = cache[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        da = {"i": dc * g * i * (1.0 - i), "f": dc * c_prev * f * (1.0 - f),
+              "o": dh * tc * o * (1.0 - o), "g": dc * i * (1.0 - g * g)}
+        dh_prev = np.zeros(H)
+        for gate in gates:
+            dP["b_" + gate] += da[gate]
+            dx_gate, dh_gate = gate_backward(gate, x[t], h_prev, da[gate])
+            dx[t] += dx_gate
+            dh_prev += dh_gate
+        dh, dc = (dh_prev * mask if mask is not None else dh_prev), dc * f
+    return h, dx, dP
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@pytest.mark.parametrize("T,d,H", [(3, 3, 4), (24, 8, 64), (300, 50, 64)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked):
+    rng = _rng(47)
+    cell = cell_cls(d, H, rng=rng)
+    x = rng.standard_normal((T, d))
+    dfinal = rng.standard_normal(H)
+    mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
+    h_ref, dx_ref, grads_ref = _per_gate_unroll(cell, x, dfinal, mask)
+
+    h = cell.forward(x, mask)
+    dx = cell.backward(dfinal)
+    npt.assert_array_equal(h, h_ref)
+    npt.assert_array_equal(dx, dx_ref)
+    for p in cell.parameters():
+        npt.assert_array_equal(p.grad, grads_ref[p.name.rsplit(".", 1)[1]])
+
+
+def _stacked_role(cell, p):
+    """The cell's gate-stacked Parameter that `p` is a slice of, and the slice index."""
+    role, gate = p.name.rsplit(".", 1)[1].split("_")
+    gates = "zrh" if isinstance(cell, GruCell) else LstmCell.GATES
+    return getattr(cell, role), gates.index(gate)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
+    model = miniature_model(kind, seed=3)
+    cell = model.user_tower.cell
+    params = cell.parameters()
+    roles = [cell.U, cell.W] + ([cell.b] if kind == "lstm" else [])
+    for p in params:
+        stacked, k = _stacked_role(cell, p)
+        for view, whole in ((p.value, stacked.value), (p.grad, stacked.grad)):
+            assert view.flags.c_contiguous
+            assert np.shares_memory(view, whole)
+        npt.assert_array_equal(p.value, stacked.value[k])
+
+    x = _rng(5).standard_normal((12, 8))
+    cell.backward(np.ones_like(cell.forward(x)))
+    before = [r.value.copy() for r in roles]
+    Adam(params, learning_rate=0.01).step()
+    for old, r in zip(before, roles):
+        assert np.all(r.value != old)        # every entry of every role moved
+        npt.assert_array_equal(r.grad, 0.0)  # zero_grad reached the stack
+
+    restore_parameters(model, [np.full(p.shape, 0.25) for p in model.parameters()])
+    for r in roles:
+        npt.assert_array_equal(r.value, 0.25)
+
+    saved = miniature_model(kind, seed=4)
+    save_checkpoint(saved, tmp_path / "m.ckpt")
+    loaded = load_checkpoint(tmp_path / "m.ckpt").user_tower.cell
+    for p, q in zip(loaded.parameters(), saved.user_tower.cell.parameters()):
+        stacked, k = _stacked_role(loaded, p)
+        npt.assert_array_equal(stacked.value[k], q.value)
+
+    first = params[0]
+    stacked, k = _stacked_role(cell, first)
+    probes = []
+
+    def loss_fn():
+        probes.append(stacked.value[k].copy())
+        out = cell.forward(x)
+        cell.backward(np.ones_like(out))
+        return float(out.sum())
+
+    gradient_check(loss_fn, [first])
+    assert probes[1].reshape(-1)[0] == 0.25 + DEFAULT_EPS  # the first probe's +eps
+    npt.assert_array_equal(stacked.value[k], 0.25)        # restored after probing
 
 
 class TestGradientCheckHarness:
