@@ -8,11 +8,15 @@ and the finite-difference checker rely on.
 
 Every layer, the recurrent cells included, takes one whole sample: a
 document is a (T, d) matrix, hidden states are 1-d vectors.  Batching is a
-loop one level up.  GruCell and LstmCell share one unroll; each writes out
-only its own step and backward step, with one product per weight role on
-gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's `b` (G, H)).  The
-per-gate Parameters a cell returns are views of their gate's slices.
-`sigmoid` is tanh-based, so it needs no branch on the sign of its input.
+loop one level up.  GruCell and LstmCell share one unroll and keep their
+weights in gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's `b`
+(G, H)); the per-gate Parameters a cell returns are views of their gate's
+slices.  The unroll projects the whole document onto the gates with one
+matmul before the time loop and takes the weight and input gradients with
+a few matmuls after it, so a step runs only the recurrent product and the
+gates' elementwise work.  Each cell writes out only its own step and
+backward step.  `sigmoid` is tanh-based, so it needs no branch on the sign
+of its input.
 
 Layers draw no random numbers after construction: the model's Tower
 draws every dropout mask, the recurrent one and the feature one, and
@@ -254,41 +258,81 @@ def _gate_stacked(gates, name, gate_names):
     return stacked, views
 
 
+def _columns(stacked):
+    """A gate-first (G, n, H) array as an (n, G*H) copy whose columns hold the
+    gates in turn: one matmul against it is one product per gate."""
+    G, n, H = stacked.shape
+    return stacked.transpose(1, 0, 2).reshape(n, G * H)
+
+
+def _gate_first(columns, G):
+    """The (G, n, H) gate-first view of an (n, G*H) array of gate columns."""
+    return columns.reshape(len(columns), G, -1).transpose(1, 0, 2)
+
+
 class _RecurrentCell:
     """The unroll shared by GruCell and LstmCell.
 
-    A cell's state is a tuple whose first entry is the hidden vector.
-    `step(state, x_t)` returns the next state and pushes its cache on a
-    stack; `backward_step(dstate)` pops the latest cache and returns
-    (dstate_prev, dx_t).  A recurrent-dropout `mask` scales the hidden
-    vector before every step, and its gradient after every backward step.
+    Only the recurrent product `h_prev @ W` depends on the previous step,
+    so every other product runs once per document, outside the time loop
+    (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv 1604.01946):
+
+    - Before the loop, one input projection `x @ U` of the whole (T, d)
+      document, with LSTM's `b` added once, fills a (T, G, H) array.
+    - Per step, `step(state, xu_t)` takes row t of that array, adds the
+      recurrent product, overwrites the row with the gate activations and
+      returns the next state.  The state entering each step, after the
+      mask, is kept in a (T + 1, len(state), H) array whose last row is the
+      final state.
+    - Per backward step, `backward_step(dstate, t)` reads those arrays and
+      returns (dstate_prev, da_t): the gradients of the state entering step
+      t and of its (G, H) gate pre-activations, which fill a (T, G, H) dA.
+    - After the loop, `dU += x.T @ dA`, each cell's recurrent weight (and
+      bias) gradients from the stored states and dA, and the input gradient
+      `dA @ U.T`: a few products over the time axis in place of 3T small
+      ones.
+
+    A cell's state is a sequence of vectors whose first entry is the hidden
+    vector.  A recurrent-dropout `mask` scales the hidden vector before
+    every step, and its gradient after every backward step.
     """
 
     def parameters(self):
         return list(self._parameters)
 
+    def _project(self, x):
+        G, d, H = self.U.shape
+        return (x @ _columns(self.U.value)).reshape(len(x), G, H)
+
     def forward(self, x, mask=None):
         """Run over a (T, input_dim) document; returns the final hidden vector."""
         x = np.asarray(x, dtype=np.float64)
-        self._stack = []
-        state = self.initial_state()
-        for x_t in x:
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ShapeError(f"{type(self).__name__} expected (T, {self.input_dim}) "
+                             f"input, got {x.shape}")
+        gates = self._project(x)
+        states = np.zeros((len(x) + 1, len(self.initial_state()), self.hidden_dim))
+        for t in range(len(x)):
             if mask is not None:
-                state = (state[0] * mask,) + state[1:]
-            state = self.step(state, x_t)
-        self._unroll = (len(x), mask)
-        return state[0]
+                states[t, 0] *= mask
+            states[t + 1] = self.step(states[t], gates[t])
+        self._x, self._mask, self._gates, self._states = x, mask, gates, states
+        return states[-1, 0].copy()
 
     def backward(self, dh):
         """(T, input_dim) input gradient, given that of the final hidden vector."""
-        T, mask = self._unroll
+        T, G, H = self._gates.shape
+        self._W_columns = _columns(self.W.value)
+        dA = np.empty((T, G, H))
         dstate = (dh,) + self.initial_state()[1:]
-        dx = np.zeros((T, self.input_dim))
         for t in reversed(range(T)):
-            dstate, dx[t] = self.backward_step(dstate)
-            if mask is not None:
-                dstate = (dstate[0] * mask,) + dstate[1:]
-        return dx
+            dstate, dA[t] = self.backward_step(dstate, t)
+            if self._mask is not None:
+                dstate = (dstate[0] * self._mask,) + dstate[1:]
+        dA_columns = dA.reshape(T, G * H)
+        self.U.grad += _gate_first(self._x.T @ dA_columns, G)
+        self._recurrent_grads(dA)
+        return dA_columns @ _columns(self.U.value).T
 
 
 class GruCell(_RecurrentCell):
@@ -310,46 +354,42 @@ class GruCell(_RecurrentCell):
         self.U, U_gates = _gate_stacked(U, f"{name}.U", "zrh")
         self.W, W_gates = _gate_stacked(W, f"{name}.W", "zrh")
         self._parameters = U_gates + W_gates
-        self._stack = []
 
     def initial_state(self):
         return (np.zeros(self.hidden_dim),)
 
-    def step(self, state, x_t):
+    def step(self, state, xu_t):
+        """The next state from `xu_t` = x_t @ U, a (3, H) row that is
+        overwritten with the gate activations z, r, h."""
         (s_prev,) = state
-        s_prev = np.asarray(s_prev, dtype=np.float64)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.shape != (self.input_dim,) or s_prev.shape != (self.hidden_dim,):
-            raise ShapeError(
-                f"gru step expected x ({self.input_dim},) and state "
-                f"({self.hidden_dim},), got {x_t.shape} and {s_prev.shape}")
         W = self.W.value
-        xu = x_t @ self.U.value
-        z, r = sigmoid(xu[:2] + s_prev @ W[:2])
-        h = np.tanh(xu[2] + (s_prev * r) @ W[2])
-        s_t = (1.0 - z) * s_prev + z * h
-        self._stack.append((x_t, s_prev, z, r, h))
-        return (s_t,)
+        a = xu_t
+        a[:2] += s_prev @ W[:2]
+        a[:2] = sigmoid(a[:2])
+        z, r, h = a
+        h += (s_prev * r) @ W[2]
+        np.tanh(h, out=h)
+        return ((1.0 - z) * s_prev + z * h,)
 
-    def backward_step(self, dstate):
-        """Gradient of one step; returns ((ds_prev,), dx_t)."""
-        x_t, s_prev, z, r, h = self._stack.pop()
+    def backward_step(self, dstate, t):
+        """Gradient of step t; returns ((ds_prev,), da_t)."""
+        z, r, h = self._gates[t]
+        s_prev = self._states[t, 0]
         (ds_t,) = dstate
-        W = self.W.value
-        da_h = ds_t * z * (1.0 - h * h)                   # h = tanh(a_h)
-        dsr = W[2] @ da_h
-        da = np.stack([ds_t * (h - s_prev) * z * (1.0 - z),  # z = sigmoid(a_z)
-                       dsr * s_prev * r * (1.0 - r),         # r = sigmoid(a_r)
-                       da_h])
-        s_in = np.stack([s_prev, s_prev, s_prev * r])
-        self.U.grad += x_t[:, None] * da[:, None, :]
-        self.W.grad += s_in[:, :, None] * da[:, None, :]
-        # Gates summed h, r, z, left to right, as in the per-gate reference
-        # in tests/test_layers.py: another order moves the last bits.
-        dx = (da[:, None, :] @ self.U.value.transpose(0, 2, 1))[:, 0]
-        dx_t = dx[2] + dx[1] + dx[0]
-        ds_prev = ds_t * (1.0 - z) + dsr * r + W[1] @ da[1] + W[0] @ da[0]
-        return (ds_prev,), dx_t
+        da_h = ds_t * z * (1.0 - h * h)                    # h = tanh(a_h)
+        dsr = self.W.value[2] @ da_h
+        da = np.empty((3, self.hidden_dim))
+        da[0] = ds_t * (h - s_prev) * z * (1.0 - z)        # z = sigmoid(a_z)
+        da[1] = dsr * s_prev * r * (1.0 - r)               # r = sigmoid(a_r)
+        da[2] = da_h
+        ds_zr = self._W_columns[:, :2 * self.hidden_dim] @ da[:2].reshape(-1)
+        return (ds_t * (1.0 - z) + dsr * r + ds_zr,), da
+
+    def _recurrent_grads(self, dA):
+        T = len(dA)
+        s_prev = self._states[:-1, 0]
+        self.W.grad[:2] += _gate_first(s_prev.T @ dA[:, :2].reshape(T, -1), 2)
+        self.W.grad[2] += (s_prev * self._gates[:, 1]).T @ dA[:, 2]
 
 
 class LstmCell(_RecurrentCell):
@@ -381,42 +421,42 @@ class LstmCell(_RecurrentCell):
         self.W, W_gates = _gate_stacked(W, f"{name}.W", self.GATES)
         self.b, b_gates = _gate_stacked(b, f"{name}.b", self.GATES)
         self._parameters = [p for ps in zip(U_gates, W_gates, b_gates) for p in ps]
-        self._stack = []
 
     def initial_state(self):
         return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
 
-    def step(self, state, x_t):
-        h_prev, c_prev = state
-        h_prev = np.asarray(h_prev, dtype=np.float64)
-        c_prev = np.asarray(c_prev, dtype=np.float64)
-        x_t = np.asarray(x_t, dtype=np.float64)
-        if x_t.shape != (self.input_dim,) or h_prev.shape != (self.hidden_dim,):
-            raise ShapeError(
-                f"lstm step expected x ({self.input_dim},) and state "
-                f"({self.hidden_dim},), got {x_t.shape} and {h_prev.shape}")
-        a = x_t @ self.U.value + h_prev @ self.W.value + self.b.value
-        i, f, o = sigmoid(a[:3])
-        g = np.tanh(a[3])
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        self._stack.append((x_t, h_prev, c_prev, i, f, o, g, tc))
-        return h, c
+    def _project(self, x):
+        xu = super()._project(x)
+        xu += self.b.value
+        return xu
 
-    def backward_step(self, dstate):
-        """Gradient of one step; returns ((dh_prev, dc_prev), dx_t)."""
-        x_t, h_prev, c_prev, i, f, o, g, tc = self._stack.pop()
+    def step(self, state, xu_t):
+        """The next state from `xu_t` = x_t @ U + b, a (4, H) row that is
+        overwritten with the gate activations i, f, o, g."""
+        h_prev, c_prev = state
+        a = xu_t
+        a += h_prev @ self.W.value
+        a[:3] = sigmoid(a[:3])
+        np.tanh(a[3], out=a[3])
+        i, f, o, g = a
+        c = f * c_prev + i * g
+        return o * np.tanh(c), c
+
+    def backward_step(self, dstate, t):
+        """Gradient of step t; returns ((dh_prev, dc_prev), da_t)."""
+        i, f, o, g = self._gates[t]
+        c_prev, c = self._states[t, 1], self._states[t + 1, 1]
+        tc = np.tanh(c)
         dh, dc = dstate
         dc = dc + dh * o * (1.0 - tc * tc)
-        da = np.stack([dc * g * i * (1.0 - i),
-                       dc * c_prev * f * (1.0 - f),
-                       dh * tc * o * (1.0 - o),
-                       dc * i * (1.0 - g * g)])
-        self.U.grad += x_t[:, None] * da[:, None, :]
-        self.W.grad += h_prev[:, None] * da[:, None, :]
-        self.b.grad += da
-        dx = (da[:, None, :] @ self.U.value.transpose(0, 2, 1))[:, 0]
-        dh_in = (da[:, None, :] @ self.W.value.transpose(0, 2, 1))[:, 0]
-        dh_prev = dh_in[0] + dh_in[1] + dh_in[2] + dh_in[3]
-        return (dh_prev, dc * f), dx[0] + dx[1] + dx[2] + dx[3]
+        da = np.empty((4, self.hidden_dim))
+        da[0] = dc * g * i * (1.0 - i)
+        da[1] = dc * c_prev * f * (1.0 - f)
+        da[2] = dh * tc * o * (1.0 - o)
+        da[3] = dc * i * (1.0 - g * g)
+        return (self._W_columns @ da.reshape(-1), dc * f), da
+
+    def _recurrent_grads(self, dA):
+        T, G, H = dA.shape
+        self.W.grad += _gate_first(self._states[:-1, 0].T @ dA.reshape(T, G * H), G)
+        self.b.grad += dA.sum(axis=0)

@@ -11,6 +11,7 @@ import json
 import os
 import struct
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -302,41 +303,51 @@ def atomic_open(path):
 
 
 # Checkpoint format: 8-byte magic, little-endian uint64 manifest length,
-# JSON manifest (names, shapes, precision, model config), then each
-# parameter's raw float64 little-endian bytes in manifest order.
+# JSON manifest (names, shapes, precision, model config, zlib.crc32 of the
+# parameter bytes), then each parameter's raw float64 little-endian bytes in
+# manifest order.  A version-1 manifest written without "crc32" still loads.
 
 CHECKPOINT_MAGIC = b"DCNCKPT1"
 
 
 def save_checkpoint(model, path):
     params = model.parameters()
+    payload = [np.ascontiguousarray(p.value, dtype="<f8").tobytes() for p in params]
+    crc = 0
+    for raw in payload:
+        crc = zlib.crc32(raw, crc)
     manifest = {
         "format": "deepconn-checkpoint",
         "version": 1,
         "precision": "float64",
         "config": model.config.to_dict(),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
+        "crc32": crc,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        for raw in payload:
+            fh.write(raw)
 
 
 def _read_manifest(path, manifest):
-    """The model config and the (name, shape) entries of a version-1 manifest."""
+    """The model config, the (name, shape) entries and the payload's crc32
+    (None when absent) of a version-1 manifest."""
     if not isinstance(manifest, dict) or \
             manifest.get("format") != "deepconn-checkpoint":
         raise CheckpointError(f"{path}: unknown manifest format")
     version = manifest.get("version")
     if type(version) is not int or version != 1:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    crc = manifest.get("crc32")
+    if crc is not None and type(crc) is not int:
+        raise CheckpointError(f"{path}: malformed manifest (crc32 {crc!r})")
     try:
         entries = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-        return ModelConfig.from_dict(manifest["config"]), entries
+        return ModelConfig.from_dict(manifest["config"]), entries, crc
     except KeyError as exc:
         raise CheckpointError(f"{path}: manifest lacks the key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -348,7 +359,8 @@ def load_checkpoint(path):
 
     The names and shapes of the parameters built from the manifest's config
     must match the manifest's own list; a mismatch is a ShapeError naming
-    the parameter.
+    the parameter.  Parameter bytes whose crc32 differs from the manifest's
+    are a CheckpointError.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -365,12 +377,13 @@ def load_checkpoint(path):
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
-        config, entries = _read_manifest(path, manifest)
+        config, entries, crc = _read_manifest(path, manifest)
         model = DeepConn(config)
         params = model.parameters()
         if len(entries) != len(params):
             raise ShapeError(
                 f"checkpoint has {len(entries)} parameters, model has {len(params)}")
+        payload_crc = 0
         for p, (name, shape) in zip(params, entries):
             if p.name != name:
                 raise ShapeError(
@@ -384,7 +397,12 @@ def load_checkpoint(path):
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise CheckpointError(f"{path}: truncated data for {p.name!r}")
+            payload_crc = zlib.crc32(raw, payload_crc)
             p.value[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if fh.read(1):
             raise CheckpointError(f"{path}: trailing bytes after parameter data")
+        if crc is not None and crc != payload_crc:
+            raise CheckpointError(
+                f"{path}: parameter data fails its checksum "
+                f"(crc32 {payload_crc:#010x}, manifest {crc:#010x})")
     return model

@@ -252,14 +252,14 @@ class TestGruCell:
         for p in cell.parameters():
             p.value[:] = 0.0
         s_prev = np.array([1.0, -2.0, 0.5, 4.0])
-        (s_t,) = cell.step((s_prev,), np.ones(3))
+        (s_t,) = cell.step((s_prev,), _projected(cell, np.ones(3)))
         npt.assert_allclose(s_t, 0.5 * s_prev, rtol=0, atol=1e-15)
 
     def test_zero_state_zero_weights(self):
         cell = GruCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        (s_t,) = cell.step((np.zeros(4),), np.ones(3))
+        (s_t,) = cell.step((np.zeros(4),), _projected(cell, np.ones(3)))
         npt.assert_array_equal(s_t, np.zeros(4))
 
     def test_gates_stay_in_unit_interval(self):
@@ -271,14 +271,18 @@ class TestGruCell:
             z = sigmoid(x @ cell.U.value[0] + s @ cell.W.value[0])
             r = sigmoid(x @ cell.U.value[1] + s @ cell.W.value[1])
             assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
-            (s,) = cell.step((s,), x)
+            (s,) = cell.step((s,), _projected(cell, x))
             # convex combination of s_prev and |h| < 1 keeps the sup norm bounded
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
 
     def test_shape_mismatch(self):
         cell = GruCell(3, 4, rng=_rng())
-        with pytest.raises(ShapeError):
-            cell.step((np.zeros(5),), np.zeros(3))
+        steps = []
+        cell.step = lambda *args: steps.append(args)
+        for x in (np.zeros((5, 4)), np.zeros(3)):  # wrong d, 1-d
+            with pytest.raises(ShapeError):
+                cell.forward(x)
+        assert steps == []  # rejected before any step runs
 
     def test_gradient_three_step_unroll(self):
         rng = _rng(29)
@@ -302,7 +306,7 @@ class TestLstmCell:
             p.value[:] = 0.0
         cell.b.value[1] = 1.0
         c_prev = np.array([1.0, -1.0, 2.0, 0.25])
-        h, c = cell.step((np.zeros(4), c_prev), np.ones(3))
+        h, c = cell.step((np.zeros(4), c_prev), _projected(cell, np.ones(3)))
         npt.assert_allclose(c, sigmoid(np.ones(4)) * c_prev, atol=1e-15)
         npt.assert_allclose(h, 0.5 * np.tanh(c), atol=1e-15)
 
@@ -310,7 +314,7 @@ class TestLstmCell:
         cell = LstmCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        h, c = cell.step((np.zeros(4), np.zeros(4)), np.zeros(3))
+        h, c = cell.step((np.zeros(4), np.zeros(4)), _projected(cell, np.zeros(3)))
         npt.assert_array_equal(c, np.zeros(4))
         npt.assert_array_equal(h, np.zeros(4))
 
@@ -324,7 +328,7 @@ class TestLstmCell:
         cell = LstmCell(3, 4, rng=rng)
         h, c = cell.initial_state()
         for t in range(100):
-            h, c = cell.step((h, c), 5.0 * rng.standard_normal(3))
+            h, c = cell.step((h, c), _projected(cell, 5.0 * rng.standard_normal(3)))
         assert np.isfinite(c).all() and np.isfinite(h).all()
 
     def test_gradient_three_step_unroll(self):
@@ -341,29 +345,95 @@ class TestLstmCell:
         assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
 
-def _unroll_by_hand(cell, x, dfinal, mask):
-    """Reference: the per-cell step/backward_step loops, written out."""
+def _projected(cell, x_t):
+    """The row of the hoisted input projection that `step` takes for x_t."""
+    xu = x_t @ cell.U.value
+    return xu + cell.b.value if isinstance(cell, LstmCell) else xu
+
+
+def _step_loop_unroll(cell, x, dfinal, mask):
+    """Reference for the hoisted unroll: the gate-stacked cells' per-step
+    body as it was before the hoisting, with the input product and every
+    weight gradient taken inside the time loop.  Reads the cell's weights;
+    returns (final hidden vector, dx, {role: stacked gradient})."""
+    U, W = cell.U.value, cell.W.value
+    grads = {"U": np.zeros_like(U), "W": np.zeros_like(W)}
     T, H = len(x), cell.hidden_dim
     dx = np.zeros_like(x)
     if isinstance(cell, GruCell):
-        s = np.zeros(H)
+        s, cache = np.zeros(H), []
         for t in range(T):
-            s_in = s * mask if mask is not None else s
-            (s,) = cell.step((s_in,), x[t])
-        ds = dfinal
+            s_prev = s * mask if mask is not None else s
+            xu = x[t] @ U
+            z, r = sigmoid(xu[:2] + s_prev @ W[:2])
+            h = np.tanh(xu[2] + (s_prev * r) @ W[2])
+            s = (1.0 - z) * s_prev + z * h
+            cache.append((s_prev, z, r, h))
+        ds_t = dfinal
         for t in reversed(range(T)):
-            (ds_in,), dx[t] = cell.backward_step((ds,))
-            ds = ds_in * mask if mask is not None else ds_in
-        return s, dx
-    h, c = np.zeros(H), np.zeros(H)
+            s_prev, z, r, h = cache[t]
+            da_h = ds_t * z * (1.0 - h * h)
+            dsr = W[2] @ da_h
+            da = np.stack([ds_t * (h - s_prev) * z * (1.0 - z),
+                           dsr * s_prev * r * (1.0 - r),
+                           da_h])
+            s_in = np.stack([s_prev, s_prev, s_prev * r])
+            grads["U"] += x[t][:, None] * da[:, None, :]
+            grads["W"] += s_in[:, :, None] * da[:, None, :]
+            dx[t] = (da[:, None, :] @ U.transpose(0, 2, 1))[:, 0].sum(axis=0)
+            ds_prev = ds_t * (1.0 - z) + dsr * r + W[1] @ da[1] + W[0] @ da[0]
+            ds_t = ds_prev * mask if mask is not None else ds_prev
+        return s, dx, grads
+    b = cell.b.value
+    grads["b"] = np.zeros_like(b)
+    h, c, cache = np.zeros(H), np.zeros(H), []
     for t in range(T):
-        h_in = h * mask if mask is not None else h
-        h, c = cell.step((h_in, c), x[t])
+        h_prev = h * mask if mask is not None else h
+        a = x[t] @ U + h_prev @ W + b
+        i, f, o = sigmoid(a[:3])
+        g = np.tanh(a[3])
+        c_prev, c = c, f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        cache.append((h_prev, c_prev, i, f, o, g, tc))
     dh, dc = dfinal, np.zeros(H)
     for t in reversed(range(T)):
-        (dh_in, dc), dx[t] = cell.backward_step((dh, dc))
-        dh = dh_in * mask if mask is not None else dh_in
-    return h, dx
+        h_prev, c_prev, i, f, o, g, tc = cache[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        da = np.stack([dc * g * i * (1.0 - i),
+                       dc * c_prev * f * (1.0 - f),
+                       dh * tc * o * (1.0 - o),
+                       dc * i * (1.0 - g * g)])
+        grads["U"] += x[t][:, None] * da[:, None, :]
+        grads["W"] += h_prev[:, None] * da[:, None, :]
+        grads["b"] += da
+        dx[t] = (da[:, None, :] @ U.transpose(0, 2, 1))[:, 0].sum(axis=0)
+        dh_prev = (da[:, None, :] @ W.transpose(0, 2, 1))[:, 0].sum(axis=0)
+        dh, dc = (dh_prev * mask if mask is not None else dh_prev), dc * f
+    return h, dx, grads
+
+
+# The hoisted unroll sums the input and weight products over the time axis
+# in one matmul each, in another order than a per-step loop: agreement is
+# measured as max |diff| / max |ref| per array.
+UNROLL_RTOL = 1e-12
+
+
+def _assert_close(actual, reference):
+    assert np.max(np.abs(actual - reference)) <= UNROLL_RTOL * np.max(np.abs(reference))
+
+
+def _check_against_step_loop(cell, x, dfinal, mask):
+    """The cell's forward/backward against `_step_loop_unroll`: the output,
+    dx and every parameter gradient, within UNROLL_RTOL."""
+    h_ref, dx_ref, grads_ref = _step_loop_unroll(cell, x, dfinal, mask)
+    h = cell.forward(x, mask)
+    dx = cell.backward(dfinal)
+    _assert_close(h, h_ref)
+    _assert_close(dx, dx_ref)
+    for p in cell.parameters():
+        stacked, k = _stacked_role(cell, p)
+        _assert_close(p.grad, grads_ref[stacked.name.rsplit(".", 1)[1]][k])
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
@@ -373,17 +443,41 @@ def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
     x = rng.standard_normal((7, 3))
     dfinal = rng.standard_normal(4)
     mask = (rng.random(4) >= 0.3) / 0.7 if masked else None
-    cell, ref = cell_cls(3, 4, rng=_rng(43)), cell_cls(3, 4, rng=_rng(43))
-    h_ref, dx_ref = _unroll_by_hand(ref, x, dfinal, mask)
-
+    cell = cell_cls(3, 4, rng=_rng(43))
     cell.forward(x[:2])  # an eval-mode forward with no backward leaves no trace
-    h = cell.forward(x, mask)
-    dx = cell.backward(dfinal)
-    npt.assert_array_equal(h, h_ref)
-    npt.assert_array_equal(dx, dx_ref)
-    for p, q in zip(cell.parameters(), ref.parameters()):
-        npt.assert_array_equal(p.grad, q.grad)
-    assert cell._stack == []
+    _check_against_step_loop(cell, x, dfinal, mask)
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@given(T=st.integers(1, 40), d=st.integers(1, 6), H=st.integers(1, 8),
+       masked=st.booleans(), eval_T=st.integers(1, 40), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, seed):
+    rng = _rng(seed)
+    cell = cell_cls(d, H, rng=rng)
+    x = rng.standard_normal((T, d))
+    dfinal = rng.standard_normal(H)
+    mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
+    # An eval-mode forward over another document leaves nothing the train
+    # forward and backward that follow could pick up.
+    cell.forward(rng.standard_normal((eval_T, d)))
+    _check_against_step_loop(cell, x, dfinal, mask)
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+def test_gradient_with_recurrent_dropout_mask(cell_cls):
+    rng = _rng(53)
+    cell = cell_cls(3, 4, rng=rng)
+    xs = rng.standard_normal((7, 3))
+    w = rng.standard_normal(4)
+    mask = np.array([1.0, 0.0, 1.0, 1.0]) / 0.75
+
+    def loss_fn():
+        h = cell.forward(xs, mask)
+        cell.backward(w)
+        return float(w @ h)
+
+    assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
 
 def _per_gate_unroll(cell, x, dfinal, mask):
@@ -464,10 +558,10 @@ def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked)
 
     h = cell.forward(x, mask)
     dx = cell.backward(dfinal)
-    npt.assert_array_equal(h, h_ref)
-    npt.assert_array_equal(dx, dx_ref)
+    _assert_close(h, h_ref)
+    _assert_close(dx, dx_ref)
     for p in cell.parameters():
-        npt.assert_array_equal(p.grad, grads_ref[p.name.rsplit(".", 1)[1]])
+        _assert_close(p.grad, grads_ref[p.name.rsplit(".", 1)[1]])
 
 
 def _stacked_role(cell, p):

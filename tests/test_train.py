@@ -347,9 +347,11 @@ class TestCheckpoint:
           "params": []}, "lacks the key 'tower'"),
         ({"format": "deepconn-checkpoint", "version": 1,
           "config": {"tower": {"depth": 3}}, "params": []}, "malformed manifest"),
+        ({"format": "deepconn-checkpoint", "version": 1, "config": {},
+          "params": [], "crc32": "0"}, "malformed manifest"),
     ], ids=["not-object", "version-99", "version-string", "no-version",
             "no-config", "no-params", "no-name", "no-shape", "no-tower",
-            "unknown-tower-field"])
+            "unknown-tower-field", "crc32-not-int"])
     def test_malformed_manifest_is_checkpoint_error(self, tmp_path, manifest, match):
         blob = json.dumps(manifest).encode("utf-8")
         path = tmp_path / "model.ckpt"
@@ -363,16 +365,50 @@ class TestCheckpoint:
         model, _, _ = _tiny_setup(seed=19)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
-        raw = path.read_bytes()
-        start = len(CHECKPOINT_MAGIC) + 8
-        (length,) = struct.unpack("<Q", raw[len(CHECKPOINT_MAGIC):start])
-        manifest = json.loads(raw[start:start + length])
+        manifest = _split_checkpoint(path)[0]
         manifest["config"]["tower"]["dense_units"] = 6
-        blob = json.dumps(manifest).encode("utf-8")
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
-                         + raw[start + length:])
+        _rewrite_manifest(path, manifest)
         with pytest.raises(ShapeError, match="dense"):
             load_checkpoint(path)
+
+    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
+        model, _, _ = _tiny_setup(seed=21)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert isinstance(_split_checkpoint(path)[0]["crc32"], int)
+        data = bytearray(path.read_bytes())
+        for offset in (len(data) - 1, len(data) - 8 * 40):  # inside the payload
+            flipped = bytearray(data)
+            flipped[offset] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CheckpointError, match="checksum"):
+                load_checkpoint(path)
+
+    def test_manifest_without_checksum_loads_bit_exact(self, tmp_path):
+        model, _, _ = _tiny_setup(seed=22)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        manifest = _split_checkpoint(path)[0]
+        del manifest["crc32"]
+        _rewrite_manifest(path, manifest)
+        loaded = load_checkpoint(path)
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert a.value.tobytes() == b.value.tobytes()
+
+
+def _split_checkpoint(path):
+    """(manifest dict, parameter payload bytes) of a checkpoint file."""
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    (length,) = struct.unpack("<Q", raw[len(CHECKPOINT_MAGIC):start])
+    return json.loads(raw[start:start + length]), raw[start + length:]
+
+
+def _rewrite_manifest(path, manifest):
+    """Replace a checkpoint's manifest, keeping its parameter payload."""
+    payload = _split_checkpoint(path)[1]
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
 
 
 class TestReport:
