@@ -2,7 +2,8 @@
 
 `gradient_check` is the generic harness; `standard_checks` runs the
 battery the CLI exposes: each layer type in isolation, both coupling
-heads, and full miniature twin-tower models.
+heads, and full miniature twin-tower models, each on a batch of one
+sample so that the battery stays cheap.
 """
 
 import numpy as np
@@ -64,26 +65,26 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
 
 def _case_dense(rng):
     layer = Dense(4, 3, activation="tanh", rng=rng, name="check.dense")
-    x = rng.standard_normal(4)
-    w = rng.standard_normal(3)
+    x = rng.standard_normal((1, 4))
+    w = rng.standard_normal((1, 3))
 
     def loss_fn():
         out = layer.forward(x)
         layer.backward(w)
-        return float(w @ out)
+        return float(np.vdot(w, out))
 
     return loss_fn, layer.parameters()
 
 
 def _case_conv1d(rng):
     layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv")
-    x = rng.standard_normal((12, 5))
-    w = rng.standard_normal((layer.output_length(12), layer.channels))
+    x = rng.standard_normal((1, 12, 5))
+    w = rng.standard_normal((1, layer.output_length(12), layer.channels))
 
     def loss_fn():
         out = layer.forward(x)
         layer.backward(w)
-        return float(np.sum(w * out))
+        return float(np.vdot(w, out))
 
     return loss_fn, layer.parameters()
 
@@ -93,14 +94,14 @@ def _case_maxpool(rng):
     # by driving its input from a dense layer whose weights get perturbed.
     pre = Dense(6, 12, activation="identity", rng=rng, name="check.pool_pre")
     pool = MaxPoolOverTime()
-    x = rng.standard_normal(6)
-    w = rng.standard_normal(3)
+    x = rng.standard_normal((1, 6))
+    w = rng.standard_normal((1, 3))
 
     def loss_fn():
-        rows = pre.forward(x).reshape(4, 3)
+        rows = pre.forward(x).reshape(1, 4, 3)
         out = pool.forward(rows)
-        pre.backward(pool.backward(w).reshape(-1))
-        return float(w @ out)
+        pre.backward(pool.backward(w).reshape(1, 12))
+        return float(np.vdot(w, out))
 
     return loss_fn, pre.parameters()
 
@@ -108,27 +109,27 @@ def _case_maxpool(rng):
 def _case_dropout(rng):
     pre = Dense(4, 6, activation="tanh", rng=rng, name="check.drop_pre")
     drop = Dropout(0.4)
-    mask = rng.random(6) >= 0.4  # fixed across probing evaluations
-    x = rng.standard_normal(4)
-    w = rng.standard_normal(6)
+    mask = rng.random((1, 6)) >= 0.4  # fixed across probing evaluations
+    x = rng.standard_normal((1, 4))
+    w = rng.standard_normal((1, 6))
 
     def loss_fn():
         out = drop.forward(pre.forward(x), mask)
         pre.backward(drop.backward(w))
-        return float(w @ out)
+        return float(np.vdot(w, out))
 
     return loss_fn, pre.parameters()
 
 
 def _case_recurrent(cell_cls, rng):
     cell = cell_cls(3, 4, rng=rng)
-    xs = rng.standard_normal((3, 3))
-    w = rng.standard_normal(4)
+    xs = rng.standard_normal((1, 3, 3))
+    w = rng.standard_normal((1, 4))
 
     def loss_fn():
         h = cell.forward(xs)
         cell.backward(w)
-        return float(w @ h)
+        return float(np.vdot(w, h))
 
     return loss_fn, cell.parameters()
 
@@ -140,15 +141,15 @@ def _case_dp_head(rng):
     # Feed the head from dense layers so its input gradients are verified too.
     u_pre = Dense(3, 5, activation="tanh", rng=rng, name="check.dp_u")
     i_pre = Dense(3, 5, activation="tanh", rng=rng, name="check.dp_i")
-    xu_in = rng.standard_normal(3)
-    xi_in = rng.standard_normal(3)
+    xu_in = rng.standard_normal((1, 3))
+    xi_in = rng.standard_normal((1, 3))
 
     def loss_fn():
         y = head.predict(u_pre.forward(xu_in), i_pre.forward(xi_in))
-        dx_u, dx_i = head.backward(1.0)
+        dx_u, dx_i = head.backward(np.ones(1))
         u_pre.backward(dx_u)
         i_pre.backward(dx_i)
-        return y
+        return float(y[0])
 
     return loss_fn, head.parameters() + u_pre.parameters() + i_pre.parameters()
 
@@ -157,12 +158,12 @@ def _case_fm_head(rng):
     head = FmHead(5, rank=3, rng=rng, name="check.fm")
     head.w.value[:] = rng.standard_normal(10)
     pre = Dense(4, 10, activation="tanh", rng=rng, name="check.fm_pre")
-    x_in = rng.standard_normal(4)
+    x_in = rng.standard_normal((1, 4))
 
     def loss_fn():
         y = head.predict_z(pre.forward(x_in))
-        pre.backward(head.backward_z(1.0))
-        return y
+        pre.backward(head.backward_z(np.ones(1)))
+        return float(y[0])
 
     return loss_fn, head.parameters() + pre.parameters()
 
@@ -180,14 +181,14 @@ def _case_full_model(rng, kind="cnn", head="dp", T=12):
     if head == "dp":
         # Zero first-order weights would leave their gradient path untested.
         model.head.w.value[:] = 0.1 * rng.standard_normal(model.head.w.value.shape)
-    user_doc = rng.standard_normal((T, 8))
-    item_doc = rng.standard_normal((T, 8))
+    user_docs = rng.standard_normal((1, T, 8))
+    item_docs = rng.standard_normal((1, T, 8))
     target = 4.0
 
     def loss_fn():
-        y = model.forward(user_doc, item_doc)
-        model.backward(2.0 * (y - target))
-        return (y - target) ** 2
+        residual = model.forward(user_docs, item_docs) - target
+        model.backward(2.0 * residual)
+        return float(residual @ residual)
 
     return loss_fn, model.parameters()
 

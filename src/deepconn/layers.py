@@ -6,27 +6,33 @@ accumulating parameter gradients with `+=`.  Gradients therefore add up
 across calls until `zero_grad()` is invoked, which is what the optimizers
 and the finite-difference checker rely on.
 
-Every layer, the recurrent cells included, takes one whole sample: a
-document is a (T, d) matrix, hidden states are 1-d vectors.  Batching is a
-loop one level up.  GruCell and LstmCell share one unroll and keep their
-weights in gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's `b`
-(G, H)); the per-gate Parameters a cell returns are views of their gate's
-slices.  The unroll projects the whole document onto the gates with one
-matmul before the time loop and takes the weight and input gradients with
-a few matmuls after it, so a step runs only the recurrent product and the
-gates' elementwise work.  Each cell writes out only its own step and
-backward step.  `sigmoid` is tanh-based, so it needs no branch on the sign
-of its input.
+Every layer is batch-first: a batch of B documents is a (B, T, d) array,
+and vectors are the rows of a (B, n) array.  A forward caches one batch,
+so a training forward must be followed by its backward before the next
+one; sample b of a batch gets the same result as a batch of that sample
+alone, within rounding.  GruCell and LstmCell share one unroll and keep
+their weights in gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's
+`b` (G, H)); the per-gate Parameters a cell returns are views of their
+gate's slices.  The unroll projects the documents onto the gates with one
+matmul per time chunk and takes the weight and input gradients with a few
+matmuls per chunk, so a step runs only the recurrent product and the
+gates' elementwise work for the whole batch.  Forward keeps only the
+states; backward rebuilds the gate activations one chunk at a time.
+`sigmoid` is tanh-based, so it needs no branch on the sign of its input.
 
-Layers draw no random numbers after construction: the model's Tower
-draws every dropout mask, the recurrent one and the feature one, and
-hands it to `GruCell`/`LstmCell.forward` or `Dropout.forward`.  A layer
-with weights takes the rng they are drawn from as a required argument.
+Layers draw no random numbers after construction: the model draws every
+dropout mask, the recurrent one and the feature one, and hands it to
+`GruCell`/`LstmCell.forward` or `Dropout.forward`.  A layer with weights
+takes the rng they are drawn from as a required argument.
 """
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+
+# Steps per chunk of the recurrent unroll: the gate activations of one
+# chunk are all that backward holds at a time.
+TIME_CHUNK = 50
 
 
 class Parameter:
@@ -65,9 +71,19 @@ def glorot_uniform(shape, rng):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _sigmoid_in_place(a):
+    """0.5 * (1 + tanh(0.5 * a)) written over `a`.  tanh saturates instead
+    of overflowing, so no input needs a branch."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+
+
 def sigmoid(x):
-    # tanh saturates instead of overflowing, so no input needs a branch.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    out = np.array(x, dtype=np.float64)
+    _sigmoid_in_place(out)
+    return out
 
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
@@ -93,7 +109,7 @@ def _activation_grad(name, z, out):
 
 
 class Dense:
-    """Fully connected layer: activation(x @ W + b)."""
+    """Fully connected layer over a (B, n_in) batch: activation(x @ W + b)."""
 
     def __init__(self, n_in, n_out, activation, rng, name="dense"):
         if activation not in _ACTIVATIONS:
@@ -110,9 +126,9 @@ class Dense:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_in,):
+        if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(
-                f"dense expected input shape ({self.n_in},), got {x.shape}")
+                f"dense expected (B, {self.n_in}) input, got {x.shape}")
         z = x @ self.W.value + self.b.value
         out = _activate(self.activation, z)
         self._cache = (x, z, out)
@@ -121,15 +137,15 @@ class Dense:
     def backward(self, dout):
         x, z, out = self._cache
         dz = np.asarray(dout) * _activation_grad(self.activation, z, out)
-        self.W.grad += np.outer(x, dz)
-        self.b.grad += dz
+        self.W.grad += x.T @ dz
+        self.b.grad += dz.sum(axis=0)
         return dz @ self.W.value.T
 
 
 class Conv1d:
-    """Valid temporal convolution over a (T, d) input, ReLU activation.
+    """Valid temporal convolution over a (B, T, d) batch, ReLU activation.
 
-    out[l, c] = relu(sum_{k,j} x[l*S + k, j] * kernels[c, k, j] + bias[c])
+    out[b, l, c] = relu(sum_{k,j} x[b, l*S + k, j] * kernels[c, k, j] + bias[c])
     with L = floor((T - K) / S) + 1 output positions.
     """
 
@@ -156,40 +172,44 @@ class Conv1d:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(
-                f"conv1d expected (T, {self.in_dim}) input, got {x.shape}")
-        T = x.shape[0]
+                f"conv1d expected (B, T, {self.in_dim}) input, got {x.shape}")
+        B, T, d = x.shape
         L = self.output_length(T)
         K, S, C = self.kernel, self.stride, self.channels
-        # im2col: one (L, K*d) matrix of flattened windows, then a single matmul.
-        windows = np.lib.stride_tricks.sliding_window_view(x, (K, self.in_dim))
-        windows = windows[::S, 0].reshape(L, K * self.in_dim)
+        # im2col: each sample's (L, K*d) matrix of flattened windows, copied
+        # once and kept for backward.  The product stays one matmul per
+        # sample: a single (B*L, K*d) GEMM changes its bits with the BLAS
+        # thread count.
+        rows = np.arange(0, S * L, S)[:, None] + np.arange(K)
+        windows = np.take(x, rows, axis=1).reshape(B, L, K * d)
         z = windows @ self.kernels.value.reshape(C, -1).T + self.bias.value
         out = np.maximum(z, 0.0)
-        self._cache = (x.shape, windows, z)
+        self._cache = (T, windows, z)
         return out
 
     def backward(self, dout):
-        (T, d), windows, z = self._cache
-        K, S, C = self.kernel, self.stride, self.channels
-        L = windows.shape[0]
-        dz = np.asarray(dout) * (z > 0.0)
-        self.kernels.grad += (dz.T @ windows).reshape(C, K, d)
+        T, windows, z = self._cache
+        self._cache = None
+        B, L, _ = windows.shape
+        K, S, C, d = self.kernel, self.stride, self.channels, self.in_dim
+        dz = (np.asarray(dout) * (z > 0.0)).reshape(B * L, C)
+        self.kernels.grad += (dz.T @ windows.reshape(B * L, -1)).reshape(C, K, d)
         self.bias.grad += dz.sum(axis=0)
-        dwindows = (dz @ self.kernels.value.reshape(C, -1)).reshape(L, K, d)
+        dwindows = (dz @ self.kernels.value.reshape(C, -1)).reshape(B, L, K, d)
         # col2im: kernel offset k of window l lands on row l*S + k.  While
         # K <= 2S no row gets more than two terms, so the sum is the same
         # in any order.
-        dx = np.zeros((T, d))
+        dx = np.zeros((B, T, d))
         span = S * (L - 1) + 1
         for k in range(K):
-            dx[k:k + span:S] += dwindows[:, k]
+            dx[:, k:k + span:S] += dwindows[:, :, k]
         return dx
 
 
 class MaxPoolOverTime:
-    """Per-channel maximum over all temporal positions of a (L, C) input."""
+    """Per-channel maximum over all temporal positions of a (B, L, C) batch."""
 
     def __init__(self):
         self._cache = None
@@ -199,25 +219,28 @@ class MaxPoolOverTime:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ShapeError(f"maxpool expected non-empty (L, C) input, got {x.shape}")
-        argmax = np.argmax(x, axis=0)  # first maximum per channel on ties
-        self._cache = (x.shape, argmax)
-        return x[argmax, np.arange(x.shape[1])]
+        if x.ndim != 3 or x.shape[1] < 1:
+            raise ShapeError(
+                f"maxpool expected non-empty (B, L, C) input, got {x.shape}")
+        B, L, C = x.shape
+        argmax = np.argmax(x, axis=1)  # first maximum per channel on ties
+        rows, cols = np.arange(B)[:, None], np.arange(C)
+        self._cache = (x.shape, rows, argmax, cols)
+        return x[rows, argmax, cols]
 
     def backward(self, dout):
-        (L, C), argmax = self._cache
-        dx = np.zeros((L, C))
-        dx[argmax, np.arange(C)] = dout
+        shape, rows, argmax, cols = self._cache
+        dx = np.zeros(shape)
+        dx[rows, argmax, cols] = dout
         return dx
 
 
 class Dropout:
     """Inverted dropout: keep with probability 1-p and scale kept entries by 1/(1-p).
 
-    The layer applies a mask; it does not draw one.  The Tower draws the
-    boolean mask (`rng.random(n) >= rate`) in train mode and passes none
-    in eval mode, where the layer is the identity.
+    The layer applies a mask; it does not draw one.  The model draws the
+    (B, n) boolean mask (`draws >= rate`) in train mode and passes none in
+    eval mode, where the layer is the identity.
     """
 
     def __init__(self, rate):
@@ -270,69 +293,109 @@ def _gate_first(columns, G):
     return columns.reshape(len(columns), G, -1).transpose(1, 0, 2)
 
 
+def _gate_major(rows, tc, B, G):
+    """(tc*B, G*H) rows, time-major, as a C-contiguous (tc, G, B, H) array:
+    step t's gates are then contiguous (B, H) blocks."""
+    return rows.reshape(tc, B, G, -1).transpose(0, 2, 1, 3).copy()
+
+
 class _RecurrentCell:
-    """The unroll shared by GruCell and LstmCell.
+    """The unroll shared by GruCell and LstmCell, over a (B, T, d) batch.
 
     Only the recurrent product `h_prev @ W` depends on the previous step,
-    so every other product runs once per document, outside the time loop
-    (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv 1604.01946):
+    so every other product runs once per chunk of TIME_CHUNK steps, outside
+    the step loop (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv
+    1604.01946):
 
-    - Before the loop, one input projection `x @ U` of the whole (T, d)
-      document, with LSTM's `b` added once, fills a (T, G, H) array.
-    - Per step, `step(state, xu_t)` takes row t of that array, adds the
-      recurrent product, overwrites the row with the gate activations and
-      returns the next state.  The state entering each step, after the
-      mask, is kept in a (T + 1, len(state), H) array whose last row is the
-      final state.
-    - Per backward step, `backward_step(dstate, t)` reads those arrays and
-      returns (dstate_prev, da_t): the gradients of the state entering step
-      t and of its (G, H) gate pre-activations, which fill a (T, G, H) dA.
-    - After the loop, `dU += x.T @ dA`, each cell's recurrent weight (and
-      bias) gradients from the stored states and dA, and the input gradient
-      `dA @ U.T`: a few products over the time axis in place of 3T small
-      ones.
+    - Forward projects each chunk onto the gates with one matmul, LSTM's
+      `b` added once, into a gate-major (tc, G, B, H) array.  A step,
+      `step(state, a_t)`, adds the recurrent product to its (G, B, H) row,
+      turns the row into the gate activations and returns the next state.
+      The state entering each step, after the mask, is kept in a
+      (T + 1, n_state, B, H) array whose last row is the final state.  Of
+      the activations, forward keeps only the last chunk's, the first that
+      backward needs.
+    - Backward walks the chunks in reverse.  For each earlier chunk,
+      `_rebuild` takes the projection again, adds `H_prev @ W` for all of
+      the chunk's steps in one matmul and applies the activations in
+      place, so only one chunk's activations and gate gradients are held
+      at a time (the memory-efficient BPTT of Gruslys et al. 2016, arXiv
+      1606.03401, and Chen et al. 2016, arXiv 1604.06174).
+      `backward_step(dstate, k)` fills row k of the chunk's (tc, B, G, H)
+      dA with the gradients of step k's gate pre-activations and returns
+      those of the state entering it.  After the steps, `dU`, the
+      recurrent weight (and bias) gradients and the chunk's input gradient
+      are a few products over its (tc*B, G*H) rows.
 
-    A cell's state is a sequence of vectors whose first entry is the hidden
-    vector.  A recurrent-dropout `mask` scales the hidden vector before
-    every step, and its gradient after every backward step.
+    A cell's state is a sequence of (B, H) arrays whose first entry is the
+    hidden state.  A recurrent-dropout `mask` (B, H) scales the hidden
+    state before every step, and its gradient after every backward step.
     """
 
     def parameters(self):
         return list(self._parameters)
 
-    def _project(self, x):
-        G, d, H = self.U.shape
-        return (x @ _columns(self.U.value)).reshape(len(x), G, H)
+    def _project(self, x_rows, B):
+        """A chunk's (tc*B, d) time-major input rows projected onto the gates."""
+        return _gate_major(x_rows @ self._U_columns, len(x_rows) // B, B,
+                           len(self.U.value))
 
     def forward(self, x, mask=None):
-        """Run over a (T, input_dim) document; returns the final hidden vector."""
+        """Run over a (B, T, input_dim) batch; returns the (B, H) final hidden states."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeError(f"{type(self).__name__} expected (T, {self.input_dim}) "
-                             f"input, got {x.shape}")
-        gates = self._project(x)
-        states = np.zeros((len(x) + 1, len(self.initial_state()), self.hidden_dim))
-        for t in range(len(x)):
-            if mask is not None:
-                states[t, 0] *= mask
-            states[t + 1] = self.step(states[t], gates[t])
-        self._x, self._mask, self._gates, self._states = x, mask, gates, states
-        return states[-1, 0].copy()
+        if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] != self.input_dim:
+            raise ShapeError(f"{type(self).__name__} expected (B, T >= 1, "
+                             f"{self.input_dim}) input, got {x.shape}")
+        B, T, d = x.shape
+        x_rows = x.transpose(1, 0, 2).reshape(T * B, d)     # time-major
+        self._U_columns = _columns(self.U.value)
+        states = np.zeros((T + 1, self.n_state, B, self.hidden_dim))
+        for t0 in range(0, T, TIME_CHUNK):
+            gates = self._project(x_rows[t0 * B:(t0 + TIME_CHUNK) * B], B)
+            for t, a_t in enumerate(gates, t0):
+                if mask is not None:
+                    states[t, 0] *= mask
+                states[t + 1] = self.step(states[t], a_t)
+        # The last chunk's activations are the first that backward needs.
+        self._x_rows, self._mask, self._all_states = x_rows, mask, states
+        self._gates = gates
+        return states[T, 0].copy()
 
     def backward(self, dh):
-        """(T, input_dim) input gradient, given that of the final hidden vector."""
-        T, G, H = self._gates.shape
+        """(B, T, input_dim) input gradient, given that of the final hidden states."""
+        x_rows, mask, states = self._x_rows, self._mask, self._all_states
+        T = len(states) - 1
+        B, H = states.shape[2:]
+        G = len(self.U.value)
+        U_columns = self._U_columns
         self._W_columns = _columns(self.W.value)
-        dA = np.empty((T, G, H))
-        dstate = (dh,) + self.initial_state()[1:]
-        for t in reversed(range(T)):
-            dstate, dA[t] = self.backward_step(dstate, t)
-            if self._mask is not None:
-                dstate = (dstate[0] * self._mask,) + dstate[1:]
-        dA_columns = dA.reshape(T, G * H)
-        self.U.grad += _gate_first(self._x.T @ dA_columns, G)
-        self._recurrent_grads(dA)
-        return dA_columns @ _columns(self.U.value).T
+        dx_rows = np.empty_like(x_rows)
+        dstate = (np.asarray(dh, dtype=np.float64),) + \
+            (np.zeros((B, H)),) * (self.n_state - 1)
+        for t0 in reversed(range(0, T, TIME_CHUNK)):
+            rows = slice(t0 * B, (t0 + TIME_CHUNK) * B)
+            self._states = states[t0:t0 + TIME_CHUNK + 1]
+            tc = len(self._states) - 1
+            h_prev = self._states[:-1, 0].reshape(tc * B, H)
+            if t0 + tc < T:
+                self._gates = self._rebuild(self._project(x_rows[rows], B), h_prev)
+            self._dA = dA = np.empty((tc, B, G, H))
+            for k in reversed(range(tc)):
+                dstate = self.backward_step(dstate, k)
+                if mask is not None:
+                    dstate = (dstate[0] * mask,) + dstate[1:]
+            dA_rows = dA.reshape(tc * B, G * H)
+            self.U.grad += _gate_first(x_rows[rows].T @ dA_rows, G)
+            self._recurrent_grads(dA, h_prev)
+            np.matmul(dA_rows, U_columns.T, out=dx_rows[rows])
+        self._x_rows = self._mask = self._all_states = self._U_columns = None
+        self._states = self._gates = self._dA = self._W_columns = None
+        return dx_rows.reshape(T, B, -1).transpose(1, 0, 2)
+
+
+def _reset(s_prev, gates):
+    """s_prev * r over a chunk's (tc*B, H) rows: the input of GRU's W_h."""
+    return s_prev * gates[:, 1].reshape(len(s_prev), -1)
 
 
 class GruCell(_RecurrentCell):
@@ -346,6 +409,8 @@ class GruCell(_RecurrentCell):
     `U` (3, d, H) and `W` (3, H, H) stack the gates z, r, h.
     """
 
+    n_state = 1
+
     def __init__(self, input_dim, hidden_dim, rng, name="gru"):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
@@ -355,41 +420,52 @@ class GruCell(_RecurrentCell):
         self.W, W_gates = _gate_stacked(W, f"{name}.W", "zrh")
         self._parameters = U_gates + W_gates
 
-    def initial_state(self):
-        return (np.zeros(self.hidden_dim),)
-
     def step(self, state, xu_t):
-        """The next state from `xu_t` = x_t @ U, a (3, H) row that is
+        """The next state from `xu_t` = x_t @ U, a (3, B, H) row that is
         overwritten with the gate activations z, r, h."""
         (s_prev,) = state
         W = self.W.value
         a = xu_t
         a[:2] += s_prev @ W[:2]
-        a[:2] = sigmoid(a[:2])
+        _sigmoid_in_place(a[:2])
         z, r, h = a
         h += (s_prev * r) @ W[2]
         np.tanh(h, out=h)
         return ((1.0 - z) * s_prev + z * h,)
 
-    def backward_step(self, dstate, t):
-        """Gradient of step t; returns ((ds_prev,), da_t)."""
-        z, r, h = self._gates[t]
-        s_prev = self._states[t, 0]
-        (ds_t,) = dstate
-        da_h = ds_t * z * (1.0 - h * h)                    # h = tanh(a_h)
-        dsr = self.W.value[2] @ da_h
-        da = np.empty((3, self.hidden_dim))
-        da[0] = ds_t * (h - s_prev) * z * (1.0 - z)        # z = sigmoid(a_z)
-        da[1] = dsr * s_prev * r * (1.0 - r)               # r = sigmoid(a_r)
-        da[2] = da_h
-        ds_zr = self._W_columns[:, :2 * self.hidden_dim] @ da[:2].reshape(-1)
-        return (ds_t * (1.0 - z) + dsr * r + ds_zr,), da
+    def _rebuild(self, gates, s_prev):
+        """The chunk's activations from its projection (tc, 3, B, H) and its
+        (tc*B, H) entering states."""
+        tc, _, B, H = gates.shape
+        gates[:, :2] += _gate_major(s_prev @ self._W_columns[:, :2 * H], tc, B, 2)
+        _sigmoid_in_place(gates[:, :2])
+        h = gates[:, 2]
+        h += (_reset(s_prev, gates) @ self.W.value[2]).reshape(tc, B, H)
+        np.tanh(h, out=h)
+        return gates
 
-    def _recurrent_grads(self, dA):
-        T = len(dA)
-        s_prev = self._states[:-1, 0]
-        self.W.grad[:2] += _gate_first(s_prev.T @ dA[:, :2].reshape(T, -1), 2)
-        self.W.grad[2] += (s_prev * self._gates[:, 1]).T @ dA[:, 2]
+    def backward_step(self, dstate, k):
+        """Gradient of the chunk's step k: fills row k of the chunk's dA
+        with the (B, 3, H) gate gradients and returns (ds_prev,)."""
+        z, r, h = self._gates[k]
+        s_prev = self._states[k, 0]
+        (ds_t,) = dstate
+        B, H = s_prev.shape
+        da = self._dA[k]
+        da_h = ds_t * z * (1.0 - h * h)                    # h = tanh(a_h)
+        dsr = da_h @ self.W.value[2].T
+        da[:, 0] = ds_t * (h - s_prev) * z * (1.0 - z)     # z = sigmoid(a_z)
+        da[:, 1] = dsr * s_prev * r * (1.0 - r)            # r = sigmoid(a_r)
+        da[:, 2] = da_h
+        ds_zr = da[:, :2].reshape(B, 2 * H) @ self._W_columns[:, :2 * H].T
+        return (ds_t * (1.0 - z) + dsr * r + ds_zr,)
+
+    def _recurrent_grads(self, dA, s_prev):
+        tc, B, _, H = dA.shape
+        rows = dA.reshape(tc * B, 3, H)
+        self.W.grad[:2] += _gate_first(s_prev.T @ rows[:, :2].reshape(tc * B, -1), 2)
+        self.W.grad[2] += _reset(s_prev, self._gates).T @ rows[:, 2]
+
 
 
 class LstmCell(_RecurrentCell):
@@ -408,6 +484,7 @@ class LstmCell(_RecurrentCell):
     """
 
     GATES = ("i", "f", "o", "g")
+    n_state = 2
 
     def __init__(self, input_dim, hidden_dim, rng, name="lstm"):
         self.input_dim = input_dim
@@ -422,41 +499,49 @@ class LstmCell(_RecurrentCell):
         self.b, b_gates = _gate_stacked(b, f"{name}.b", self.GATES)
         self._parameters = [p for ps in zip(U_gates, W_gates, b_gates) for p in ps]
 
-    def initial_state(self):
-        return np.zeros(self.hidden_dim), np.zeros(self.hidden_dim)
-
-    def _project(self, x):
-        xu = super()._project(x)
-        xu += self.b.value
+    def _project(self, x_rows, B):
+        xu = super()._project(x_rows, B)
+        xu += self.b.value[:, None]
         return xu
 
     def step(self, state, xu_t):
-        """The next state from `xu_t` = x_t @ U + b, a (4, H) row that is
+        """The next state from `xu_t` = x_t @ U + b, a (4, B, H) row that is
         overwritten with the gate activations i, f, o, g."""
         h_prev, c_prev = state
         a = xu_t
         a += h_prev @ self.W.value
-        a[:3] = sigmoid(a[:3])
+        _sigmoid_in_place(a[:3])
         np.tanh(a[3], out=a[3])
         i, f, o, g = a
         c = f * c_prev + i * g
         return o * np.tanh(c), c
 
-    def backward_step(self, dstate, t):
-        """Gradient of step t; returns ((dh_prev, dc_prev), da_t)."""
-        i, f, o, g = self._gates[t]
-        c_prev, c = self._states[t, 1], self._states[t + 1, 1]
+    def _rebuild(self, gates, h_prev):
+        """The chunk's activations from its projection (tc, 4, B, H) and its
+        (tc*B, H) entering hidden states."""
+        tc, G, B, _ = gates.shape
+        gates += _gate_major(h_prev @ self._W_columns, tc, B, G)
+        _sigmoid_in_place(gates[:, :3])
+        np.tanh(gates[:, 3], out=gates[:, 3])
+        return gates
+
+    def backward_step(self, dstate, k):
+        """Gradient of the chunk's step k: fills row k of the chunk's dA
+        with the (B, 4, H) gate gradients and returns (dh_prev, dc_prev)."""
+        i, f, o, g = self._gates[k]
+        c_prev, c = self._states[k, 1], self._states[k + 1, 1]
         tc = np.tanh(c)
         dh, dc = dstate
         dc = dc + dh * o * (1.0 - tc * tc)
-        da = np.empty((4, self.hidden_dim))
-        da[0] = dc * g * i * (1.0 - i)
-        da[1] = dc * c_prev * f * (1.0 - f)
-        da[2] = dh * tc * o * (1.0 - o)
-        da[3] = dc * i * (1.0 - g * g)
-        return (self._W_columns @ da.reshape(-1), dc * f), da
+        da = self._dA[k]
+        da[:, 0] = dc * g * i * (1.0 - i)
+        da[:, 1] = dc * c_prev * f * (1.0 - f)
+        da[:, 2] = dh * tc * o * (1.0 - o)
+        da[:, 3] = dc * i * (1.0 - g * g)
+        return da.reshape(len(c), -1) @ self._W_columns.T, dc * f
 
-    def _recurrent_grads(self, dA):
-        T, G, H = dA.shape
-        self.W.grad += _gate_first(self._states[:-1, 0].T @ dA.reshape(T, G * H), G)
-        self.b.grad += dA.sum(axis=0)
+    def _recurrent_grads(self, dA, h_prev):
+        tc, B, G, H = dA.shape
+        rows = dA.reshape(tc * B, G * H)
+        self.W.grad += _gate_first(h_prev.T @ rows, G)
+        self.b.grad += rows.sum(axis=0).reshape(G, H)

@@ -4,6 +4,12 @@ Two parallel encoders (one over the user's review document, one over the
 item's) each produce a latent vector; a coupling head — plain dot product
 or a factorization machine — turns the pair into a rating estimate.
 Towers never share parameters.
+
+Everything runs on batches: a tower maps (B, T, d) documents to (B, m)
+latents and a head maps two (B, m) batches to (B,) ratings.  In train
+mode `DeepConn.forward` draws every dropout uniform of the batch in one
+block and hands each tower its slice, so a batch of B pairs gets the
+masks the B pairs would get one at a time.
 """
 
 from dataclasses import dataclass, field, asdict
@@ -111,11 +117,16 @@ def build_config(preset="comparison", kind="cnn", embedding_dim=50, head="dp",
 
 
 class Tower:
-    """One encoder: review document matrix (T, embedding_dim) -> latent vector.
+    """One encoder: a (B, T, embedding_dim) batch of review documents ->
+    (B, dense_units) latent vectors.
 
     cnn:      conv1d -> max-pool over time -> flatten -> [dropout] -> dense(relu)
     lstm/gru: recurrence over T steps (tanh candidate), final state
               -> [dropout] -> dense(relu)
+
+    `n_masks` is the number of dropout masks a sample draws in train mode:
+    one for recurrent dropout, one for feature dropout, each when its rate
+    is nonzero.
     """
 
     def __init__(self, config, rng, name):
@@ -137,6 +148,8 @@ class Tower:
         self.dropout = Dropout(config.dropout_rate) if config.dropout_rate > 0 else None
         self.dense = Dense(config.hidden_units, config.dense_units, "relu", rng,
                            f"{name}.dense")
+        self.n_masks = int(config.recurrent_dropout_rate > 0.0) \
+            + int(self.dropout is not None)
 
     def parameters(self):
         encoder = self.conv if self.kind == "cnn" else self.cell
@@ -158,27 +171,22 @@ class Tower:
         layers.append(("dense", {"units": c.dense_units, "activation": "relu"}))
         return layers
 
-    def forward(self, doc_embedding, rng=None):
-        """Latent vector of a (T, embedding_dim) document.  An rng means
-        train mode: the tower draws its recurrent, then its feature
-        dropout mask from it.  Without one it runs in eval mode."""
-        x = np.asarray(doc_embedding, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.config.embedding_dim:
-            raise ShapeError(
-                f"{self.name}: expected (T, {self.config.embedding_dim}) "
-                f"document embedding, got {x.shape}")
-        units = self.config.hidden_units
+    def forward(self, docs, draws=None):
+        """Latent vectors of a (B, T, embedding_dim) batch.  `draws`, a
+        (B, n_masks, hidden_units) block of uniforms, means train mode:
+        sample b's recurrent mask is made from draws[b, 0], then its
+        feature mask from the next row.  Without draws it runs in eval mode."""
         if self.kind == "cnn":
-            feat = self.pool.forward(self.conv.forward(x))
+            feat = self.pool.forward(self.conv.forward(docs))
         else:
             rate = self.config.recurrent_dropout_rate
             mask = None
-            if rng is not None and rate > 0.0:
+            if draws is not None and rate > 0.0:
                 # One mask per sequence, applied to the state input at every step.
-                mask = (rng.random(units) >= rate) / (1.0 - rate)
-            feat = self.cell.forward(x, mask)
+                mask = (draws[:, 0] >= rate) / (1.0 - rate)
+            feat = self.cell.forward(docs, mask)
         if self.dropout is not None:
-            mask = None if rng is None else rng.random(units) >= self.dropout.rate
+            mask = None if draws is None else draws[:, -1] >= self.dropout.rate
             feat = self.dropout.forward(feat, mask)
         return self.dense.forward(feat)
 
@@ -195,6 +203,8 @@ class DpHead:
     """Dot-product coupling: y = beta0 + w . z + x_u . x_i, z = concat(x_u, x_i).
 
     pure_dot drops the trainable first-order part and predicts x_u . x_i alone.
+    Each pair's sums run along its own row, so a pair's rating has the same
+    bits in any batch.
     """
 
     def __init__(self, latent_dim, pure_dot=False, name="head"):
@@ -208,28 +218,29 @@ class DpHead:
         return [] if self.pure_dot else [self.beta0, self.w]
 
     def predict(self, x_u, x_i):
+        """(B,) ratings from (B, m) user and item latents."""
         x_u = np.asarray(x_u, dtype=np.float64)
         x_i = np.asarray(x_i, dtype=np.float64)
-        if x_u.shape != (self.latent_dim,) or x_i.shape != (self.latent_dim,):
-            raise ShapeError(
-                f"dp head expected two ({self.latent_dim},) vectors, "
-                f"got {x_u.shape} and {x_i.shape}")
+        m = self.latent_dim
+        if x_u.shape != x_i.shape or x_u.ndim != 2 or x_u.shape[1] != m:
+            raise ShapeError(f"dp head expected two (B, {m}) latents, "
+                             f"got {x_u.shape} and {x_i.shape}")
         self._cache = (x_u, x_i)
-        y = float(x_u @ x_i)
-        if not self.pure_dot:
-            z = np.concatenate([x_u, x_i])
-            y += float(self.beta0.value) + float(self.w.value @ z)
-        return y
+        if self.pure_dot:
+            return (x_u * x_i).sum(axis=1)
+        w = self.w.value
+        return (x_u * (x_i + w[:m]) + x_i * w[m:]).sum(axis=1) + self.beta0.value
 
     def backward(self, dy):
+        """(dx_u, dx_i) given the (B,) gradient of the ratings."""
         x_u, x_i = self._cache
         m = self.latent_dim
+        dy = np.asarray(dy, dtype=np.float64)[:, None]
         dx_u = dy * x_i
         dx_i = dy * x_u
         if not self.pure_dot:
-            z = np.concatenate([x_u, x_i])
-            self.beta0.grad += dy
-            self.w.grad += dy * z
+            self.beta0.grad += dy.sum()
+            self.w.grad += np.concatenate([dx_i, dx_u], axis=1).sum(axis=0)
             dx_u = dx_u + dy * self.w.value[:m]
             dx_i = dx_i + dy * self.w.value[m:]
         return dx_u, dx_i
@@ -258,39 +269,44 @@ class FmHead:
         return [self.beta0, self.w, self.V]
 
     def predict_z(self, z):
+        """(B,) ratings from the (B, 2m) concatenated latents; the sums run
+        along the last axis, so one 2m-vector gives one rating."""
         z = np.asarray(z, dtype=np.float64)
-        if z.shape != (2 * self.latent_dim,):
+        if z.shape[-1:] != (2 * self.latent_dim,):
             raise ShapeError(
-                f"fm head expected ({2 * self.latent_dim},) input, got {z.shape}")
+                f"fm head expected (B, {2 * self.latent_dim}) input, got {z.shape}")
         V = self.V.value
         s = z @ V                       # per-factor weighted sums
         q = (z * z) @ (V * V)
         self._cache = (z, s)
-        return float(self.beta0.value) + float(self.w.value @ z) \
-            + 0.5 * float(np.sum(s * s - q))
+        return self.beta0.value + (z * self.w.value).sum(axis=-1) \
+            + 0.5 * (s * s - q).sum(axis=-1)
 
     def predict(self, x_u, x_i):
-        return self.predict_z(np.concatenate([x_u, x_i]))
+        """(B,) ratings from (B, m) user and item latents."""
+        return self.predict_z(np.concatenate([x_u, x_i], axis=1))
 
     def backward_z(self, dy):
+        """(B, 2m) gradient of z given the (B,) gradient of the ratings."""
         z, s = self._cache
         V = self.V.value
-        self.beta0.grad += dy
-        self.w.grad += dy * z
-        self.V.grad += dy * (np.outer(z, s) - V * (z * z)[:, None])
-        return dy * (self.w.value + V @ s - (V * V).sum(axis=1) * z)
+        dy = np.asarray(dy, dtype=np.float64)
+        self.beta0.grad += dy.sum()
+        self.w.grad += dy @ z
+        self.V.grad += z.T @ (dy[:, None] * s) - V * (dy @ (z * z))[:, None]
+        return dy[:, None] * (self.w.value + s @ V.T - (V * V).sum(axis=1) * z)
 
     def backward(self, dy):
         dz = self.backward_z(dy)
         m = self.latent_dim
-        return dz[:m], dz[m:]
+        return dz[:, :m], dz[:, m:]
 
 
 class DeepConn:
     """The full twin-tower model: two independent towers plus a coupling head.
 
-    forward() must be followed by backward() before the next forward when
-    training — layer caches hold exactly one sample.
+    forward() takes a batch of B pairs and must be followed by backward()
+    before the next forward when training: layer caches hold one batch.
     """
 
     def __init__(self, config, seed=0):
@@ -311,22 +327,35 @@ class DeepConn:
         return (self.user_tower.parameters() + self.item_tower.parameters()
                 + self.head.parameters())
 
-    def forward(self, user_doc_embedding, item_doc_embedding, rng=None):
-        """Predicted rating; an rng means train mode, and both towers draw
-        their dropout masks from it, user tower first."""
-        x_u = self.user_tower.forward(user_doc_embedding, rng)
-        x_i = self.item_tower.forward(item_doc_embedding, rng)
+    def forward(self, user_docs, item_docs, rng=None):
+        """(B,) predicted ratings of B pairs of (B, T, d) documents.
+
+        An rng means train mode.  One `rng.random((B, 2n, hidden_units))`
+        block holds every dropout draw, pair b's in row b, in the order
+        user recurrent, user feature, item recurrent, item feature: the
+        uniforms the B pairs would draw run one at a time.
+        """
+        user_draws = item_draws = None
+        if rng is not None:
+            n = self.user_tower.n_masks
+            draws = rng.random((len(user_docs), 2 * n, self.config.tower.hidden_units))
+            user_draws, item_draws = draws[:, :n], draws[:, n:]
+        x_u = self.user_tower.forward(user_docs, user_draws)
+        x_i = self.item_tower.forward(item_docs, item_draws)
         return self.head.predict(x_u, x_i)
 
     def backward(self, dy):
+        """Input gradients of both towers given the (B,) gradient of the ratings."""
         dx_u, dx_i = self.head.backward(dy)
         du = self.user_tower.backward(dx_u)
         di = self.item_tower.backward(dx_i)
         return du, di
 
     def predict(self, user_doc_embedding, item_doc_embedding):
-        """Eval-mode forward: deterministic, no dropout."""
-        return self.forward(user_doc_embedding, item_doc_embedding)
+        """Eval-mode rating of one pair of (T, d) documents, as a float."""
+        user_docs = np.asarray(user_doc_embedding, dtype=np.float64)[None]
+        item_docs = np.asarray(item_doc_embedding, dtype=np.float64)[None]
+        return float(self.forward(user_docs, item_docs)[0])
 
 
 def mse(predictions, targets):

@@ -13,7 +13,8 @@ from .train import RatedPair
 
 
 class DirectStore:
-    """Document store over precomputed embedding matrices (no text path)."""
+    """Document store over precomputed embedding matrices (no text path):
+    `*_embedding` returns one (T, d) matrix, `*_embeddings` a (B, T, d) stack."""
 
     def __init__(self, user_embeddings, item_embeddings, global_mean):
         self._users = user_embeddings
@@ -31,6 +32,12 @@ class DirectStore:
 
     def item_embedding(self, item_id):
         return self._items[item_id]
+
+    def user_embeddings(self, user_ids):
+        return np.stack([self._users[u] for u in user_ids])
+
+    def item_embeddings(self, item_ids):
+        return np.stack([self._items[i] for i in item_ids])
 
 
 def make_micro_dataset(n_users=20, n_items=10, noise=0.1, doc_length=16,

@@ -1,0 +1,328 @@
+"""The batch-first layers against their per-sample equations.
+
+Every layer, both cells and both heads take a batch; `per_sample` holds
+the one-sample oracles.  A batch must give each sample the oracle's
+output and input gradient, and the sum over samples of the oracle's
+parameter gradients, within BATCH_RTOL of the largest reference entry.
+Each case first runs an eval-mode forward on another batch, which must
+leave nothing that the train forward and backward could pick up.  The
+gradient checks run the layers, heads and full models at B=3.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import per_sample
+from deepconn.gradcheck import DEFAULT_THRESHOLD, gradient_check, miniature_model
+from deepconn.layers import (TIME_CHUNK, Conv1d, Dense, Dropout, GruCell,
+                             LstmCell, MaxPoolOverTime)
+from deepconn.model import DpHead, FmHead
+
+# Batched sums run in another order than the per-sample ones: max |diff|
+# over max |reference| per array.
+BATCH_RTOL = 1e-12
+
+seeds = st.integers(0, 2**16)
+batch_sizes = st.integers(1, 5)
+
+
+def _assert_close(actual, reference):
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    assert np.max(np.abs(actual - reference), initial=0.0) <= \
+        BATCH_RTOL * np.max(np.abs(reference), initial=0.0)
+
+
+def _role(p):
+    return p.name.rsplit(".", 1)[1]
+
+
+def _check(layer, params, batched, oracle, B):
+    """`batched()` -> (output, input gradients) of the whole batch;
+    `oracle(b)` -> (output, input gradients, grads) of sample b."""
+    for p in params:
+        p.zero_grad()
+    out, dins = batched()
+    expected = {_role(p): 0.0 for p in params}
+    for b in range(B):
+        out_b, dins_b, grads_b = oracle(b)
+        _assert_close(out[b], out_b)
+        for din, din_b in zip(dins, dins_b):
+            _assert_close(din[b], din_b)
+        for role, grad in grads_b.items():
+            expected[role] = expected[role] + grad
+    for p in params:
+        _assert_close(p.grad, expected[_role(p)])
+
+
+@given(B=batch_sizes, n_in=st.integers(1, 6), n_out=st.integers(1, 6),
+       activation=st.sampled_from(["relu", "tanh", "identity"]), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_dense_matches_per_sample(B, n_in, n_out, activation, seed):
+    rng = np.random.default_rng(seed)
+    layer = Dense(n_in, n_out, activation, rng)
+    x, dout = rng.standard_normal((B, n_in)), rng.standard_normal((B, n_out))
+    layer.forward(rng.standard_normal((B + 1, n_in)))  # eval-mode forward
+
+    def batched():
+        out = layer.forward(x)
+        return out, [layer.backward(dout)]
+
+    def oracle(b):
+        out, dx, grads = per_sample.dense(layer, x[b], dout[b])
+        return out, [dx], grads
+
+    _check(layer, layer.parameters(), batched, oracle, B)
+
+
+@given(B=batch_sizes, K=st.integers(1, 8), S=st.integers(1, 6),
+       extra=st.integers(0, 40), d=st.integers(1, 4), C=st.integers(1, 4),
+       seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
+    rng = np.random.default_rng(seed)
+    layer = Conv1d(d, C, kernel=K, stride=S, rng=rng)
+    x = rng.standard_normal((B, K + extra, d))
+    dout = rng.standard_normal((B, layer.output_length(K + extra), C))
+    layer.forward(rng.standard_normal((B + 1, K + extra + 3, d)))
+
+    def batched():
+        out = layer.forward(x)
+        return out, [layer.backward(dout)]
+
+    def oracle(b):
+        out, dx, grads = per_sample.conv1d(layer, x[b], dout[b])
+        return out, [dx], grads
+
+    _check(layer, layer.parameters(), batched, oracle, B)
+
+
+@given(B=batch_sizes, L=st.integers(1, 20), C=st.integers(1, 5),
+       ties=st.booleans(), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_maxpool_matches_per_sample(B, L, C, ties, seed):
+    rng = np.random.default_rng(seed)
+    pool = MaxPoolOverTime()
+    x = rng.standard_normal((B, L, C))
+    if ties:
+        x = np.round(x)
+    dout = rng.standard_normal((B, C))
+    pool.forward(rng.standard_normal((B + 1, L + 2, C)))
+
+    def batched():
+        out = pool.forward(x)
+        return out, [pool.backward(dout)]
+
+    def oracle(b):
+        out, dx, grads = per_sample.maxpool(x[b], dout[b])
+        return out, [dx], grads
+
+    _check(pool, [], batched, oracle, B)
+
+
+@given(B=batch_sizes, n=st.integers(1, 8), rate=st.floats(0.0, 0.9),
+       masked=st.booleans(), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_dropout_matches_per_sample(B, n, rate, masked, seed):
+    rng = np.random.default_rng(seed)
+    drop = Dropout(rate)
+    x, dout = rng.standard_normal((B, n)), rng.standard_normal((B, n))
+    mask = rng.random((B, n)) >= rate
+    drop.forward(rng.standard_normal((B + 1, n)))
+    if masked:
+        drop.forward(x, mask)  # a train forward whose backward never ran
+
+    def batched():
+        out = drop.forward(x, mask if masked else None)
+        return out, [drop.backward(dout)]
+
+    def oracle(b):
+        if not masked:
+            return x[b], [dout[b]], {}
+        out, dx, grads = per_sample.dropout(drop, x[b], mask[b], dout[b])
+        return out, [dx], grads
+
+    _check(drop, [], batched, oracle, B)
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@given(B=batch_sizes, T=st.integers(1, 120), d=st.integers(1, 4),
+       H=st.integers(1, 5), masked=st.booleans(), eval_T=st.integers(1, 60),
+       seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
+    rng = np.random.default_rng(seed)
+    cell = cell_cls(d, H, rng=rng)
+    x, dh = rng.standard_normal((B, T, d)), rng.standard_normal((B, H))
+    mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
+    cell.forward(rng.standard_normal((B + 1, eval_T, d)))
+
+    def batched():
+        out = cell.forward(x, mask)
+        return out, [cell.backward(dh)]
+
+    def oracle(b):
+        h, dx, grads = per_sample.cell_unroll(
+            cell, x[b], dh[b], None if mask is None else mask[b])
+        return h, [dx], grads
+
+    stacked = [cell.U, cell.W] + ([cell.b] if cell_cls is LstmCell else [])
+    _check(cell, stacked, batched, oracle, B)
+
+
+@given(B=batch_sizes, m=st.integers(1, 5), pure_dot=st.booleans(), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_dp_head_matches_per_sample(B, m, pure_dot, seed):
+    rng = np.random.default_rng(seed)
+    head = DpHead(m, pure_dot=pure_dot)
+    head.beta0.value[...] = rng.standard_normal()
+    head.w.value[:] = rng.standard_normal(2 * m)
+    x_u, x_i = rng.standard_normal((B, m)), rng.standard_normal((B, m))
+    dy = rng.standard_normal(B)
+    head.predict(x_u[:1], x_i[:1])
+
+    def batched():
+        y = head.predict(x_u, x_i)
+        return y, list(head.backward(dy))
+
+    _check(head, head.parameters(), batched,
+           lambda b: per_sample.dp_head(head, x_u[b], x_i[b], dy[b]), B)
+
+
+@given(B=batch_sizes, m=st.integers(1, 5), rank=st.integers(1, 3), seed=seeds)
+@settings(max_examples=30, deadline=None)
+def test_fm_head_matches_per_sample(B, m, rank, seed):
+    rng = np.random.default_rng(seed)
+    head = FmHead(m, rank, rng)
+    head.beta0.value[...] = rng.standard_normal()
+    head.w.value[:] = rng.standard_normal(2 * m)
+    x_u, x_i = rng.standard_normal((B, m)), rng.standard_normal((B, m))
+    dy = rng.standard_normal(B)
+    head.predict(x_u[:1], x_i[:1])
+
+    def batched():
+        y = head.predict(x_u, x_i)
+        return y, list(head.backward(dy))
+
+    def oracle(b):
+        y, dz, grads = per_sample.fm_head(head, np.concatenate([x_u[b], x_i[b]]), dy[b])
+        return y, [dz[:m], dz[m:]], grads
+
+    _check(head, head.parameters(), batched, oracle, B)
+
+
+# Gradient checks at B=3: the battery's cases with a batch axis.
+B = 3
+
+
+def _summed(forward, backward, w):
+    def loss_fn():
+        out = forward()
+        backward(w)
+        return float(np.sum(w * out))
+    return loss_fn
+
+
+def _dense_case(rng):
+    layer = Dense(4, 3, "tanh", rng)
+    x = rng.standard_normal((B, 4))
+    return _summed(lambda: layer.forward(x), layer.backward,
+                   rng.standard_normal((B, 3))), layer.parameters()
+
+
+def _conv_case(rng):
+    layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng)
+    x = rng.standard_normal((B, 12, 5))
+    w = rng.standard_normal((B, layer.output_length(12), 3))
+    return _summed(lambda: layer.forward(x), layer.backward, w), layer.parameters()
+
+
+def _maxpool_case(rng):
+    pre = Dense(6, 12, "identity", rng)
+    pool = MaxPoolOverTime()
+    x = rng.standard_normal((B, 6))
+    return _summed(lambda: pool.forward(pre.forward(x).reshape(B, 4, 3)),
+                   lambda w: pre.backward(pool.backward(w).reshape(B, 12)),
+                   rng.standard_normal((B, 3))), pre.parameters()
+
+
+def _dropout_case(rng):
+    pre = Dense(4, 6, "tanh", rng)
+    drop = Dropout(0.4)
+    mask = rng.random((B, 6)) >= 0.4
+    x = rng.standard_normal((B, 4))
+    return _summed(lambda: drop.forward(pre.forward(x), mask),
+                   lambda w: pre.backward(drop.backward(w)),
+                   rng.standard_normal((B, 6))), pre.parameters()
+
+
+def _cell_case(cell_cls, T, rng):
+    cell = cell_cls(2, 3, rng=rng)
+    x = rng.standard_normal((B, T, 2))
+    mask = (rng.random((B, 3)) >= 0.3) / 0.7
+    return _summed(lambda: cell.forward(x, mask), cell.backward,
+                   rng.standard_normal((B, 3))), cell.parameters()
+
+
+def _dp_head_case(rng):
+    head = DpHead(5)
+    head.w.value[:] = rng.standard_normal(10)
+    head.beta0.value[...] = 0.3
+    u_pre, i_pre = Dense(3, 5, "tanh", rng), Dense(3, 5, "tanh", rng)
+    xu_in, xi_in = rng.standard_normal((B, 3)), rng.standard_normal((B, 3))
+
+    def backward(w):
+        dx_u, dx_i = head.backward(w)
+        u_pre.backward(dx_u)
+        i_pre.backward(dx_i)
+
+    return (_summed(lambda: head.predict(u_pre.forward(xu_in), i_pre.forward(xi_in)),
+                    backward, rng.standard_normal(B)),
+            head.parameters() + u_pre.parameters() + i_pre.parameters())
+
+
+def _fm_head_case(rng):
+    head = FmHead(5, rank=3, rng=rng)
+    head.w.value[:] = rng.standard_normal(10)
+    pre = Dense(4, 10, "tanh", rng)
+    x_in = rng.standard_normal((B, 4))
+    return (_summed(lambda: head.predict_z(pre.forward(x_in)),
+                    lambda w: pre.backward(head.backward_z(w)),
+                    rng.standard_normal(B)),
+            head.parameters() + pre.parameters())
+
+
+def _full_model_case(kind, head, rng):
+    model = miniature_model(kind, head, seed=int(rng.integers(1 << 30)))
+    if head == "dp":
+        model.head.w.value[:] = 0.1 * rng.standard_normal(model.head.w.value.shape)
+    user_docs = rng.standard_normal((B, 12, 8))
+    item_docs = rng.standard_normal((B, 12, 8))
+    targets = np.array([4.0, 2.0, 5.0])
+
+    def loss_fn():
+        y = model.forward(user_docs, item_docs)
+        model.backward(2.0 * (y - targets))
+        return float(np.sum((y - targets) ** 2))
+
+    return loss_fn, model.parameters()
+
+
+@pytest.mark.parametrize("build", [
+    _dense_case, _conv_case, _maxpool_case, _dropout_case, _dp_head_case,
+    _fm_head_case,
+    lambda rng: _cell_case(GruCell, 7, rng),
+    lambda rng: _cell_case(LstmCell, 7, rng),
+    lambda rng: _cell_case(GruCell, TIME_CHUNK + 3, rng),
+    lambda rng: _cell_case(LstmCell, TIME_CHUNK + 3, rng),
+    lambda rng: _full_model_case("cnn", "dp", rng),
+    lambda rng: _full_model_case("gru", "fm", rng),
+    lambda rng: _full_model_case("lstm", "dp", rng),
+], ids=["dense", "conv1d", "maxpool", "dropout", "dp_head", "fm_head",
+        "gru_masked_7", "lstm_masked_7", "gru_masked_chunk+3",
+        "lstm_masked_chunk+3", "full_cnn_dp", "full_gru_fm", "full_lstm_dp"])
+def test_gradient_check_at_batch_of_three(build):
+    loss_fn, params = build(np.random.default_rng(5))
+    assert gradient_check(loss_fn, params) < DEFAULT_THRESHOLD

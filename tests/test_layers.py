@@ -12,6 +12,8 @@ from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
 from deepconn.optim import Adam
 from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
+from per_sample import cell_unroll
+
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
@@ -38,18 +40,18 @@ class TestDense:
         layer = Dense(2, 2, activation="identity", rng=_rng())
         layer.W.value[:] = np.eye(2)
         layer.b.value[:] = 0.0
-        npt.assert_array_equal(layer.forward(np.array([1.0, 2.0])), [1.0, 2.0])
+        npt.assert_array_equal(layer.forward(np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_relu_clips_negatives(self):
         layer = Dense(2, 2, activation="relu", rng=_rng())
         layer.W.value[:] = np.eye(2)
         layer.b.value[:] = 0.0
-        npt.assert_array_equal(layer.forward(np.array([1.0, -1.0])), [1.0, 0.0])
+        npt.assert_array_equal(layer.forward(np.array([[1.0, -1.0]])), [[1.0, 0.0]])
 
     def test_shape_mismatch(self):
         layer = Dense(3, 2, "identity", _rng())
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros(4))
+            layer.forward(np.zeros((1, 4)))
 
     def test_unknown_activation(self):
         with pytest.raises(ConfigError):
@@ -59,13 +61,13 @@ class TestDense:
     def test_gradient_matches_finite_differences(self, activation):
         rng = _rng(7)
         layer = Dense(4, 3, activation=activation, rng=rng)
-        x = rng.standard_normal(4)
-        w = rng.standard_normal(3)
+        x = rng.standard_normal((1, 4))
+        w = rng.standard_normal((1, 3))
 
         def loss_fn():
             out = layer.forward(x)
             layer.backward(w)
-            return float(w @ out)
+            return float(np.sum(w * out))
 
         assert gradient_check(loss_fn, layer.parameters()) < 1e-6
 
@@ -79,20 +81,20 @@ class TestConv1d:
     def test_single_window(self):
         layer = Conv1d(3, 2, kernel=8, stride=6, rng=_rng())
         assert layer.output_length(8) == 1
-        out = layer.forward(np.ones((8, 3)))
-        assert out.shape == (1, 2)
+        out = layer.forward(np.ones((1, 8, 3)))
+        assert out.shape == (1, 1, 2)
 
     def test_zero_kernels_zero_output(self):
         layer = Conv1d(3, 4, kernel=2, stride=1, rng=_rng())
         layer.kernels.value[:] = 0.0
         layer.bias.value[:] = 0.0
-        out = layer.forward(_rng(3).standard_normal((6, 3)))
-        npt.assert_array_equal(out, np.zeros((5, 4)))
+        out = layer.forward(_rng(3).standard_normal((1, 6, 3)))
+        npt.assert_array_equal(out, np.zeros((1, 5, 4)))
 
     def test_too_short_input(self):
         layer = Conv1d(3, 2, kernel=8, stride=6, rng=_rng())
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((7, 3)))
+            layer.forward(np.zeros((1, 7, 3)))
 
     @given(T=st.integers(1, 64), K=st.integers(1, 12), S=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -104,7 +106,7 @@ class TestConv1d:
         else:
             L = layer.output_length(T)
             assert L == (T - K) // S + 1
-            assert layer.forward(np.zeros((T, 2))).shape == (L, 1)
+            assert layer.forward(np.zeros((1, T, 2))).shape == (1, L, 1)
 
     @given(K=st.integers(1, 12), S=st.integers(1, 8), extra=st.integers(0, 40),
            seed=st.integers(0, 2**16))
@@ -112,10 +114,10 @@ class TestConv1d:
     def test_backward_matches_per_position_loop(self, K, S, extra, seed):
         rng = _rng(seed)
         layer = Conv1d(3, 4, kernel=K, stride=S, rng=rng)
-        x = rng.standard_normal((K + extra, 3))
+        x = rng.standard_normal((1, K + extra, 3))
         dout = rng.standard_normal(layer.forward(x).shape)
-        dx = layer.backward(dout)
-        expected = _conv_input_grad_by_position(layer, x, dout)
+        dx = layer.backward(dout)[0]
+        expected = _conv_input_grad_by_position(layer, x[0], dout[0])
         if K <= 2 * S:
             # at most two terms per row: the same sum in either order
             npt.assert_array_equal(dx, expected)
@@ -125,8 +127,8 @@ class TestConv1d:
     def test_gradient_matches_finite_differences(self):
         rng = _rng(11)
         layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng)
-        x = rng.standard_normal((12, 5))
-        w = rng.standard_normal((layer.output_length(12), 3))
+        x = rng.standard_normal((1, 12, 5))
+        w = rng.standard_normal((1, layer.output_length(12), 3))
 
         def loss_fn():
             out = layer.forward(x)
@@ -140,48 +142,48 @@ class TestMaxPool:
     def test_columnwise_max(self):
         pool = MaxPoolOverTime()
         npt.assert_array_equal(
-            pool.forward(np.array([[1.0, 5.0], [3.0, 2.0]])), [3.0, 5.0])
+            pool.forward(np.array([[[1.0, 5.0], [3.0, 2.0]]])), [[3.0, 5.0]])
 
     def test_single_row_is_identity(self):
         pool = MaxPoolOverTime()
-        row = np.array([[0.5, -1.0, 2.0]])
+        row = np.array([[[0.5, -1.0, 2.0]]])
         npt.assert_array_equal(pool.forward(row), row[0])
 
     def test_empty_input(self):
         with pytest.raises(ShapeError):
-            MaxPoolOverTime().forward(np.zeros((0, 3)))
+            MaxPoolOverTime().forward(np.zeros((1, 0, 3)))
 
     def test_backward_routes_to_first_argmax(self):
         pool = MaxPoolOverTime()
-        x = np.array([[2.0, 1.0], [2.0, 3.0], [0.0, 3.0]])  # ties in both columns
+        x = np.array([[[2.0, 1.0], [2.0, 3.0], [0.0, 3.0]]])  # ties in both columns
         pool.forward(x)
-        dx = pool.backward(np.array([1.0, 1.0]))
-        npt.assert_array_equal(dx, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        dx = pool.backward(np.array([[1.0, 1.0]]))
+        npt.assert_array_equal(dx, [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
 
     def test_gradient_matches_finite_differences(self):
         rng = _rng(13)
         pre = Dense(6, 12, activation="identity", rng=rng)
         pool = MaxPoolOverTime()
-        x = rng.standard_normal(6)
-        w = rng.standard_normal(3)
+        x = rng.standard_normal((1, 6))
+        w = rng.standard_normal((1, 3))
 
         def loss_fn():
-            rows = pre.forward(x).reshape(4, 3)
+            rows = pre.forward(x).reshape(1, 4, 3)
             out = pool.forward(rows)
-            pre.backward(pool.backward(w).reshape(-1))
-            return float(w @ out)
+            pre.backward(pool.backward(w).reshape(1, 12))
+            return float(np.sum(w * out))
 
         assert gradient_check(loss_fn, pre.parameters()) < 1e-6
 
 
 class TestDropout:
     def test_zero_rate_train_is_identity(self):
-        x = _rng(1).standard_normal(10)
-        mask = _rng(3).random(10) >= 0.0
+        x = _rng(1).standard_normal((1, 10))
+        mask = _rng(3).random((1, 10)) >= 0.0
         npt.assert_array_equal(Dropout(0.0).forward(x, mask), x)
 
     def test_eval_is_identity_for_any_rate(self):
-        x = _rng(2).standard_normal(10)
+        x = _rng(2).standard_normal((1, 10))
         npt.assert_array_equal(Dropout(0.7).forward(x), x)
 
     def test_invalid_rate(self):
@@ -192,29 +194,29 @@ class TestDropout:
 
     def test_inverted_scaling_preserves_mean(self):
         # E[kept * 1/(1-p)] = 1 for unit entries.
-        x = np.ones(100_000)
+        x = np.ones((1, 100_000))
         out = Dropout(0.1).forward(x, _rng(5).random(x.shape) >= 0.1)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_backward_uses_recorded_mask(self):
         drop = Dropout(0.5)
-        mask = np.array([True, False, True, False])
-        out = drop.forward(np.ones(4), mask)
-        npt.assert_array_equal(out, [2.0, 0.0, 2.0, 0.0])
-        npt.assert_array_equal(drop.backward(np.ones(4)), [2.0, 0.0, 2.0, 0.0])
+        mask = np.array([[True, False, True, False]])
+        out = drop.forward(np.ones((1, 4)), mask)
+        npt.assert_array_equal(out, [[2.0, 0.0, 2.0, 0.0]])
+        npt.assert_array_equal(drop.backward(np.ones((1, 4))), [[2.0, 0.0, 2.0, 0.0]])
 
     def test_gradient_with_fixed_mask(self):
         rng = _rng(17)
         pre = Dense(4, 6, activation="tanh", rng=rng)
         drop = Dropout(0.4)
-        mask = rng.random(6) >= 0.4
-        x = rng.standard_normal(4)
-        w = rng.standard_normal(6)
+        mask = rng.random((1, 6)) >= 0.4
+        x = rng.standard_normal((1, 4))
+        w = rng.standard_normal((1, 6))
 
         def loss_fn():
             out = drop.forward(pre.forward(x), mask)
             pre.backward(drop.backward(w))
-            return float(w @ out)
+            return float(np.sum(w * out))
 
         assert gradient_check(loss_fn, pre.parameters()) < 1e-6
 
@@ -251,23 +253,23 @@ class TestGruCell:
         cell = GruCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        s_prev = np.array([1.0, -2.0, 0.5, 4.0])
-        (s_t,) = cell.step((s_prev,), _projected(cell, np.ones(3)))
+        s_prev = np.array([[1.0, -2.0, 0.5, 4.0]])
+        (s_t,) = cell.step((s_prev,), _projected(cell, np.ones((1, 3))))
         npt.assert_allclose(s_t, 0.5 * s_prev, rtol=0, atol=1e-15)
 
     def test_zero_state_zero_weights(self):
         cell = GruCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        (s_t,) = cell.step((np.zeros(4),), _projected(cell, np.ones(3)))
-        npt.assert_array_equal(s_t, np.zeros(4))
+        (s_t,) = cell.step((np.zeros((1, 4)),), _projected(cell, np.ones((1, 3))))
+        npt.assert_array_equal(s_t, np.zeros((1, 4)))
 
     def test_gates_stay_in_unit_interval(self):
         rng = _rng(23)
         cell = GruCell(3, 4, rng=rng)
-        (s,) = cell.initial_state()
+        s = np.zeros((1, 4))
         for t in range(20):
-            x = 10.0 * rng.standard_normal(3)
+            x = 10.0 * rng.standard_normal((1, 3))
             z = sigmoid(x @ cell.U.value[0] + s @ cell.W.value[0])
             r = sigmoid(x @ cell.U.value[1] + s @ cell.W.value[1])
             assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
@@ -279,7 +281,7 @@ class TestGruCell:
         cell = GruCell(3, 4, rng=_rng())
         steps = []
         cell.step = lambda *args: steps.append(args)
-        for x in (np.zeros((5, 4)), np.zeros(3)):  # wrong d, 1-d
+        for x in (np.zeros((1, 5, 4)), np.zeros((5, 3))):  # wrong d, no batch axis
             with pytest.raises(ShapeError):
                 cell.forward(x)
         assert steps == []  # rejected before any step runs
@@ -287,13 +289,13 @@ class TestGruCell:
     def test_gradient_three_step_unroll(self):
         rng = _rng(29)
         cell = GruCell(3, 4, rng=rng)
-        xs = rng.standard_normal((3, 3))
-        w = rng.standard_normal(4)
+        xs = rng.standard_normal((1, 3, 3))
+        w = rng.standard_normal((1, 4))
 
         def loss_fn():
             s = cell.forward(xs)
             cell.backward(w)
-            return float(w @ s)
+            return float(np.sum(w * s))
 
         assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
@@ -305,8 +307,8 @@ class TestLstmCell:
         for p in cell.parameters():
             p.value[:] = 0.0
         cell.b.value[1] = 1.0
-        c_prev = np.array([1.0, -1.0, 2.0, 0.25])
-        h, c = cell.step((np.zeros(4), c_prev), _projected(cell, np.ones(3)))
+        c_prev = np.array([[1.0, -1.0, 2.0, 0.25]])
+        h, c = cell.step((np.zeros((1, 4)), c_prev), _projected(cell, np.ones((1, 3))))
         npt.assert_allclose(c, sigmoid(np.ones(4)) * c_prev, atol=1e-15)
         npt.assert_allclose(h, 0.5 * np.tanh(c), atol=1e-15)
 
@@ -314,9 +316,10 @@ class TestLstmCell:
         cell = LstmCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        h, c = cell.step((np.zeros(4), np.zeros(4)), _projected(cell, np.zeros(3)))
-        npt.assert_array_equal(c, np.zeros(4))
-        npt.assert_array_equal(h, np.zeros(4))
+        h, c = cell.step((np.zeros((1, 4)), np.zeros((1, 4))),
+                         _projected(cell, np.zeros((1, 3))))
+        npt.assert_array_equal(c, np.zeros((1, 4)))
+        npt.assert_array_equal(h, np.zeros((1, 4)))
 
     def test_forget_bias_initialized_to_one(self):
         cell = LstmCell(3, 4, rng=_rng())
@@ -326,91 +329,37 @@ class TestLstmCell:
     def test_cell_state_finite_on_bounded_unroll(self):
         rng = _rng(31)
         cell = LstmCell(3, 4, rng=rng)
-        h, c = cell.initial_state()
+        h, c = np.zeros((1, 4)), np.zeros((1, 4))
         for t in range(100):
-            h, c = cell.step((h, c), _projected(cell, 5.0 * rng.standard_normal(3)))
+            h, c = cell.step((h, c), _projected(cell, 5.0 * rng.standard_normal((1, 3))))
         assert np.isfinite(c).all() and np.isfinite(h).all()
 
     def test_gradient_three_step_unroll(self):
         rng = _rng(37)
         cell = LstmCell(3, 4, rng=rng)
-        xs = rng.standard_normal((3, 3))
-        w = rng.standard_normal(4)
+        xs = rng.standard_normal((1, 3, 3))
+        w = rng.standard_normal((1, 4))
 
         def loss_fn():
             h = cell.forward(xs)
             cell.backward(w)
-            return float(w @ h)
+            return float(np.sum(w * h))
 
         assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
 
 def _projected(cell, x_t):
-    """The row of the hoisted input projection that `step` takes for x_t."""
+    """The (G, B, H) row of the hoisted input projection that `step` takes
+    for the (B, d) inputs x_t."""
     xu = x_t @ cell.U.value
-    return xu + cell.b.value if isinstance(cell, LstmCell) else xu
+    return xu + cell.b.value[:, None] if isinstance(cell, LstmCell) else xu
 
 
-def _step_loop_unroll(cell, x, dfinal, mask):
-    """Reference for the hoisted unroll: the gate-stacked cells' per-step
-    body as it was before the hoisting, with the input product and every
-    weight gradient taken inside the time loop.  Reads the cell's weights;
-    returns (final hidden vector, dx, {role: stacked gradient})."""
-    U, W = cell.U.value, cell.W.value
-    grads = {"U": np.zeros_like(U), "W": np.zeros_like(W)}
-    T, H = len(x), cell.hidden_dim
-    dx = np.zeros_like(x)
-    if isinstance(cell, GruCell):
-        s, cache = np.zeros(H), []
-        for t in range(T):
-            s_prev = s * mask if mask is not None else s
-            xu = x[t] @ U
-            z, r = sigmoid(xu[:2] + s_prev @ W[:2])
-            h = np.tanh(xu[2] + (s_prev * r) @ W[2])
-            s = (1.0 - z) * s_prev + z * h
-            cache.append((s_prev, z, r, h))
-        ds_t = dfinal
-        for t in reversed(range(T)):
-            s_prev, z, r, h = cache[t]
-            da_h = ds_t * z * (1.0 - h * h)
-            dsr = W[2] @ da_h
-            da = np.stack([ds_t * (h - s_prev) * z * (1.0 - z),
-                           dsr * s_prev * r * (1.0 - r),
-                           da_h])
-            s_in = np.stack([s_prev, s_prev, s_prev * r])
-            grads["U"] += x[t][:, None] * da[:, None, :]
-            grads["W"] += s_in[:, :, None] * da[:, None, :]
-            dx[t] = (da[:, None, :] @ U.transpose(0, 2, 1))[:, 0].sum(axis=0)
-            ds_prev = ds_t * (1.0 - z) + dsr * r + W[1] @ da[1] + W[0] @ da[0]
-            ds_t = ds_prev * mask if mask is not None else ds_prev
-        return s, dx, grads
-    b = cell.b.value
-    grads["b"] = np.zeros_like(b)
-    h, c, cache = np.zeros(H), np.zeros(H), []
-    for t in range(T):
-        h_prev = h * mask if mask is not None else h
-        a = x[t] @ U + h_prev @ W + b
-        i, f, o = sigmoid(a[:3])
-        g = np.tanh(a[3])
-        c_prev, c = c, f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        cache.append((h_prev, c_prev, i, f, o, g, tc))
-    dh, dc = dfinal, np.zeros(H)
-    for t in reversed(range(T)):
-        h_prev, c_prev, i, f, o, g, tc = cache[t]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        da = np.stack([dc * g * i * (1.0 - i),
-                       dc * c_prev * f * (1.0 - f),
-                       dh * tc * o * (1.0 - o),
-                       dc * i * (1.0 - g * g)])
-        grads["U"] += x[t][:, None] * da[:, None, :]
-        grads["W"] += h_prev[:, None] * da[:, None, :]
-        grads["b"] += da
-        dx[t] = (da[:, None, :] @ U.transpose(0, 2, 1))[:, 0].sum(axis=0)
-        dh_prev = (da[:, None, :] @ W.transpose(0, 2, 1))[:, 0].sum(axis=0)
-        dh, dc = (dh_prev * mask if mask is not None else dh_prev), dc * f
-    return h, dx, grads
+def _one_sample_pass(cell, x, dfinal, mask):
+    """The cell's forward and backward on a batch of the one (T, d) sample
+    x; returns that sample's final hidden vector and dx."""
+    h = cell.forward(x[None], None if mask is None else mask[None])
+    return h[0], cell.backward(dfinal[None])[0]
 
 
 # The hoisted unroll sums the input and weight products over the time axis
@@ -424,11 +373,10 @@ def _assert_close(actual, reference):
 
 
 def _check_against_step_loop(cell, x, dfinal, mask):
-    """The cell's forward/backward against `_step_loop_unroll`: the output,
+    """The cell's forward/backward against `per_sample.cell_unroll`: the output,
     dx and every parameter gradient, within UNROLL_RTOL."""
-    h_ref, dx_ref, grads_ref = _step_loop_unroll(cell, x, dfinal, mask)
-    h = cell.forward(x, mask)
-    dx = cell.backward(dfinal)
+    h_ref, dx_ref, grads_ref = cell_unroll(cell, x, dfinal, mask)
+    h, dx = _one_sample_pass(cell, x, dfinal, mask)
     _assert_close(h, h_ref)
     _assert_close(dx, dx_ref)
     for p in cell.parameters():
@@ -444,7 +392,7 @@ def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
     dfinal = rng.standard_normal(4)
     mask = (rng.random(4) >= 0.3) / 0.7 if masked else None
     cell = cell_cls(3, 4, rng=_rng(43))
-    cell.forward(x[:2])  # an eval-mode forward with no backward leaves no trace
+    cell.forward(x[None, :2])  # an eval-mode forward with no backward leaves no trace
     _check_against_step_loop(cell, x, dfinal, mask)
 
 
@@ -460,7 +408,7 @@ def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, see
     mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
     # An eval-mode forward over another document leaves nothing the train
     # forward and backward that follow could pick up.
-    cell.forward(rng.standard_normal((eval_T, d)))
+    cell.forward(rng.standard_normal((1, eval_T, d)))
     _check_against_step_loop(cell, x, dfinal, mask)
 
 
@@ -468,14 +416,14 @@ def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, see
 def test_gradient_with_recurrent_dropout_mask(cell_cls):
     rng = _rng(53)
     cell = cell_cls(3, 4, rng=rng)
-    xs = rng.standard_normal((7, 3))
-    w = rng.standard_normal(4)
-    mask = np.array([1.0, 0.0, 1.0, 1.0]) / 0.75
+    xs = rng.standard_normal((1, 7, 3))
+    w = rng.standard_normal((1, 4))
+    mask = np.array([[1.0, 0.0, 1.0, 1.0]]) / 0.75
 
     def loss_fn():
         h = cell.forward(xs, mask)
         cell.backward(w)
-        return float(w @ h)
+        return float(np.sum(w * h))
 
     assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
@@ -556,8 +504,7 @@ def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked)
     mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
     h_ref, dx_ref, grads_ref = _per_gate_unroll(cell, x, dfinal, mask)
 
-    h = cell.forward(x, mask)
-    dx = cell.backward(dfinal)
+    h, dx = _one_sample_pass(cell, x, dfinal, mask)
     _assert_close(h, h_ref)
     _assert_close(dx, dx_ref)
     for p in cell.parameters():
@@ -584,7 +531,7 @@ def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
             assert np.shares_memory(view, whole)
         npt.assert_array_equal(p.value, stacked.value[k])
 
-    x = _rng(5).standard_normal((12, 8))
+    x = _rng(5).standard_normal((1, 12, 8))
     cell.backward(np.ones_like(cell.forward(x)))
     before = [r.value.copy() for r in roles]
     Adam(params, learning_rate=0.01).step()
@@ -669,8 +616,8 @@ class TestGradientCheckHarness:
 def test_gradient_accumulation_is_additive():
     rng = _rng(41)
     layer = Dense(3, 2, activation="tanh", rng=rng)
-    x = rng.standard_normal(3)
-    w = rng.standard_normal(2)
+    x = rng.standard_normal((1, 3))
+    w = rng.standard_normal((1, 2))
 
     def one_pass():
         layer.forward(x)

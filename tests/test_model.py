@@ -63,14 +63,14 @@ class TestTower:
                              dense_units=64, dropout_rate=0.0)
         tower = Tower(config, _rng(), "t")
         assert tower.conv.output_length(300) == 49
-        out = tower.forward(_rng(1).standard_normal((300, 50)))
-        assert out.shape == (64,)
+        out = tower.forward(_rng(1).standard_normal((1, 300, 50)))
+        assert out.shape == (1, 64)
 
     def test_relu_output_nonnegative_on_zero_input(self):
         config = TowerConfig(kind="cnn", embedding_dim=8, hidden_units=4,
                              kernel=4, stride=2, dense_units=4, dropout_rate=0.0)
         tower = Tower(config, _rng(2), "t")
-        out = tower.forward(np.zeros((12, 8)))
+        out = tower.forward(np.zeros((1, 12, 8)))
         assert np.all(out >= 0.0)
 
     @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
@@ -78,14 +78,14 @@ class TestTower:
         config = TowerConfig(kind=kind, embedding_dim=8, hidden_units=4,
                              kernel=4, stride=2, dense_units=4)
         tower = Tower(config, _rng(3), "t")
-        doc = _rng(4).standard_normal((10, 8))
+        doc = _rng(4).standard_normal((1, 10, 8))
         npt.assert_array_equal(tower.forward(doc), tower.forward(doc))
 
     def test_wrong_embedding_dim(self):
         config = TowerConfig(kind="cnn", embedding_dim=8, kernel=4)
         tower = Tower(config, _rng(), "t")
         with pytest.raises(ShapeError):
-            tower.forward(np.zeros((10, 9)))
+            tower.forward(np.zeros((1, 10, 9)))
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_recurrent_dropout_gradient(self, kind):
@@ -94,45 +94,43 @@ class TestTower:
                              dense_units=3, dropout_rate=0.0,
                              recurrent_dropout_rate=0.5)
         tower = Tower(config, _rng(5), "t")
-        doc = _rng(6).standard_normal((4, 5))
-        w = _rng(7).standard_normal(3)
-
-        class SameMaskRng:
-            # gradient_check re-evaluates the loss; the mask must not move
-            def random(self, shape):
-                return np.linspace(0.1, 0.9, np.prod(shape)).reshape(shape)
+        doc = _rng(6).standard_normal((1, 4, 5))
+        w = _rng(7).standard_normal((1, 3))
+        # gradient_check re-evaluates the loss; the mask must not move
+        draws = np.linspace(0.1, 0.9, 4).reshape(1, 1, 4)
 
         def loss_fn():
-            out = tower.forward(doc, SameMaskRng())
+            out = tower.forward(doc, draws)
             tower.backward(w)
-            return float(w @ out)
+            return float(np.sum(w * out))
 
         assert gradient_check(loss_fn, tower.parameters()) < 1e-4
 
     @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
     def test_rng_draws_recurrent_then_feature_mask(self, kind):
-        # An rng means train mode: one rng.random(H) per mask, recurrent
-        # mask first.  No rng means eval mode, with no mask at all.
+        # Draws mean train mode: one row of H uniforms per mask, recurrent
+        # mask first.  No draws means eval mode, with no mask at all.
         recurrent = 0.0 if kind == "cnn" else 0.2
         config = TowerConfig(kind=kind, embedding_dim=5, hidden_units=4,
                              kernel=2, stride=1, dense_units=3, dropout_rate=0.3,
                              recurrent_dropout_rate=recurrent)
         tower = Tower(config, _rng(5), "t")
-        doc = _rng(6).standard_normal((6, 5))
-        rng, draws = _rng(7), _rng(7)
-        out = tower.forward(doc, rng)
+        assert tower.n_masks == (1 if kind == "cnn" else 2)
+        doc = _rng(6).standard_normal((1, 6, 5))
+        draws = _rng(7).random((1, tower.n_masks, 4))
+        out = tower.forward(doc, draws)
 
         def features(recurrent_mask):
             if kind == "cnn":
                 return tower.pool.forward(tower.conv.forward(doc))
             return tower.cell.forward(doc, recurrent_mask)
 
+        uniforms = iter(_rng(7).random((tower.n_masks, 4)))
         mask = None
         if kind != "cnn":
-            mask = (draws.random(4) >= recurrent) / (1.0 - recurrent)
-        feat = features(mask) * (draws.random(4) >= 0.3) * (1.0 / (1.0 - 0.3))
+            mask = (next(uniforms) >= recurrent)[None] / (1.0 - recurrent)
+        feat = features(mask) * (next(uniforms) >= 0.3) * (1.0 / (1.0 - 0.3))
         npt.assert_array_equal(out, tower.dense.forward(feat))
-        assert rng.random() == draws.random()  # no further draws
         npt.assert_array_equal(tower.forward(doc),
                                tower.dense.forward(features(None)))
 
@@ -140,27 +138,27 @@ class TestTower:
 class TestDpHead:
     def test_plain_dot_product(self):
         head = DpHead(3)
-        x = np.array([1.0, 2.0, 3.0])
-        assert head.predict(x, x) == pytest.approx(14.0)
+        x = np.array([[1.0, 2.0, 3.0]])
+        assert head.predict(x, x) == pytest.approx([14.0])
 
     def test_zero_user_vector_kills_dot_term(self):
         head = DpHead(3)
         head.beta0.value[...] = 0.7
         head.w.value[:] = np.arange(6, dtype=float)
-        x_i = np.array([1.0, 1.0, 1.0])
-        expected = 0.7 + head.w.value[3:] @ x_i
-        assert head.predict(np.zeros(3), x_i) == pytest.approx(expected)
+        x_i = np.array([[1.0, 1.0, 1.0]])
+        expected = 0.7 + head.w.value[3:] @ x_i[0]
+        assert head.predict(np.zeros((1, 3)), x_i) == pytest.approx([expected])
 
     def test_bias_only_for_orthogonal_vectors(self):
         head = DpHead(2)
         head.beta0.value[...] = 0.5
-        assert head.predict(np.array([1.0, 0.0]),
-                            np.array([0.0, 1.0])) == pytest.approx(0.5)
+        assert head.predict(np.array([[1.0, 0.0]]),
+                            np.array([[0.0, 1.0]])) == pytest.approx([0.5])
 
     def test_bilinear_in_user_vector_when_first_order_zero(self):
         head = DpHead(3)
         rng = _rng(8)
-        x_u, x_i = rng.standard_normal(3), rng.standard_normal(3)
+        x_u, x_i = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
         base = head.predict(x_u, x_i)
         assert head.predict(2.5 * x_u, x_i) == pytest.approx(2.5 * base)
 
@@ -168,14 +166,14 @@ class TestDpHead:
         head = DpHead(2, pure_dot=True)
         head.beta0.value[...] = 9.0
         head.w.value[:] = 9.0
-        x = np.array([1.0, 2.0])
-        assert head.predict(x, x) == pytest.approx(5.0)
+        x = np.array([[1.0, 2.0]])
+        assert head.predict(x, x) == pytest.approx([5.0])
         assert head.parameters() == []
 
     def test_dimension_mismatch(self):
         head = DpHead(3)
         with pytest.raises(ShapeError):
-            head.predict(np.zeros(3), np.zeros(4))
+            head.predict(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 class TestFmHead:
@@ -183,19 +181,17 @@ class TestFmHead:
         head = FmHead(5, rank=3, rng=_rng())
         head.beta0.value[...] = 0.25
         head.w.value[:] = np.arange(10, dtype=float) / 10.0
-        z = np.zeros(10)
-        z[0] = 1.0
-        assert head.predict_z(z) == pytest.approx(0.25 + 0.0)
-        z0 = np.zeros(10)
-        z0[3] = 1.0
-        assert head.predict_z(z0) == pytest.approx(0.25 + 0.3)
+        z = np.zeros((2, 10))
+        z[0, 0] = 1.0
+        z[1, 3] = 1.0
+        assert head.predict_z(z) == pytest.approx([0.25 + 0.0, 0.25 + 0.3])
 
     def test_hand_worked_two_variable_example(self):
         head = FmHead(1, rank=2, rng=_rng())
         head.beta0.value[...] = 0.1
         head.w.value[:] = [0.5, 0.5]
         head.V.value[:] = [[1.0, 0.0], [0.2, 0.0]]
-        assert head.predict_z(np.array([1.0, 1.0])) == pytest.approx(1.3)
+        assert head.predict_z(np.array([[1.0, 1.0]])) == pytest.approx([1.3])
 
     def test_low_rank_identity_matches_double_loop_seeded(self):
         rng = _rng(9)
@@ -213,7 +209,7 @@ class TestFmHead:
             head.w.value[:] = w
             head.V.value[:] = V
             expected = fm_pairwise_reference(z, V, w, beta0)
-            assert head.predict_z(z) == pytest.approx(expected, abs=1e-10)
+            assert head.predict_z(z[None]) == pytest.approx([expected], abs=1e-10)
 
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -226,7 +222,7 @@ class TestFmHead:
         head.V.value[:] = rng.standard_normal((2 * half, k))
         expected = fm_pairwise_reference(z, head.V.value, head.w.value,
                                          float(head.beta0.value))
-        assert head.predict_z(z) == pytest.approx(expected, abs=1e-10)
+        assert head.predict_z(z[None]) == pytest.approx([expected], abs=1e-10)
 
 
 class TestMse:
@@ -283,11 +279,33 @@ class TestDeepConn:
         user_doc, item_doc = self._docs(15)
 
         def loss_fn():
-            y = model.forward(user_doc, item_doc)
+            y = model.forward(user_doc[None], item_doc[None])
             model.backward(2.0 * (y - 4.0))
-            return (y - 4.0) ** 2
+            return float(np.sum((y - 4.0) ** 2))
 
         assert gradient_check(loss_fn, model.parameters()) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_rng_block_holds_the_per_pair_draws_in_order(self, kind):
+        # One rng.random((B, 2n, H)) block: pair b gets the uniforms that B
+        # pairs run one at a time would draw, user recurrent, user feature,
+        # item recurrent, item feature, and nothing more is drawn.
+        config = ModelConfig(tower=TowerConfig(
+            kind=kind, embedding_dim=5, hidden_units=4, kernel=2, stride=1,
+            dense_units=3, dropout_rate=0.3,
+            recurrent_dropout_rate=0.0 if kind == "cnn" else 0.2), head="fm")
+        model = DeepConn(config, seed=8)
+        docs = _rng(9).standard_normal((2, 3, 6, 5))
+        rng, one_at_a_time = _rng(10), _rng(10)
+        y = model.forward(docs[0], docs[1], rng)
+        n = model.user_tower.n_masks
+        for b in range(3):
+            draws = np.array([one_at_a_time.random(4) for _ in range(2 * n)])
+            x_u = model.user_tower.forward(docs[0, b:b + 1], draws[None, :n])
+            x_i = model.item_tower.forward(docs[1, b:b + 1], draws[None, n:])
+            npt.assert_allclose(y[b], model.head.predict(x_u, x_i)[0],
+                                rtol=1e-12, atol=0)
+        assert rng.random() == one_at_a_time.random()  # no further draws
 
     def test_eval_mode_is_pure(self):
         model = miniature_model("gru", "fm", seed=4)

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +10,13 @@ import pytest
 from deepconn.errors import (CheckpointError, ConfigError, NumericFault,
                              ShapeError)
 from deepconn.gradcheck import miniature_model
-from deepconn.ingest import ReviewRecord, group_reviews
-from deepconn.model import DeepConn, ModelConfig, TowerConfig, mse
+from deepconn.ingest import ReviewRecord, group_reviews, split_dataset
+from deepconn.model import DeepConn, ModelConfig, TowerConfig, build_config, mse
 from deepconn.synthetic import (DirectStore, make_micro_dataset,
                                 make_sample_corpus, make_token_vectors)
 from deepconn.text import EmbeddingTable, build_document, embed
-from deepconn.train import (CHECKPOINT_MAGIC, DocumentStore, RatedPair,
-                            TrainReport, evaluate, fit, load_checkpoint,
+from deepconn.train import (CHECKPOINT_MAGIC, MICRO_BATCH, DocumentStore,
+                            RatedPair, TrainReport, evaluate, fit, load_checkpoint,
                             mean_predictor_mse, pairs_from_records,
                             restore_parameters, save_checkpoint)
 
@@ -194,6 +195,43 @@ class TestFit:
         assert found, str(info.value)
         pair = pairs[int(found.group(1))]
         assert (pair.user_id, pair.item_id) == found.group(2, 3)
+
+    def test_non_finite_prediction_names_its_pair_within_the_micro_batch(self):
+        # Four pairs with four users: the shuffled order (fit's recipe)
+        # puts pair `bad` third in the one micro-batch, and only its user's
+        # document is not finite.
+        model, store, pairs = _tiny_setup(seed=23)
+        pairs = [p for p in pairs if p.item_id == "m1"][:MICRO_BATCH]
+        shuffle_seq, _ = np.random.SeedSequence(4).spawn(2)
+        bad = int(np.random.default_rng(shuffle_seq).permutation(len(pairs))[2])
+        store._users[pairs[bad].user_id] = np.full((10, 8), np.inf)
+        with pytest.raises(NumericFault,
+                           match=rf"epoch 1, batch at 0, pair {bad} \(user "
+                                 rf"'{pairs[bad].user_id}', item 'm1'\)"), \
+                np.errstate(invalid="ignore"):
+            fit(model, store, pairs, epochs=1, batch_size=8, seed=4)
+
+    def test_lstm_fit_at_paper_shapes_keeps_a_small_peak(self):
+        # Shaped like the train-lstm benchmark: 32 LSTM pairs at T=300,
+        # d=50, H=64, FM head, RMSprop, with validation.  Forward keeps
+        # only the states, and backward rebuilds one 50-step chunk at a time.
+        records = make_sample_corpus(n_reviews=40, n_users=10, n_items=8, seed=11)
+        split = split_dataset(records, 0.81, 0.09, seed=11)
+        table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
+        store = DocumentStore(split.train + split.validation, table, doc_length=300)
+        config = build_config("comparison", kind="lstm", embedding_dim=50, head="fm")
+        model = DeepConn(config, seed=11)
+        train_pairs = pairs_from_records(split.train)
+        assert len(train_pairs) == 32 and config.tower.hidden_units == 64
+        tracemalloc.start()
+        try:
+            fit(model, store, train_pairs,
+                validation_pairs=pairs_from_records(split.validation),
+                optimizer="rmsprop", epochs=1, batch_size=32, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     def test_empty_training_set_rejected(self):
         model, store, _ = _tiny_setup()
