@@ -1,10 +1,12 @@
 """Differentiable building blocks on float64 numpy arrays.
 
 Every layer implements `forward(...)` caching whatever the backward pass
-needs, and `backward(dout)` returning the gradient w.r.t. its input while
-accumulating parameter gradients with `+=`.  Gradients therefore add up
-across calls until `zero_grad()` is invoked, which is what the optimizers
-and the finite-difference checker rely on.
+needs, and `backward(dout)` accumulating parameter gradients with `+=`.
+Gradients therefore add up across calls until `zero_grad()` is invoked,
+which is what the optimizers and the finite-difference checker rely on.
+`backward` returns the gradient w.r.t. the layer's input, except in the
+two encoders, Conv1d and GruCell/LstmCell: their input is the frozen word
+embedding, which takes no gradient, so their `backward` returns nothing.
 
 Every layer is batch-first: a batch of B documents is a (B, T, d) array,
 and vectors are the rows of a (B, n) array.  A forward caches one batch,
@@ -14,8 +16,8 @@ alone, within rounding.  GruCell and LstmCell share one unroll and keep
 their weights in gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's
 `b` (G, H)); the per-gate Parameters a cell returns are views of their
 gate's slices.  The unroll projects the documents onto the gates with one
-matmul per time chunk and takes the weight and input gradients with a few
-matmuls per chunk, so a step runs only the recurrent product and the
+matmul per time chunk and takes the weight gradients with a few matmuls
+per chunk, so a step runs only the recurrent product and the
 gates' elementwise work for the whole batch.  Forward keeps only the
 states; backward rebuilds the gate activations one chunk at a time.
 `sigmoid` is tanh-based, so it needs no branch on the sign of its input.
@@ -147,6 +149,9 @@ class Conv1d:
 
     out[b, l, c] = relu(sum_{k,j} x[b, l*S + k, j] * kernels[c, k, j] + bias[c])
     with L = floor((T - K) / S) + 1 output positions.
+
+    Its input is the frozen word embedding, so `backward(dout)` only
+    accumulates the kernel and bias gradients and returns nothing.
     """
 
     def __init__(self, in_dim, channels, kernel, stride, rng, name="conv"):
@@ -186,26 +191,16 @@ class Conv1d:
         windows = np.take(x, rows, axis=1).reshape(B, L, K * d)
         z = windows @ self.kernels.value.reshape(C, -1).T + self.bias.value
         out = np.maximum(z, 0.0)
-        self._cache = (T, windows, z)
+        self._cache = (windows, z)
         return out
 
     def backward(self, dout):
-        T, windows, z = self._cache
+        windows, z = self._cache
         self._cache = None
-        B, L, _ = windows.shape
-        K, S, C, d = self.kernel, self.stride, self.channels, self.in_dim
-        dz = (np.asarray(dout) * (z > 0.0)).reshape(B * L, C)
-        self.kernels.grad += (dz.T @ windows.reshape(B * L, -1)).reshape(C, K, d)
+        C, K, d = self.kernels.shape
+        dz = (np.asarray(dout) * (z > 0.0)).reshape(-1, C)
+        self.kernels.grad += (dz.T @ windows.reshape(len(dz), -1)).reshape(C, K, d)
         self.bias.grad += dz.sum(axis=0)
-        dwindows = (dz @ self.kernels.value.reshape(C, -1)).reshape(B, L, K, d)
-        # col2im: kernel offset k of window l lands on row l*S + k.  While
-        # K <= 2S no row gets more than two terms, so the sum is the same
-        # in any order.
-        dx = np.zeros((B, T, d))
-        span = S * (L - 1) + 1
-        for k in range(K):
-            dx[:, k:k + span:S] += dwindows[:, :, k]
-        return dx
 
 
 class MaxPoolOverTime:
@@ -323,9 +318,9 @@ class _RecurrentCell:
       1606.03401, and Chen et al. 2016, arXiv 1604.06174).
       `backward_step(dstate, k)` fills row k of the chunk's (tc, B, G, H)
       dA with the gradients of step k's gate pre-activations and returns
-      those of the state entering it.  After the steps, `dU`, the
-      recurrent weight (and bias) gradients and the chunk's input gradient
-      are a few products over its (tc*B, G*H) rows.
+      those of the state entering it.  After the steps, `dU` and the
+      recurrent weight (and bias) gradients are a few products over its
+      (tc*B, G*H) rows.
 
     A cell's state is a sequence of (B, H) arrays whose first entry is the
     hidden state.  A recurrent-dropout `mask` (B, H) scales the hidden
@@ -362,14 +357,13 @@ class _RecurrentCell:
         return states[T, 0].copy()
 
     def backward(self, dh):
-        """(B, T, input_dim) input gradient, given that of the final hidden states."""
+        """Accumulate the weight gradients, given the (B, H) gradient of the
+        final hidden states; returns nothing."""
         x_rows, mask, states = self._x_rows, self._mask, self._all_states
         T = len(states) - 1
         B, H = states.shape[2:]
         G = len(self.U.value)
-        U_columns = self._U_columns
         self._W_columns = _columns(self.W.value)
-        dx_rows = np.empty_like(x_rows)
         dstate = (np.asarray(dh, dtype=np.float64),) + \
             (np.zeros((B, H)),) * (self.n_state - 1)
         for t0 in reversed(range(0, T, TIME_CHUNK)):
@@ -384,13 +378,10 @@ class _RecurrentCell:
                 dstate = self.backward_step(dstate, k)
                 if mask is not None:
                     dstate = (dstate[0] * mask,) + dstate[1:]
-            dA_rows = dA.reshape(tc * B, G * H)
-            self.U.grad += _gate_first(x_rows[rows].T @ dA_rows, G)
+            self.U.grad += _gate_first(x_rows[rows].T @ dA.reshape(tc * B, G * H), G)
             self._recurrent_grads(dA, h_prev)
-            np.matmul(dA_rows, U_columns.T, out=dx_rows[rows])
         self._x_rows = self._mask = self._all_states = self._U_columns = None
         self._states = self._gates = self._dA = self._W_columns = None
-        return dx_rows.reshape(T, B, -1).transpose(1, 0, 2)
 
 
 def _reset(s_prev, gates):

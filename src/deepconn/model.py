@@ -191,12 +191,16 @@ class Tower:
         return self.dense.forward(feat)
 
     def backward(self, dvec):
+        """Accumulate the tower's parameter gradients given the (B,
+        dense_units) gradient of its latents.  Returns nothing: the input
+        documents are frozen embeddings, which take no gradient."""
         dfeat = self.dense.backward(dvec)
         if self.dropout is not None:
             dfeat = self.dropout.backward(dfeat)
         if self.kind == "cnn":
-            return self.conv.backward(self.pool.backward(dfeat))
-        return self.cell.backward(dfeat)
+            self.conv.backward(self.pool.backward(dfeat))
+        else:
+            self.cell.backward(dfeat)
 
 
 class DpHead:
@@ -345,11 +349,11 @@ class DeepConn:
         return self.head.predict(x_u, x_i)
 
     def backward(self, dy):
-        """Input gradients of both towers given the (B,) gradient of the ratings."""
+        """Accumulate every parameter gradient given the (B,) gradient of the
+        ratings.  Returns nothing: the documents are frozen embeddings."""
         dx_u, dx_i = self.head.backward(dy)
-        du = self.user_tower.backward(dx_u)
-        di = self.item_tower.backward(dx_i)
-        return du, di
+        self.user_tower.backward(dx_u)
+        self.item_tower.backward(dx_i)
 
     def predict(self, user_doc_embedding, item_doc_embedding):
         """Eval-mode rating of one pair of (T, d) documents, as a float."""

@@ -262,8 +262,10 @@ def evaluate(model, store, pairs, clamp=False):
 
     Eval-mode towers are deterministic, so each distinct user and item is
     encoded once, MICRO_BATCH documents at a time, and the head runs once
-    over every predicted pair; the predictions are bit-identical to
-    calling `model.predict` on every pair.
+    over every predicted pair.  The predictions equal a `model.predict`
+    call per pair within rounding, not always bit for bit: a BLAS product
+    over several rows can round a row in another way than over that row
+    alone (up to 1.1e-16 at 64 units).
     """
     if not pairs:
         raise ConfigError("cannot evaluate on an empty pair list")

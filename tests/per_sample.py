@@ -3,9 +3,11 @@
 Each function runs one sample through a layer's equations as the layers
 ran before they took a batch axis (1-d vectors, (T, d) documents), reading
 the layer's current weights, and returns (output, input gradient,
-{parameter role: gradient}).  A role is the last part of the parameter's
-name ("W", "kernels", "U", "beta0", ...).  The tests compare every batched
-layer against these, sample by sample.
+{parameter role: gradient}).  The encoders, `conv1d` and `cell_unroll`,
+return (output, {parameter role: gradient}): their input is the frozen
+word embedding, which takes no gradient.  A role is the last part of the
+parameter's name ("W", "kernels", "U", "beta0", ...).  The tests compare
+every batched layer against these, sample by sample.
 """
 
 import numpy as np
@@ -28,20 +30,16 @@ def dense(layer, x, dout):
 
 
 def conv1d(layer, x, dout):
-    """The im2col forward and a per-window loop for dx."""
+    """The im2col forward and the parameter gradients."""
     T, d = x.shape
     K, S, C = layer.kernel, layer.stride, layer.channels
     L = (T - K) // S + 1
-    kernels = layer.kernels.value.reshape(C, -1)
     windows = np.lib.stride_tricks.sliding_window_view(x, (K, d))
     windows = windows[::S, 0].reshape(L, K * d)
-    z = windows @ kernels.T + layer.bias.value
+    z = windows @ layer.kernels.value.reshape(C, -1).T + layer.bias.value
     dz = dout * (z > 0.0)
-    dx = np.zeros((T, d))
-    for l in range(L):
-        dx[l * S:l * S + K] += (dz[l] @ kernels).reshape(K, d)
-    return np.maximum(z, 0.0), dx, {"kernels": (dz.T @ windows).reshape(C, K, d),
-                                    "bias": dz.sum(axis=0)}
+    return np.maximum(z, 0.0), {"kernels": (dz.T @ windows).reshape(C, K, d),
+                                "bias": dz.sum(axis=0)}
 
 
 def maxpool(x, dout):
@@ -86,11 +84,10 @@ def cell_unroll(cell, x, dfinal, mask):
     """GruCell/LstmCell on one (T, d) document with an (H,) mask or None:
     the gate-stacked cells' per-step body as it was before the hoisting,
     with the input product and every weight gradient taken inside the time
-    loop.  Returns (final hidden vector, dx, {role: stacked gradient})."""
+    loop.  Returns (final hidden vector, {role: stacked gradient})."""
     U, W = cell.U.value, cell.W.value
     grads = {"U": np.zeros_like(U), "W": np.zeros_like(W)}
     T, H = len(x), cell.hidden_dim
-    dx = np.zeros_like(x)
     if isinstance(cell, GruCell):
         s, cache = np.zeros(H), []
         for t in range(T):
@@ -111,10 +108,9 @@ def cell_unroll(cell, x, dfinal, mask):
             s_in = np.stack([s_prev, s_prev, s_prev * r])
             grads["U"] += x[t][:, None] * da[:, None, :]
             grads["W"] += s_in[:, :, None] * da[:, None, :]
-            dx[t] = (da[:, None, :] @ U.transpose(0, 2, 1))[:, 0].sum(axis=0)
             ds_prev = ds_t * (1.0 - z) + dsr * r + W[1] @ da[1] + W[0] @ da[0]
             ds_t = ds_prev * mask if mask is not None else ds_prev
-        return s, dx, grads
+        return s, grads
     b = cell.b.value
     grads["b"] = np.zeros_like(b)
     h, c, cache = np.zeros(H), np.zeros(H), []
@@ -138,7 +134,6 @@ def cell_unroll(cell, x, dfinal, mask):
         grads["U"] += x[t][:, None] * da[:, None, :]
         grads["W"] += h_prev[:, None] * da[:, None, :]
         grads["b"] += da
-        dx[t] = (da[:, None, :] @ U.transpose(0, 2, 1))[:, 0].sum(axis=0)
         dh_prev = (da[:, None, :] @ W.transpose(0, 2, 1))[:, 0].sum(axis=0)
         dh, dc = (dh_prev * mask if mask is not None else dh_prev), dc * f
-    return h, dx, grads
+    return h, grads

@@ -4,6 +4,8 @@ Every layer, both cells and both heads take a batch; `per_sample` holds
 the one-sample oracles.  A batch must give each sample the oracle's
 output and input gradient, and the sum over samples of the oracle's
 parameter gradients, within BATCH_RTOL of the largest reference entry.
+The encoders (the conv and both cells) read the frozen embedding and
+return no input gradient.
 Each case first runs an eval-mode forward on another batch, which must
 leave nothing that the train forward and backward could pick up.  The
 gradient checks run the layers, heads and full models at B=3.
@@ -90,11 +92,12 @@ def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
 
     def batched():
         out = layer.forward(x)
-        return out, [layer.backward(dout)]
+        assert layer.backward(dout) is None
+        return out, []
 
     def oracle(b):
-        out, dx, grads = per_sample.conv1d(layer, x[b], dout[b])
-        return out, [dx], grads
+        out, grads = per_sample.conv1d(layer, x[b], dout[b])
+        return out, [], grads
 
     _check(layer, layer.parameters(), batched, oracle, B)
 
@@ -161,12 +164,13 @@ def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
 
     def batched():
         out = cell.forward(x, mask)
-        return out, [cell.backward(dh)]
+        assert cell.backward(dh) is None
+        return out, []
 
     def oracle(b):
-        h, dx, grads = per_sample.cell_unroll(
+        h, grads = per_sample.cell_unroll(
             cell, x[b], dh[b], None if mask is None else mask[b])
-        return h, [dx], grads
+        return h, [], grads
 
     stacked = [cell.U, cell.W] + ([cell.b] if cell_cls is LstmCell else [])
     _check(cell, stacked, batched, oracle, B)

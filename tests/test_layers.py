@@ -19,20 +19,18 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _conv_input_grad_by_position(layer, x, dout):
-    """Conv1d's input gradient as a Python loop over the L output positions:
-    the reference for the col2im in Conv1d.backward."""
-    T, d = x.shape
-    K, S, C = layer.kernel, layer.stride, layer.channels
-    L = layer.output_length(T)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (K, d))
-    windows = windows[::S, 0].reshape(L, K * d)
-    z = windows @ layer.kernels.value.reshape(C, -1).T + layer.bias.value
-    dwindows = (dout * (z > 0.0)) @ layer.kernels.value.reshape(C, -1)
-    dx = np.zeros((T, d))
-    for l in range(L):
-        dx[l * S:l * S + K] += dwindows[l].reshape(K, d)
-    return dx
+def _conv_grads_by_position(layer, x, dout):
+    """Conv1d's kernel and bias gradients as a Python loop over the L output
+    positions: the reference for the one product in Conv1d.backward."""
+    K, S = layer.kernel, layer.stride
+    kernels, bias = layer.kernels.value, layer.bias.value
+    dkernels, dbias = np.zeros_like(kernels), np.zeros_like(bias)
+    for l in range(layer.output_length(len(x))):
+        window = x[l * S:l * S + K]
+        dz = dout[l] * ((kernels * window).sum(axis=(1, 2)) + bias > 0.0)
+        dkernels += dz[:, None, None] * window
+        dbias += dz
+    return dkernels, dbias
 
 
 class TestDense:
@@ -116,13 +114,11 @@ class TestConv1d:
         layer = Conv1d(3, 4, kernel=K, stride=S, rng=rng)
         x = rng.standard_normal((1, K + extra, 3))
         dout = rng.standard_normal(layer.forward(x).shape)
-        dx = layer.backward(dout)[0]
-        expected = _conv_input_grad_by_position(layer, x[0], dout[0])
-        if K <= 2 * S:
-            # at most two terms per row: the same sum in either order
-            npt.assert_array_equal(dx, expected)
-        else:
-            npt.assert_allclose(dx, expected, rtol=0, atol=1e-12)
+        assert layer.backward(dout) is None
+        expected = _conv_grads_by_position(layer, x[0], dout[0])
+        for p, ref in zip(layer.parameters(), expected):
+            npt.assert_allclose(p.grad, ref, rtol=0,
+                                atol=1e-12 * np.max(np.abs(ref)))
 
     def test_gradient_matches_finite_differences(self):
         rng = _rng(11)
@@ -357,9 +353,10 @@ def _projected(cell, x_t):
 
 def _one_sample_pass(cell, x, dfinal, mask):
     """The cell's forward and backward on a batch of the one (T, d) sample
-    x; returns that sample's final hidden vector and dx."""
+    x; returns that sample's final hidden vector."""
     h = cell.forward(x[None], None if mask is None else mask[None])
-    return h[0], cell.backward(dfinal[None])[0]
+    assert cell.backward(dfinal[None]) is None
+    return h[0]
 
 
 # The hoisted unroll sums the input and weight products over the time axis
@@ -373,12 +370,11 @@ def _assert_close(actual, reference):
 
 
 def _check_against_step_loop(cell, x, dfinal, mask):
-    """The cell's forward/backward against `per_sample.cell_unroll`: the output,
-    dx and every parameter gradient, within UNROLL_RTOL."""
-    h_ref, dx_ref, grads_ref = cell_unroll(cell, x, dfinal, mask)
-    h, dx = _one_sample_pass(cell, x, dfinal, mask)
+    """The cell's forward/backward against `per_sample.cell_unroll`: the output
+    and every parameter gradient, within UNROLL_RTOL."""
+    h_ref, grads_ref = cell_unroll(cell, x, dfinal, mask)
+    h = _one_sample_pass(cell, x, dfinal, mask)
     _assert_close(h, h_ref)
-    _assert_close(dx, dx_ref)
     for p in cell.parameters():
         stacked, k = _stacked_role(cell, p)
         _assert_close(p.grad, grads_ref[stacked.name.rsplit(".", 1)[1]][k])
@@ -431,7 +427,7 @@ def test_gradient_with_recurrent_dropout_mask(cell_cls):
 def _per_gate_unroll(cell, x, dfinal, mask):
     """Reference for the gate-stacked cells: the GRU/LSTM equations with one
     small product per gate and weight role, each gate's gradients added in
-    turn.  Reads the cell's weights; returns (final hidden vector, dx,
+    turn.  Reads the cell's weights; returns (final hidden vector,
     {parameter name: gradient})."""
     P = {p.name.rsplit(".", 1)[1]: p.value.copy() for p in cell.parameters()}
     dP = {name: np.zeros_like(v) for name, v in P.items()}
@@ -439,10 +435,9 @@ def _per_gate_unroll(cell, x, dfinal, mask):
     def gate_backward(gate, x_t, h_in, da):
         dP["U_" + gate] += np.outer(x_t, da)
         dP["W_" + gate] += np.outer(h_in, da)
-        return da @ P["U_" + gate].T, da @ P["W_" + gate].T
+        return da @ P["W_" + gate].T
 
     T, H = len(x), cell.hidden_dim
-    dx = np.zeros_like(x)
     if isinstance(cell, GruCell):
         s, cache = np.zeros(H), []
         for t in range(T):
@@ -457,16 +452,14 @@ def _per_gate_unroll(cell, x, dfinal, mask):
             s_prev, z, r, h = cache[t]
             ds_prev = ds_t * (1.0 - z)
             da_h = ds_t * z * (1.0 - h * h)
-            dx[t], dsr = gate_backward("h", x[t], s_prev * r, da_h)
+            dsr = gate_backward("h", x[t], s_prev * r, da_h)
             ds_prev += dsr * r
             da_r = dsr * s_prev * r * (1.0 - r)
             da_z = ds_t * (h - s_prev) * z * (1.0 - z)
             for gate, da in (("r", da_r), ("z", da_z)):
-                dx_gate, ds_gate = gate_backward(gate, x[t], s_prev, da)
-                dx[t] += dx_gate
-                ds_prev += ds_gate
+                ds_prev += gate_backward(gate, x[t], s_prev, da)
             ds_t = ds_prev * mask if mask is not None else ds_prev
-        return s, dx, dP
+        return s, dP
     gates = ("i", "f", "o", "g")
     h, c, cache = np.zeros(H), np.zeros(H), []
     for t in range(T):
@@ -486,11 +479,9 @@ def _per_gate_unroll(cell, x, dfinal, mask):
         dh_prev = np.zeros(H)
         for gate in gates:
             dP["b_" + gate] += da[gate]
-            dx_gate, dh_gate = gate_backward(gate, x[t], h_prev, da[gate])
-            dx[t] += dx_gate
-            dh_prev += dh_gate
+            dh_prev += gate_backward(gate, x[t], h_prev, da[gate])
         dh, dc = (dh_prev * mask if mask is not None else dh_prev), dc * f
-    return h, dx, dP
+    return h, dP
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
@@ -502,11 +493,10 @@ def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked)
     x = rng.standard_normal((T, d))
     dfinal = rng.standard_normal(H)
     mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
-    h_ref, dx_ref, grads_ref = _per_gate_unroll(cell, x, dfinal, mask)
+    h_ref, grads_ref = _per_gate_unroll(cell, x, dfinal, mask)
 
-    h, dx = _one_sample_pass(cell, x, dfinal, mask)
+    h = _one_sample_pass(cell, x, dfinal, mask)
     _assert_close(h, h_ref)
-    _assert_close(dx, dx_ref)
     for p in cell.parameters():
         _assert_close(p.grad, grads_ref[p.name.rsplit(".", 1)[1]])
 
