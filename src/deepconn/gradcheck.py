@@ -63,23 +63,8 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
 
 # Each case builder returns (loss_fn, params) for gradient_check.
 
-def _case_dense(rng):
-    layer = Dense(4, 3, activation="tanh", rng=rng, name="check.dense")
-    x = rng.standard_normal((1, 4))
-    w = rng.standard_normal((1, 3))
-
-    def loss_fn():
-        out = layer.forward(x)
-        layer.backward(w)
-        return float(np.vdot(w, out))
-
-    return loss_fn, layer.parameters()
-
-
-def _case_conv1d(rng):
-    layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv")
-    x = rng.standard_normal((1, 12, 5))
-    w = rng.standard_normal((1, layer.output_length(12), layer.channels))
+def _case_layer(layer, x, w):
+    """The loss w . layer(x), for w of the output's shape."""
 
     def loss_fn():
         out = layer.forward(x)
@@ -119,19 +104,6 @@ def _case_dropout(rng):
         return float(np.vdot(w, out))
 
     return loss_fn, pre.parameters()
-
-
-def _case_recurrent(cell_cls, rng):
-    cell = cell_cls(3, 4, rng=rng)
-    xs = rng.standard_normal((1, 3, 3))
-    w = rng.standard_normal((1, 4))
-
-    def loss_fn():
-        h = cell.forward(xs)
-        cell.backward(w)
-        return float(np.vdot(w, h))
-
-    return loss_fn, cell.parameters()
 
 
 def _case_dp_head(rng):
@@ -193,13 +165,23 @@ def _case_full_model(rng, kind="cnn", head="dp", T=12):
     return loss_fn, model.parameters()
 
 
+# Arguments are evaluated left to right: a plain layer case draws the
+# layer's weights, then x, then w from its rng.
 STANDARD_CASES = (
-    ("dense", _case_dense),
-    ("conv1d", _case_conv1d),
+    ("dense", lambda rng: _case_layer(
+        Dense(4, 3, activation="tanh", rng=rng, name="check.dense"),
+        rng.standard_normal((1, 4)), rng.standard_normal((1, 3)))),
+    ("conv1d", lambda rng: _case_layer(   # L = (12 - 4) // 2 + 1 = 5 positions
+        Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv"),
+        rng.standard_normal((1, 12, 5)), rng.standard_normal((1, 5, 3)))),
     ("maxpool_over_time", _case_maxpool),
     ("dropout_fixed_mask", _case_dropout),
-    ("gru_3step", lambda rng: _case_recurrent(GruCell, rng)),
-    ("lstm_3step", lambda rng: _case_recurrent(LstmCell, rng)),
+    ("gru_3step", lambda rng: _case_layer(
+        GruCell(3, 4, rng=rng), rng.standard_normal((1, 3, 3)),
+        rng.standard_normal((1, 4)))),
+    ("lstm_3step", lambda rng: _case_layer(
+        LstmCell(3, 4, rng=rng), rng.standard_normal((1, 3, 3)),
+        rng.standard_normal((1, 4)))),
     ("dp_head", _case_dp_head),
     ("fm_head", _case_fm_head),
     ("full_model_cnn_dp", lambda rng: _case_full_model(rng, "cnn", "dp")),

@@ -16,11 +16,13 @@ alone, within rounding.  GruCell and LstmCell share one unroll and keep
 their weights in gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's
 `b` (G, H)); the per-gate Parameters a cell returns are views of their
 gate's slices.  The unroll projects the documents onto the gates with one
-matmul per time chunk and takes the weight gradients with a few matmuls
-per chunk, so a step runs only the recurrent product and the
+matmul per gate and time chunk and takes the weight gradients with a few
+matmuls per chunk, so a step runs only the recurrent product and the
 gates' elementwise work for the whole batch.  Forward keeps only the
-states; backward rebuilds the gate activations one chunk at a time.
-`sigmoid` is tanh-based, so it needs no branch on the sign of its input.
+states; backward rebuilds the gate activations one chunk at a time with
+the routine each step runs, so they are forward's bit for bit.  The
+cells' sigmoid is tanh-based, so it needs no branch on the sign of its
+input.
 
 Layers draw no random numbers after construction: the model draws every
 dropout mask, the recurrent one and the feature one, and hands it to
@@ -80,12 +82,6 @@ def _sigmoid_in_place(a):
     np.tanh(a, out=a)
     a += 1.0
     a *= 0.5
-
-
-def sigmoid(x):
-    out = np.array(x, dtype=np.float64)
-    _sigmoid_in_place(out)
-    return out
 
 
 _ACTIVATIONS = ("relu", "tanh", "identity")
@@ -288,12 +284,6 @@ def _gate_first(columns, G):
     return columns.reshape(len(columns), G, -1).transpose(1, 0, 2)
 
 
-def _gate_major(rows, tc, B, G):
-    """(tc*B, G*H) rows, time-major, as a C-contiguous (tc, G, B, H) array:
-    step t's gates are then contiguous (B, H) blocks."""
-    return rows.reshape(tc, B, G, -1).transpose(0, 2, 1, 3).copy()
-
-
 class _RecurrentCell:
     """The unroll shared by GruCell and LstmCell, over a (B, T, d) batch.
 
@@ -302,20 +292,24 @@ class _RecurrentCell:
     the step loop (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv
     1604.01946):
 
-    - Forward projects each chunk onto the gates with one matmul, LSTM's
-      `b` added once, into a gate-major (tc, G, B, H) array.  A step,
-      `step(state, a_t)`, adds the recurrent product to its (G, B, H) row,
-      turns the row into the gate activations and returns the next state.
-      The state entering each step, after the mask, is kept in a
+    - Forward projects each chunk onto the gates with one matmul per gate,
+      LSTM's `b` added once, into a gate-major (tc, G, B, H) array.  A step,
+      `step(state, a_t)`, hands its (G, B, H) row to `_activate`, which adds
+      the recurrent product `h_prev @ W` and turns the row into the gate
+      activations in place; the step then returns the next state.  The
+      state entering each step, after the mask, is kept in a
       (T + 1, n_state, B, H) array whose last row is the final state.  Of
       the activations, forward keeps only the last chunk's, the first that
       backward needs.
-    - Backward walks the chunks in reverse.  For each earlier chunk,
-      `_rebuild` takes the projection again, adds `H_prev @ W` for all of
-      the chunk's steps in one matmul and applies the activations in
-      place, so only one chunk's activations and gate gradients are held
-      at a time (the memory-efficient BPTT of Gruslys et al. 2016, arXiv
-      1606.03401, and Chen et al. 2016, arXiv 1604.06174).
+    - Backward walks the chunks in reverse.  For each earlier chunk it takes
+      the projection again and runs `_activate` once over all of the
+      chunk's rows, seen gate-first as (G, tc, B, H), and their (tc, B, H)
+      entering states.  `W` meets those through a broadcast axis, so each
+      step's product is the same (B, H) @ (H, H) matmul that `step` ran,
+      and the rebuilt activations are forward's bit for bit.  Only one
+      chunk's activations and gate gradients are held at a time (the
+      memory-efficient BPTT of Gruslys et al. 2016, arXiv 1606.03401, and
+      Chen et al. 2016, arXiv 1604.06174).
       `backward_step(dstate, k)` fills row k of the chunk's (tc, B, G, H)
       dA with the gradients of step k's gate pre-activations and returns
       those of the state entering it.  After the steps, `dU` and the
@@ -331,9 +325,12 @@ class _RecurrentCell:
         return list(self._parameters)
 
     def _project(self, x_rows, B):
-        """A chunk's (tc*B, d) time-major input rows projected onto the gates."""
-        return _gate_major(x_rows @ self._U_columns, len(x_rows) // B, B,
-                           len(self.U.value))
+        """A chunk's (tc*B, d) time-major input rows projected onto the
+        gates, one product per gate, as a C-contiguous (tc, G, B, H) array:
+        step t's gates are then contiguous (B, H) blocks."""
+        xu = x_rows @ self.U.value
+        G, _, H = xu.shape
+        return xu.reshape(G, -1, B, H).transpose(1, 0, 2, 3).copy()
 
     def forward(self, x, mask=None):
         """Run over a (B, T, input_dim) batch; returns the (B, H) final hidden states."""
@@ -343,7 +340,6 @@ class _RecurrentCell:
                              f"{self.input_dim}) input, got {x.shape}")
         B, T, d = x.shape
         x_rows = x.transpose(1, 0, 2).reshape(T * B, d)     # time-major
-        self._U_columns = _columns(self.U.value)
         states = np.zeros((T + 1, self.n_state, B, self.hidden_dim))
         for t0 in range(0, T, TIME_CHUNK):
             gates = self._project(x_rows[t0 * B:(t0 + TIME_CHUNK) * B], B)
@@ -370,23 +366,19 @@ class _RecurrentCell:
             rows = slice(t0 * B, (t0 + TIME_CHUNK) * B)
             self._states = states[t0:t0 + TIME_CHUNK + 1]
             tc = len(self._states) - 1
-            h_prev = self._states[:-1, 0].reshape(tc * B, H)
+            h_prev = self._states[:-1, 0]
             if t0 + tc < T:
-                self._gates = self._rebuild(self._project(x_rows[rows], B), h_prev)
+                self._gates = self._project(x_rows[rows], B)
+                self._activate(self._gates.swapaxes(0, 1), h_prev)
             self._dA = dA = np.empty((tc, B, G, H))
             for k in reversed(range(tc)):
                 dstate = self.backward_step(dstate, k)
                 if mask is not None:
                     dstate = (dstate[0] * mask,) + dstate[1:]
             self.U.grad += _gate_first(x_rows[rows].T @ dA.reshape(tc * B, G * H), G)
-            self._recurrent_grads(dA, h_prev)
-        self._x_rows = self._mask = self._all_states = self._U_columns = None
+            self._recurrent_grads(dA, h_prev.reshape(tc * B, H))
+        self._x_rows = self._mask = self._all_states = None
         self._states = self._gates = self._dA = self._W_columns = None
-
-
-def _reset(s_prev, gates):
-    """s_prev * r over a chunk's (tc*B, H) rows: the input of GRU's W_h."""
-    return s_prev * gates[:, 1].reshape(len(s_prev), -1)
 
 
 class GruCell(_RecurrentCell):
@@ -411,29 +403,26 @@ class GruCell(_RecurrentCell):
         self.W, W_gates = _gate_stacked(W, f"{name}.W", "zrh")
         self._parameters = U_gates + W_gates
 
+    def _activate(self, a, s_prev):
+        """Gate rows `a` that hold x @ U, turned in place into the
+        activations z, r, h; returns `a`.  Either a step's (3, B, H) row and
+        its (B, H) entering state, or a chunk's (3, tc, B, H) rows and their
+        (tc, B, H) entering states."""
+        W = self.W.value if a.ndim == 3 else self.W.value[:, None]
+        a[:2] += s_prev @ W[:2]
+        _sigmoid_in_place(a[:2])
+        h = a[2]
+        h += (s_prev * a[1]) @ W[2]                        # r = a[1]
+        np.tanh(h, out=h)
+        return a
+
     def step(self, state, xu_t):
         """The next state from `xu_t` = x_t @ U, a (3, B, H) row that is
         overwritten with the gate activations z, r, h."""
-        (s_prev,) = state
-        W = self.W.value
-        a = xu_t
-        a[:2] += s_prev @ W[:2]
-        _sigmoid_in_place(a[:2])
-        z, r, h = a
-        h += (s_prev * r) @ W[2]
-        np.tanh(h, out=h)
-        return ((1.0 - z) * s_prev + z * h,)
-
-    def _rebuild(self, gates, s_prev):
-        """The chunk's activations from its projection (tc, 3, B, H) and its
-        (tc*B, H) entering states."""
-        tc, _, B, H = gates.shape
-        gates[:, :2] += _gate_major(s_prev @ self._W_columns[:, :2 * H], tc, B, 2)
-        _sigmoid_in_place(gates[:, :2])
-        h = gates[:, 2]
-        h += (_reset(s_prev, gates) @ self.W.value[2]).reshape(tc, B, H)
-        np.tanh(h, out=h)
-        return gates
+        s_prev = state[0]
+        a = self._activate(xu_t, s_prev)
+        z = a[0]
+        return ((1.0 - z) * s_prev + z * a[2],)            # h = a[2]
 
     def backward_step(self, dstate, k):
         """Gradient of the chunk's step k: fills row k of the chunk's dA
@@ -455,8 +444,7 @@ class GruCell(_RecurrentCell):
         tc, B, _, H = dA.shape
         rows = dA.reshape(tc * B, 3, H)
         self.W.grad[:2] += _gate_first(s_prev.T @ rows[:, :2].reshape(tc * B, -1), 2)
-        self.W.grad[2] += _reset(s_prev, self._gates).T @ rows[:, 2]
-
+        self.W.grad[2] += (s_prev * self._gates[:, 1].reshape(tc * B, H)).T @ rows[:, 2]
 
 
 class LstmCell(_RecurrentCell):
@@ -495,26 +483,23 @@ class LstmCell(_RecurrentCell):
         xu += self.b.value[:, None]
         return xu
 
+    def _activate(self, a, h_prev):
+        """Gate rows `a` that hold x @ U + b, turned in place into the
+        activations i, f, o, g; returns `a`.  Either a step's (4, B, H) row
+        and its (B, H) entering hidden state, or a chunk's (4, tc, B, H)
+        rows and their (tc, B, H) entering hidden states."""
+        W = self.W.value if a.ndim == 3 else self.W.value[:, None]
+        a += h_prev @ W
+        _sigmoid_in_place(a[:3])
+        np.tanh(a[3], out=a[3])
+        return a
+
     def step(self, state, xu_t):
         """The next state from `xu_t` = x_t @ U + b, a (4, B, H) row that is
         overwritten with the gate activations i, f, o, g."""
-        h_prev, c_prev = state
-        a = xu_t
-        a += h_prev @ self.W.value
-        _sigmoid_in_place(a[:3])
-        np.tanh(a[3], out=a[3])
-        i, f, o, g = a
-        c = f * c_prev + i * g
-        return o * np.tanh(c), c
-
-    def _rebuild(self, gates, h_prev):
-        """The chunk's activations from its projection (tc, 4, B, H) and its
-        (tc*B, H) entering hidden states."""
-        tc, G, B, _ = gates.shape
-        gates += _gate_major(h_prev @ self._W_columns, tc, B, G)
-        _sigmoid_in_place(gates[:, :3])
-        np.tanh(gates[:, 3], out=gates[:, 3])
-        return gates
+        a = self._activate(xu_t, state[0])
+        c = a[1] * state[1] + a[0] * a[3]                  # f * c_prev + i * g
+        return a[2] * np.tanh(c), c                        # o * tanh(c)
 
     def backward_step(self, dstate, k):
         """Gradient of the chunk's step k: fills row k of the chunk's dA

@@ -12,7 +12,14 @@ every batched layer against these, sample by sample.
 
 import numpy as np
 
-from deepconn.layers import GruCell, sigmoid
+from deepconn.layers import GruCell
+
+
+def sigmoid(x):
+    """The textbook form, independent of the cells' in-place tanh form.
+    Below x = -709, exp(-x) overflows to inf, which gives the right 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def dense(layer, x, dout):

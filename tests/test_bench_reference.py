@@ -1,0 +1,40 @@
+"""The benchmark's training workloads, run through bench/workloads.py's own
+prepare/setup/body at input seed 0, reproduce the test MSEs committed in
+bench/reference.json: a change that moves the numbers fails here, not only
+in the benchmark.  The test only reads bench/."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """bench/checks.py and bench/workloads.py, imported the way bench/run.py
+    imports them (workloads imports checks by its bare name), leaving no
+    bytecode cache behind in bench/."""
+    sys.path.insert(0, str(BENCH))
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import checks
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = write_bytecode
+    return checks, workloads
+
+
+@pytest.mark.parametrize("name", ["train-lstm", "train-cnn"])
+def test_train_workload_matches_reference_mse(name, bench, tmp_path):
+    checks, workloads = bench
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.prepare(tmp_path, 0)
+    outcome = workload.body(inputs, workload.setup(inputs))
+    tally = checks.Checks()
+    checks.check_mse(tally, "test_mse", outcome.outputs["test_mse"],
+                     checks.load_reference(name, 0).get("test_mse"))
+    assert tally.attempted == 3
+    assert tally.failures == []

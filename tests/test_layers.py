@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from deepconn.errors import ConfigError, NumericFault, ShapeError
 from deepconn.gradcheck import (DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check,
                                 miniature_model)
-from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
-                             MaxPoolOverTime, Parameter, sigmoid)
+from deepconn.layers import (TIME_CHUNK, Conv1d, Dense, Dropout, GruCell, LstmCell,
+                             MaxPoolOverTime, Parameter, _sigmoid_in_place)
 from deepconn.optim import Adam
 from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
-from per_sample import cell_unroll
+from per_sample import cell_unroll, sigmoid
 
 
 def _rng(seed=0):
@@ -229,18 +229,24 @@ def _sign_split_sigmoid(x):
     return out
 
 
+def _cell_sigmoid(x):
+    """The cells' in-place sigmoid on a copy of x, with every floating-point
+    error raised."""
+    out = np.array(x, dtype=np.float64)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        _sigmoid_in_place(out)
+    return out
+
+
 class TestSigmoid:
     @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=64))
     def test_matches_sign_split_reference(self, xs):
         x = np.array(xs)
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            out = sigmoid(x)
-        npt.assert_allclose(out, _sign_split_sigmoid(x), rtol=0, atol=2.3e-16)
+        npt.assert_allclose(_cell_sigmoid(x), _sign_split_sigmoid(x),
+                            rtol=0, atol=2.3e-16)
 
     def test_exact_at_zero_and_the_float_extremes(self):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            out = sigmoid(np.array([-1e308, 0.0, 1e308]))
-        npt.assert_array_equal(out, [0.0, 0.5, 1.0])
+        npt.assert_array_equal(_cell_sigmoid([-1e308, 0.0, 1e308]), [0.0, 0.5, 1.0])
 
 
 class TestGruCell:
@@ -406,6 +412,37 @@ def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, see
     # forward and backward that follow could pick up.
     cell.forward(rng.standard_normal((1, eval_T, d)))
     _check_against_step_loop(cell, x, dfinal, mask)
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@pytest.mark.parametrize("B", [1, 3, 4])
+@pytest.mark.parametrize("masked", [False, True])
+def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeypatch):
+    """Backward keeps the last chunk's activations and rebuilds the earlier
+    chunks'; every step's gates it differentiates are, bit for bit, the
+    ones `step` computed in forward."""
+    rng = _rng(59)
+    T, H = 2 * TIME_CHUNK + 7, 4
+    cell = cell_cls(3, H, rng=rng)
+    x = rng.standard_normal((B, T, 3))
+    mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
+    stepped, read = [], []
+    step, backward_step = cell.step, cell.backward_step
+
+    def recording_step(state, xu_t):
+        out = step(state, xu_t)
+        stepped.append(xu_t.copy())
+        return out
+
+    def recording_backward_step(dstate, k):
+        read.append(cell._gates[k].copy())
+        return backward_step(dstate, k)
+
+    monkeypatch.setattr(cell, "step", recording_step)
+    monkeypatch.setattr(cell, "backward_step", recording_backward_step)
+    cell.forward(x, mask)
+    cell.backward(rng.standard_normal((B, H)))
+    npt.assert_array_equal(np.stack(read[::-1]), np.stack(stepped))
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
