@@ -11,7 +11,6 @@ problems, 4 numeric fault, 5 verification failure.
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import gradcheck as gc
@@ -249,11 +248,13 @@ def _split(args, records):
                          seed=args.seed, mode=args.split_mode)
 
 
-def _document_corpus(split, leak_test_reviews):
+def _document_store(args, split):
+    """The run's store: the split's train and validation reviews' documents."""
     corpus = split.train + split.validation
-    if leak_test_reviews:
+    if args.leak_test_reviews:
         corpus = corpus + split.test
-    return corpus
+    table = load_embeddings(args.embeddings, args.dim, oov_policy=args.oov_policy)
+    return DocumentStore(corpus, table, args.doc_length)
 
 
 def _hms(seconds):
@@ -289,9 +290,7 @@ def _train_once(args):
     split = _split(args, _read_reviews(args).records)
     if split is None:
         raise ConfigError(f"{args.data}: no valid records to train on")
-    table = load_embeddings(args.embeddings, args.dim, oov_policy=args.oov_policy)
-    store = DocumentStore(_document_corpus(split, args.leak_test_reviews),
-                          table, args.doc_length)
+    store = _document_store(args, split)
     model = DeepConn(config, seed=args.seed)
     report = fit(model, store,
                  pairs_from_records(split.train),
@@ -353,9 +352,7 @@ def cmd_evaluate(args):
     split = _split(args, _read_reviews(args).records)
     if split is None:
         raise ConfigError(f"{args.data}: no valid records to split")
-    table = load_embeddings(args.embeddings, args.dim, oov_policy=args.oov_policy)
-    store = DocumentStore(_document_corpus(split, args.leak_test_reviews),
-                          table, args.doc_length)
+    store = _document_store(args, split)
     test_pairs = pairs_from_records(split.test)
     test_mse, counters = evaluate(model, store, test_pairs, clamp=args.clamp)
     print(f"test MSE: {test_mse:.6f}")

@@ -63,11 +63,11 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
 
 # Each case builder returns (loss_fn, params) for gradient_check.
 
-def _case_layer(layer, x, w):
-    """The loss w . layer(x), for w of the output's shape."""
+def _case_layer(layer, inputs, w):
+    """The loss w . layer(*inputs), for w of the output's shape."""
 
     def loss_fn():
-        out = layer.forward(x)
+        out = layer.forward(*inputs)
         layer.backward(w)
         return float(np.vdot(w, out))
 
@@ -153,12 +153,12 @@ def _case_full_model(rng, kind="cnn", head="dp", T=12):
     if head == "dp":
         # Zero first-order weights would leave their gradient path untested.
         model.head.w.value[:] = 0.1 * rng.standard_normal(model.head.w.value.shape)
-    user_docs = rng.standard_normal((1, T, 8))
-    item_docs = rng.standard_normal((1, T, 8))
+    matrix = rng.standard_normal((2 * T, 8))   # the user's rows, then the item's
+    ids = np.arange(2 * T).reshape(2, T)
     target = 4.0
 
     def loss_fn():
-        residual = model.forward(user_docs, item_docs) - target
+        residual = model.forward(ids[:1], ids[1:], matrix) - target
         model.backward(2.0 * residual)
         return float(residual @ residual)
 
@@ -166,21 +166,22 @@ def _case_full_model(rng, kind="cnn", head="dp", T=12):
 
 
 # Arguments are evaluated left to right: a plain layer case draws the
-# layer's weights, then x, then w from its rng.
+# layer's weights, then its input, then w from its rng.
 STANDARD_CASES = (
     ("dense", lambda rng: _case_layer(
         Dense(4, 3, activation="tanh", rng=rng, name="check.dense"),
-        rng.standard_normal((1, 4)), rng.standard_normal((1, 3)))),
+        (rng.standard_normal((1, 4)),), rng.standard_normal((1, 3)))),
     ("conv1d", lambda rng: _case_layer(   # L = (12 - 4) // 2 + 1 = 5 positions
         Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv"),
-        rng.standard_normal((1, 12, 5)), rng.standard_normal((1, 5, 3)))),
+        (np.arange(12)[None], rng.standard_normal((12, 5))),
+        rng.standard_normal((1, 5, 3)))),
     ("maxpool_over_time", _case_maxpool),
     ("dropout_fixed_mask", _case_dropout),
     ("gru_3step", lambda rng: _case_layer(
-        GruCell(3, 4, rng=rng), rng.standard_normal((1, 3, 3)),
+        GruCell(3, 4, rng=rng), (np.arange(3)[None], rng.standard_normal((3, 3))),
         rng.standard_normal((1, 4)))),
     ("lstm_3step", lambda rng: _case_layer(
-        LstmCell(3, 4, rng=rng), rng.standard_normal((1, 3, 3)),
+        LstmCell(3, 4, rng=rng), (np.arange(3)[None], rng.standard_normal((3, 3))),
         rng.standard_normal((1, 4)))),
     ("dp_head", _case_dp_head),
     ("fm_head", _case_fm_head),

@@ -8,21 +8,22 @@ which is what the optimizers and the finite-difference checker rely on.
 two encoders, Conv1d and GruCell/LstmCell: their input is the frozen word
 embedding, which takes no gradient, so their `backward` returns nothing.
 
-Every layer is batch-first: a batch of B documents is a (B, T, d) array,
-and vectors are the rows of a (B, n) array.  A forward caches one batch,
-so a training forward must be followed by its backward before the next
-one; sample b of a batch gets the same result as a batch of that sample
-alone, within rounding.  GruCell and LstmCell share one unroll and keep
-their weights in gate-first arrays (`U` (G, d, H), `W` (G, H, H), LSTM's
-`b` (G, H)); the per-gate Parameters a cell returns are views of their
-gate's slices.  The unroll projects the documents onto the gates with one
-matmul per gate and time chunk and takes the weight gradients with a few
-matmuls per chunk, so a step runs only the recurrent product and the
-gates' elementwise work for the whole batch.  Forward keeps only the
-states; backward rebuilds the gate activations one chunk at a time with
-the routine each step runs, so they are forward's bit for bit.  The
-cells' sigmoid is tanh-based, so it needs no branch on the sign of its
-input.
+Every layer is batch-first: a batch of B documents is a (B, T) array of
+token ids into a read-only (V, d) embedding matrix, whose rows each
+encoder gathers itself, and vectors are the rows of a (B, n) array.  A
+forward caches one batch, so a training forward must be followed by its
+backward before the next one; sample b of a batch gets the same result
+as a batch of that sample alone, within rounding.  GruCell and LstmCell
+share one unroll and keep their weights in gate-first arrays (`U`
+(G, d, H), `W` (G, H, H), LSTM's `b` (G, H)); the per-gate Parameters a
+cell returns are views of their gate's slices.  The unroll projects the
+documents onto the gates with one matmul per gate and time chunk and
+takes the weight gradients with a few matmuls per chunk, so a step runs
+only the recurrent product and the gates' elementwise work for the whole
+batch.  Forward keeps only the states; backward rebuilds the gate
+activations one chunk at a time with the routine each step runs, so
+they are forward's bit for bit.  The cells' sigmoid is tanh-based, so it
+needs no branch on the sign of its input.
 
 Layers draw no random numbers after construction: the model draws every
 dropout mask, the recurrent one and the feature one, and hands it to
@@ -106,6 +107,12 @@ def _activation_grad(name, z, out):
     return np.ones_like(z)
 
 
+def _check_table(layer, ids, matrix, dim):
+    if ids.ndim != 2 or ids.shape[1] < 1 or matrix.shape[1:] != (dim,):
+        raise ShapeError(f"{type(layer).__name__} expected (B, T >= 1) ids and a "
+                         f"(V, {dim}) table, got {ids.shape} and {matrix.shape}")
+
+
 class Dense:
     """Fully connected layer over a (B, n_in) batch: activation(x @ W + b)."""
 
@@ -141,10 +148,10 @@ class Dense:
 
 
 class Conv1d:
-    """Valid temporal convolution over a (B, T, d) batch, ReLU activation.
+    """Valid temporal convolution over (B, T) token ids, ReLU activation.
 
     out[b, l, c] = relu(sum_{k,j} x[b, l*S + k, j] * kernels[c, k, j] + bias[c])
-    with L = floor((T - K) / S) + 1 output positions.
+    with x[b, t] = matrix[ids[b, t]] and L = floor((T - K) / S) + 1 positions.
 
     Its input is the frozen word embedding, so `backward(dout)` only
     accumulates the kernel and bias gradients and returns nothing.
@@ -171,20 +178,17 @@ class Conv1d:
                 f"conv1d needs T >= kernel ({self.kernel}), got T={T}")
         return (T - self.kernel) // self.stride + 1
 
-    def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[2] != self.in_dim:
-            raise ShapeError(
-                f"conv1d expected (B, T, {self.in_dim}) input, got {x.shape}")
-        B, T, d = x.shape
+    def forward(self, ids, matrix):
+        _check_table(self, ids, matrix, self.in_dim)
+        B, T = ids.shape
         L = self.output_length(T)
         K, S, C = self.kernel, self.stride, self.channels
-        # im2col: each sample's (L, K*d) matrix of flattened windows, copied
-        # once and kept for backward.  The product stays one matmul per
-        # sample: a single (B*L, K*d) GEMM changes its bits with the BLAS
-        # thread count.
+        # im2col: each sample's (L, K*d) matrix of flattened windows,
+        # gathered from the table once and kept for backward.  The product
+        # stays one matmul per sample: a single (B*L, K*d) GEMM changes its
+        # bits with the BLAS thread count.
         rows = np.arange(0, S * L, S)[:, None] + np.arange(K)
-        windows = np.take(x, rows, axis=1).reshape(B, L, K * d)
+        windows = matrix[ids[:, rows]].reshape(B, L, K * self.in_dim)
         z = windows @ self.kernels.value.reshape(C, -1).T + self.bias.value
         out = np.maximum(z, 0.0)
         self._cache = (windows, z)
@@ -285,15 +289,16 @@ def _gate_first(columns, G):
 
 
 class _RecurrentCell:
-    """The unroll shared by GruCell and LstmCell, over a (B, T, d) batch.
+    """The unroll shared by GruCell and LstmCell, over (B, T) token ids.
 
     Only the recurrent product `h_prev @ W` depends on the previous step,
     so every other product runs once per chunk of TIME_CHUNK steps, outside
     the step loop (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv
     1604.01946):
 
-    - Forward projects each chunk onto the gates with one matmul per gate,
-      LSTM's `b` added once, into a gate-major (tc, G, B, H) array.  A step,
+    - Forward gathers each chunk's (tc*B, d) time-major rows from the table
+      and projects them onto the gates with one matmul per gate, LSTM's `b`
+      added once, into a gate-major (tc, G, B, H) array.  A step,
       `step(state, a_t)`, hands its (G, B, H) row to `_activate`, which adds
       the recurrent product `h_prev @ W` and turns the row into the gate
       activations in place; the step then returns the next state.  The
@@ -301,15 +306,17 @@ class _RecurrentCell:
       (T + 1, n_state, B, H) array whose last row is the final state.  Of
       the activations, forward keeps only the last chunk's, the first that
       backward needs.
-    - Backward walks the chunks in reverse.  For each earlier chunk it takes
-      the projection again and runs `_activate` once over all of the
-      chunk's rows, seen gate-first as (G, tc, B, H), and their (tc, B, H)
-      entering states.  `W` meets those through a broadcast axis, so each
-      step's product is the same (B, H) @ (H, H) matmul that `step` ran,
-      and the rebuilt activations are forward's bit for bit.  Only one
-      chunk's activations and gate gradients are held at a time (the
-      memory-efficient BPTT of Gruslys et al. 2016, arXiv 1606.03401, and
-      Chen et al. 2016, arXiv 1604.06174).
+    - Backward walks the chunks in reverse and gathers each chunk's rows
+      again: between the passes the cell keeps only the ids and the table.
+      For each earlier chunk it takes the projection again and runs
+      `_activate` once over all of the chunk's rows, seen gate-first as
+      (G, tc, B, H), and their (tc, B, H) entering states.  `W` meets
+      those through a broadcast axis, so each step's product is the same
+      (B, H) @ (H, H) matmul that `step` ran, and the rebuilt activations
+      are forward's bit for bit.  Only one chunk's activations and gate
+      gradients are held at a time (the memory-efficient BPTT of Gruslys
+      et al. 2016, arXiv 1606.03401, and Chen et al. 2016, arXiv
+      1604.06174).
       `backward_step(dstate, k)` fills row k of the chunk's (tc, B, G, H)
       dA with the gradients of step k's gate pre-activations and returns
       those of the state entering it.  After the steps, `dU` and the
@@ -324,6 +331,11 @@ class _RecurrentCell:
     def parameters(self):
         return list(self._parameters)
 
+    def _rows(self, t0):
+        """The time-major (tc*B, d) table rows of the chunk from step t0."""
+        ids, matrix = self._table
+        return matrix[ids[:, t0:t0 + TIME_CHUNK].T].reshape(-1, matrix.shape[1])
+
     def _project(self, x_rows, B):
         """A chunk's (tc*B, d) time-major input rows projected onto the
         gates, one product per gate, as a C-contiguous (tc, G, B, H) array:
@@ -332,30 +344,27 @@ class _RecurrentCell:
         G, _, H = xu.shape
         return xu.reshape(G, -1, B, H).transpose(1, 0, 2, 3).copy()
 
-    def forward(self, x, mask=None):
-        """Run over a (B, T, input_dim) batch; returns the (B, H) final hidden states."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] != self.input_dim:
-            raise ShapeError(f"{type(self).__name__} expected (B, T >= 1, "
-                             f"{self.input_dim}) input, got {x.shape}")
-        B, T, d = x.shape
-        x_rows = x.transpose(1, 0, 2).reshape(T * B, d)     # time-major
+    def forward(self, ids, matrix, mask=None):
+        """Run over the (B, T) ids' documents, whose vectors are the rows of
+        the (V, input_dim) `matrix`; returns the (B, H) final hidden states."""
+        _check_table(self, ids, matrix, self.input_dim)
+        B, T = ids.shape
+        self._table = ids, matrix
         states = np.zeros((T + 1, self.n_state, B, self.hidden_dim))
         for t0 in range(0, T, TIME_CHUNK):
-            gates = self._project(x_rows[t0 * B:(t0 + TIME_CHUNK) * B], B)
+            gates = self._project(self._rows(t0), B)
             for t, a_t in enumerate(gates, t0):
                 if mask is not None:
                     states[t, 0] *= mask
                 states[t + 1] = self.step(states[t], a_t)
         # The last chunk's activations are the first that backward needs.
-        self._x_rows, self._mask, self._all_states = x_rows, mask, states
-        self._gates = gates
+        self._mask, self._all_states, self._gates = mask, states, gates
         return states[T, 0].copy()
 
     def backward(self, dh):
         """Accumulate the weight gradients, given the (B, H) gradient of the
         final hidden states; returns nothing."""
-        x_rows, mask, states = self._x_rows, self._mask, self._all_states
+        mask, states = self._mask, self._all_states
         T = len(states) - 1
         B, H = states.shape[2:]
         G = len(self.U.value)
@@ -363,21 +372,21 @@ class _RecurrentCell:
         dstate = (np.asarray(dh, dtype=np.float64),) + \
             (np.zeros((B, H)),) * (self.n_state - 1)
         for t0 in reversed(range(0, T, TIME_CHUNK)):
-            rows = slice(t0 * B, (t0 + TIME_CHUNK) * B)
+            x_rows = self._rows(t0)
             self._states = states[t0:t0 + TIME_CHUNK + 1]
             tc = len(self._states) - 1
             h_prev = self._states[:-1, 0]
             if t0 + tc < T:
-                self._gates = self._project(x_rows[rows], B)
+                self._gates = self._project(x_rows, B)
                 self._activate(self._gates.swapaxes(0, 1), h_prev)
             self._dA = dA = np.empty((tc, B, G, H))
             for k in reversed(range(tc)):
                 dstate = self.backward_step(dstate, k)
                 if mask is not None:
                     dstate = (dstate[0] * mask,) + dstate[1:]
-            self.U.grad += _gate_first(x_rows[rows].T @ dA.reshape(tc * B, G * H), G)
+            self.U.grad += _gate_first(x_rows.T @ dA.reshape(tc * B, G * H), G)
             self._recurrent_grads(dA, h_prev.reshape(tc * B, H))
-        self._x_rows = self._mask = self._all_states = None
+        self._table = self._mask = self._all_states = None
         self._states = self._gates = self._dA = self._W_columns = None
 
 

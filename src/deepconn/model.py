@@ -5,11 +5,12 @@ item's) each produce a latent vector; a coupling head — plain dot product
 or a factorization machine — turns the pair into a rating estimate.
 Towers never share parameters.
 
-Everything runs on batches: a tower maps (B, T, d) documents to (B, m)
-latents and a head maps two (B, m) batches to (B,) ratings.  In train
-mode `DeepConn.forward` draws every dropout uniform of the batch in one
-block and hands each tower its slice, so a batch of B pairs gets the
-masks the B pairs would get one at a time.
+Everything runs on batches: a tower maps (B, T) token ids into a
+read-only (V, d) embedding matrix to (B, m) latents, and a head maps two
+(B, m) batches to (B,) ratings.  In train mode `DeepConn.forward` draws
+every dropout uniform of the batch in one block and hands each tower its
+slice, so a batch of B pairs gets the masks the B pairs would get one at
+a time.
 """
 
 from dataclasses import dataclass, field, asdict
@@ -117,8 +118,8 @@ def build_config(preset="comparison", kind="cnn", embedding_dim=50, head="dp",
 
 
 class Tower:
-    """One encoder: a (B, T, embedding_dim) batch of review documents ->
-    (B, dense_units) latent vectors.
+    """One encoder: a (B, T) batch of review documents' token ids, read
+    through a (V, embedding_dim) table -> (B, dense_units) latent vectors.
 
     cnn:      conv1d -> max-pool over time -> flatten -> [dropout] -> dense(relu)
     lstm/gru: recurrence over T steps (tanh candidate), final state
@@ -171,20 +172,20 @@ class Tower:
         layers.append(("dense", {"units": c.dense_units, "activation": "relu"}))
         return layers
 
-    def forward(self, docs, draws=None):
-        """Latent vectors of a (B, T, embedding_dim) batch.  `draws`, a
-        (B, n_masks, hidden_units) block of uniforms, means train mode:
+    def forward(self, ids, matrix, draws=None):
+        """Latent vectors of the (B, T) ids into the (V, d) `matrix`.  `draws`,
+        a (B, n_masks, hidden_units) block of uniforms, means train mode:
         sample b's recurrent mask is made from draws[b, 0], then its
         feature mask from the next row.  Without draws it runs in eval mode."""
         if self.kind == "cnn":
-            feat = self.pool.forward(self.conv.forward(docs))
+            feat = self.pool.forward(self.conv.forward(ids, matrix))
         else:
             rate = self.config.recurrent_dropout_rate
             mask = None
             if draws is not None and rate > 0.0:
                 # One mask per sequence, applied to the state input at every step.
                 mask = (draws[:, 0] >= rate) / (1.0 - rate)
-            feat = self.cell.forward(docs, mask)
+            feat = self.cell.forward(ids, matrix, mask)
         if self.dropout is not None:
             mask = None if draws is None else draws[:, -1] >= self.dropout.rate
             feat = self.dropout.forward(feat, mask)
@@ -331,8 +332,9 @@ class DeepConn:
         return (self.user_tower.parameters() + self.item_tower.parameters()
                 + self.head.parameters())
 
-    def forward(self, user_docs, item_docs, rng=None):
-        """(B,) predicted ratings of B pairs of (B, T, d) documents.
+    def forward(self, user_ids, item_ids, matrix, rng=None):
+        """(B,) predicted ratings of B pairs, given as the users' and the
+        items' (B, T) token ids into the (V, d) `matrix`.
 
         An rng means train mode.  One `rng.random((B, 2n, hidden_units))`
         block holds every dropout draw, pair b's in row b, in the order
@@ -342,10 +344,10 @@ class DeepConn:
         user_draws = item_draws = None
         if rng is not None:
             n = self.user_tower.n_masks
-            draws = rng.random((len(user_docs), 2 * n, self.config.tower.hidden_units))
+            draws = rng.random((len(user_ids), 2 * n, self.config.tower.hidden_units))
             user_draws, item_draws = draws[:, :n], draws[:, n:]
-        x_u = self.user_tower.forward(user_docs, user_draws)
-        x_i = self.item_tower.forward(item_docs, item_draws)
+        x_u = self.user_tower.forward(user_ids, matrix, user_draws)
+        x_i = self.item_tower.forward(item_ids, matrix, item_draws)
         return self.head.predict(x_u, x_i)
 
     def backward(self, dy):
@@ -356,10 +358,13 @@ class DeepConn:
         self.item_tower.backward(dx_i)
 
     def predict(self, user_doc_embedding, item_doc_embedding):
-        """Eval-mode rating of one pair of (T, d) documents, as a float."""
-        user_docs = np.asarray(user_doc_embedding, dtype=np.float64)[None]
-        item_docs = np.asarray(item_doc_embedding, dtype=np.float64)[None]
-        return float(self.forward(user_docs, item_docs)[0])
+        """Eval-mode rating of one pair of embedded (T, d) documents, as a
+        float.  Each document is read as a table of its own T rows."""
+        user = np.asarray(user_doc_embedding, dtype=np.float64)
+        item = np.asarray(item_doc_embedding, dtype=np.float64)
+        x_u = self.user_tower.forward(np.arange(len(user))[None], user)
+        x_i = self.item_tower.forward(np.arange(len(item))[None], item)
+        return float(self.head.predict(x_u, x_i)[0])
 
 
 def mse(predictions, targets):

@@ -9,35 +9,7 @@ dump exercise the full ingest/tokenize/embed pipeline offline.
 import numpy as np
 
 from .ingest import ReviewRecord
-from .train import RatedPair
-
-
-class DirectStore:
-    """Document store over precomputed embedding matrices (no text path):
-    `*_embedding` returns one (T, d) matrix, `*_embeddings` a (B, T, d) stack."""
-
-    def __init__(self, user_embeddings, item_embeddings, global_mean):
-        self._users = user_embeddings
-        self._items = item_embeddings
-        self.global_mean = global_mean
-
-    def has_user(self, user_id):
-        return user_id in self._users
-
-    def has_item(self, item_id):
-        return item_id in self._items
-
-    def user_embedding(self, user_id):
-        return self._users[user_id]
-
-    def item_embedding(self, item_id):
-        return self._items[item_id]
-
-    def user_embeddings(self, user_ids):
-        return np.stack([self._users[u] for u in user_ids])
-
-    def item_embeddings(self, item_ids):
-        return np.stack([self._items[i] for i in item_ids])
+from .train import DocumentStore, RatedPair
 
 
 def make_micro_dataset(n_users=20, n_items=10, noise=0.1, doc_length=16,
@@ -47,29 +19,28 @@ def make_micro_dataset(n_users=20, n_items=10, noise=0.1, doc_length=16,
     Every row of a user's document carries the user latent a_u in the
     first coordinates (items likewise), plus light clutter, so a twin
     tower reading the documents can recover the rule.  Returns
-    (pairs, store) with one pair per (user, item) combination.
+    (pairs, store) with one pair per (user, item) combination; the store's
+    table rows are the documents' rows, one block of ids per entity.
     """
     rng = np.random.default_rng(seed)
     latent = 2
     a = rng.uniform(-0.7, 0.7, (n_users, latent))
     b = rng.uniform(-0.7, 0.7, (n_items, latent))
-    user_embeddings = {}
-    item_embeddings = {}
-    for k in range(n_users):
+
+    def document(entity_latent):
         doc = 0.02 * rng.standard_normal((doc_length, dim))
-        doc[:, :latent] += a[k]
-        user_embeddings[f"u{k}"] = doc
-    for k in range(n_items):
-        doc = 0.02 * rng.standard_normal((doc_length, dim))
-        doc[:, :latent] += b[k]
-        item_embeddings[f"m{k}"] = doc
+        doc[:, :latent] += entity_latent
+        return doc
+
+    user_documents = {f"u{k}": document(a_u) for k, a_u in enumerate(a)}
+    item_documents = {f"m{k}": document(b_i) for k, b_i in enumerate(b)}
     pairs = []
     for u in range(n_users):
         for i in range(n_items):
             rating = 3.0 + float(a[u] @ b[i]) + noise * rng.standard_normal()
             pairs.append(RatedPair(f"u{u}", f"m{i}", float(np.clip(rating, 1.0, 5.0))))
     mean = float(np.mean([p.rating for p in pairs]))
-    return pairs, DirectStore(user_embeddings, item_embeddings, mean)
+    return pairs, DocumentStore.from_documents(user_documents, item_documents, mean)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class EmbeddingTable:
         if oov_policy == "hash_bucket":
             bucket_rng = np.random.default_rng(_OOV_BUCKET_SEED)
             rows.extend(0.1 * bucket_rng.standard_normal((_OOV_BUCKETS, dim)))
-        self.matrix = np.vstack(rows) if rows else np.zeros((1, dim))
+        self.matrix = np.vstack(rows)
         self.matrix.setflags(write=False)
 
     def __len__(self):

@@ -1,16 +1,15 @@
 """Training loop, evaluation, checkpointing, and run reports.
 
-Documents are kept as token ids and embedded on demand from the frozen
-table, MICRO_BATCH documents at a time.  `fit` runs each mini-batch as
-micro-batches of MICRO_BATCH pairs, one forward and one backward each,
-gathering a micro-batch's user and item documents with one table index
-per tower; the gradients add up and the optimizer steps once per
-mini-batch.  `evaluate` encodes each distinct user and item once per
-call, MICRO_BATCH at a time, and then runs the head once over every
-predicted pair.  MICRO_BATCH = 4 keeps the recurrent towers' memory
-near the per-sample loop's: with 8 pairs, `fit` over 32 LSTM pairs at
-T=300 and H=64 allocated 6 MB more at its peak, and 8 to 32 pairs ran
-the CNN no faster than 4.
+Documents are kept as token ids; the towers read a micro-batch's (B, T)
+ids through the frozen embedding table and gather the rows themselves.
+`fit` runs each mini-batch as micro-batches of MICRO_BATCH pairs, one
+forward and one backward each; the gradients add up and the optimizer
+steps once per mini-batch.  `evaluate` encodes each distinct user and
+item once per call, MICRO_BATCH at a time, and then runs the head once
+over every predicted pair.  MICRO_BATCH = 4 keeps the recurrent towers'
+memory near the per-sample loop's: with 8 pairs, `fit` over 32 LSTM
+pairs at T=300 and H=64 allocated 6 MB more at its peak, and 8 to 32
+pairs ran the CNN no faster than 4.
 """
 
 import json
@@ -25,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (CheckpointError, ConfigError, DataFormatError,
-                     NumericFault, ShapeError)
+                     NumericFault, ShapeError, UnknownEntityError)
 from .ingest import group_reviews
 from .model import DeepConn, ModelConfig, mse
 from .optim import make_optimizer
-from .text import build_document, embed
+from .text import EmbeddingTable, EncodedDocument, build_document, embed
 
 MICRO_BATCH = 4
 
@@ -48,28 +47,42 @@ def pairs_from_records(records):
 class DocumentStore:
     """User and item documents, as token ids, built from a fixed review corpus.
 
-    Each user and item keeps its `EncodedDocument` (T int32 ids); the
-    `*_embedding` accessors gather a fresh (T, d) matrix from the frozen
-    embedding table on every call, and the `*_embeddings` accessors a
-    (B, T, d) batch for a list of ids.  Pass only training-portion records to
-    keep test reviews out of every document (the default protocol); pass
-    the full record list to study the leaky variant.
+    Each user and item keeps its `EncodedDocument` (T int32 ids) into the
+    one frozen `table`.  `user_tokens`/`item_tokens` stack the (B, T) ids
+    the towers read; the one-pair `user_embedding`/`item_embedding` gather
+    a fresh (T, d) matrix.  Pass only training-portion records to keep test
+    reviews out of every document (the default protocol); pass the full
+    record list to study the leaky variant.
     """
 
     def __init__(self, records, table, doc_length):
         groups = group_reviews(records)
-        self.doc_length = doc_length
         self.table = table
-        self._user_documents = {
-            user_id: build_document([text for _, text in reviews], doc_length,
-                                    table, owner=user_id)
-            for user_id, reviews in groups.by_user.items()}
-        self._item_documents = {
-            item_id: build_document([text for _, text in reviews], doc_length,
-                                    table, owner=item_id)
-            for item_id, reviews in groups.by_item.items()}
+        self._user_documents, self._item_documents = (
+            {entity_id: build_document([text for _, text in reviews], doc_length,
+                                       table, owner=entity_id)
+             for entity_id, reviews in by_entity.items()}
+            for by_entity in (groups.by_user, groups.by_item))
         ratings = [r.rating for r in records]
         self.global_mean = float(np.mean(ratings)) if ratings else 0.0
+
+    @classmethod
+    def from_documents(cls, user_documents, item_documents, global_mean):
+        """A store over precomputed (T, d) matrices keyed by entity id: its
+        table holds their rows, and each entity's ids are its own block."""
+        store = cls.__new__(cls)
+        store._user_documents, store._item_documents = {}, {}
+        rows = []
+        for documents, matrices in ((store._user_documents, user_documents),
+                                    (store._item_documents, item_documents)):
+            for entity_id, matrix in matrices.items():
+                start = 1 + len(rows)
+                ids = np.arange(start, start + len(matrix), dtype=np.int32)
+                documents[entity_id] = EncodedDocument(ids, len(matrix), entity_id)
+                rows.extend(matrix)
+        store.table = EmbeddingTable(len(rows[0]), enumerate(rows))
+        store.global_mean = global_mean
+        return store
 
     def has_user(self, user_id):
         return user_id in self._user_documents
@@ -83,15 +96,11 @@ class DocumentStore:
     def item_embedding(self, item_id):
         return embed(self._item_documents[item_id], self.table)
 
-    def user_embeddings(self, user_ids):
-        return self._gather(self._user_documents, user_ids)
+    def user_tokens(self, user_ids):
+        return np.stack([self._user_documents[e].ids for e in user_ids])
 
-    def item_embeddings(self, item_ids):
-        return self._gather(self._item_documents, item_ids)
-
-    def _gather(self, documents, entity_ids):
-        """One table index for the (B, T) ids of the entities' documents."""
-        return self.table.matrix[np.stack([documents[e].ids for e in entity_ids])]
+    def item_tokens(self, item_ids):
+        return np.stack([self._item_documents[e].ids for e in item_ids])
 
 
 @dataclass
@@ -166,15 +175,22 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
     Per epoch: shuffle under the seed, iterate batches, run each batch as
     micro-batches of MICRO_BATCH pairs (train-mode forward, MSE gradient,
     backward), step the optimizer once per batch, then run a full
-    eval-mode validation pass.  The store supplies (B, T, d) batches
-    through `user_embeddings`/`item_embeddings`.  Deterministic given (model, data,
-    seed); wall-clock can be suppressed (record_timing=False) when
-    byte-identical reports matter more than timing.
+    eval-mode validation pass.  A training pair whose user or item has no
+    document is an UnknownEntityError before any step.  Deterministic
+    given (model, data, seed); wall-clock can be suppressed
+    (record_timing=False) when byte-identical reports matter more than
+    timing.
     """
     if not train_pairs:
         raise ConfigError("fit needs a non-empty training set")
     if epochs < 0 or batch_size < 1:
         raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+    for k, pair in enumerate(train_pairs):
+        if not (store.has_user(pair.user_id) and store.has_item(pair.item_id)):
+            missing = "item" if store.has_user(pair.user_id) else "user"
+            raise UnknownEntityError(
+                f"training pair {k} (user {pair.user_id!r}, item "
+                f"{pair.item_id!r}): the store has no document for its {missing}")
     shuffle_seq, dropout_seq = np.random.SeedSequence(seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
@@ -204,9 +220,9 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
             for m in range(0, len(batch), MICRO_BATCH):
                 micro = batch[m:m + MICRO_BATCH]
                 y = model.forward(
-                    store.user_embeddings([train_pairs[k].user_id for k in micro]),
-                    store.item_embeddings([train_pairs[k].item_id for k in micro]),
-                    dropout_rng)
+                    store.user_tokens([train_pairs[k].user_id for k in micro]),
+                    store.item_tokens([train_pairs[k].item_id for k in micro]),
+                    store.table.matrix, dropout_rng)
                 bad = np.flatnonzero(~np.isfinite(y))
                 if bad.size:
                     idx = micro[bad[0]]
@@ -282,9 +298,9 @@ def evaluate(model, store, pairs, clamp=False):
             rows.append(j)
     counters["predicted"] = len(rows)
     if rows:
-        x_u = _encode(model.user_tower, store.user_embeddings,
+        x_u = _encode(model.user_tower, store.user_tokens, store.table.matrix,
                       [pairs[j].user_id for j in rows])
-        x_i = _encode(model.item_tower, store.item_embeddings,
+        x_i = _encode(model.item_tower, store.item_tokens, store.table.matrix,
                       [pairs[j].item_id for j in rows])
         preds[rows] = model.head.predict(x_u, x_i)
     if clamp:
@@ -292,11 +308,11 @@ def evaluate(model, store, pairs, clamp=False):
     return mse(preds, targets), counters
 
 
-def _encode(tower, embeddings, entity_ids):
+def _encode(tower, tokens, matrix, entity_ids):
     """Eval-mode latents, one row per id: each distinct entity is encoded
     once, MICRO_BATCH documents at a time."""
     distinct = list(dict.fromkeys(entity_ids))
-    latents = np.concatenate([tower.forward(embeddings(distinct[k:k + MICRO_BATCH]))
+    latents = np.concatenate([tower.forward(tokens(distinct[k:k + MICRO_BATCH]), matrix)
                               for k in range(0, len(distinct), MICRO_BATCH)])
     row = {e: k for k, e in enumerate(distinct)}
     return latents[[row[e] for e in entity_ids]]

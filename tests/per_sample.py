@@ -3,7 +3,9 @@
 Each function runs one sample through a layer's equations as the layers
 ran before they took a batch axis (1-d vectors, (T, d) documents), reading
 the layer's current weights, and returns (output, input gradient,
-{parameter role: gradient}).  The encoders, `conv1d` and `cell_unroll`,
+{parameter role: gradient}).  The oracles read dense (T, d) documents;
+`table` turns a batch of them into the token ids and table that the
+batched encoders read.  The encoders, `conv1d` and `cell_unroll`,
 return (output, {parameter role: gradient}): their input is the frozen
 word embedding, which takes no gradient.  A role is the last part of the
 parameter's name ("W", "kernels", "U", "beta0", ...).  The tests compare
@@ -13,6 +15,14 @@ every batched layer against these, sample by sample.
 import numpy as np
 
 from deepconn.layers import GruCell
+
+
+def table(docs):
+    """(ids, matrix) for a (B, T, d) batch of dense documents: the matrix
+    holds their rows, and document b's ids are the block b*T to b*T + T."""
+    docs = np.asarray(docs, dtype=np.float64)
+    B, T, d = docs.shape
+    return np.arange(B * T).reshape(B, T), docs.reshape(B * T, d)
 
 
 def sigmoid(x):

@@ -4,8 +4,10 @@ Every layer, both cells and both heads take a batch; `per_sample` holds
 the one-sample oracles.  A batch must give each sample the oracle's
 output and input gradient, and the sum over samples of the oracle's
 parameter gradients, within BATCH_RTOL of the largest reference entry.
-The encoders (the conv and both cells) read the frozen embedding and
-return no input gradient.
+The encoders (the conv and both cells) read token ids through the frozen
+embedding table and return no input gradient; the dense batches of most
+cases reach them through `per_sample.table`, and one case feeds them ids
+as the document store does: repeated, padded and shared across documents.
 Each case first runs an eval-mode forward on another batch, which must
 leave nothing that the train forward and backward could pick up.  The
 gradient checks run the layers, heads and full models at B=3.
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_sample
+from per_sample import table
 from deepconn.gradcheck import DEFAULT_THRESHOLD, gradient_check, miniature_model
 from deepconn.layers import (TIME_CHUNK, Conv1d, Dense, Dropout, GruCell,
                              LstmCell, MaxPoolOverTime)
@@ -88,10 +91,10 @@ def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
     layer = Conv1d(d, C, kernel=K, stride=S, rng=rng)
     x = rng.standard_normal((B, K + extra, d))
     dout = rng.standard_normal((B, layer.output_length(K + extra), C))
-    layer.forward(rng.standard_normal((B + 1, K + extra + 3, d)))
+    layer.forward(*table(rng.standard_normal((B + 1, K + extra + 3, d))))
 
     def batched():
-        out = layer.forward(x)
+        out = layer.forward(*table(x))
         assert layer.backward(dout) is None
         return out, []
 
@@ -160,10 +163,10 @@ def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
     cell = cell_cls(d, H, rng=rng)
     x, dh = rng.standard_normal((B, T, d)), rng.standard_normal((B, H))
     mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
-    cell.forward(rng.standard_normal((B + 1, eval_T, d)))
+    cell.forward(*table(rng.standard_normal((B + 1, eval_T, d))))
 
     def batched():
-        out = cell.forward(x, mask)
+        out = cell.forward(*table(x), mask)
         assert cell.backward(dh) is None
         return out, []
 
@@ -174,6 +177,72 @@ def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
 
     stacked = [cell.U, cell.W] + ([cell.b] if cell_cls is LstmCell else [])
     _check(cell, stacked, batched, oracle, B)
+
+
+def _token_ids(rng, B, T, V, min_real=0):
+    """(B, T) ids into a V-row table, as the store hands them to a tower:
+    with V small they repeat within a document and are shared across
+    documents, and each document ends in pad ids (row 0) after at least
+    `min_real` real ones."""
+    ids = rng.integers(1, V, (B, T))
+    for b in range(B):
+        ids[b, rng.integers(min_real, T + 1):] = 0
+    return ids
+
+
+def _read_only_table(rng, V, d):
+    """A (V, d) table whose row 0 is the zero pad row, frozen like the
+    store's."""
+    matrix = rng.standard_normal((V, d))
+    matrix[0] = 0.0
+    matrix.setflags(write=False)
+    return matrix
+
+
+@pytest.mark.parametrize("kind", ["conv1d", "gru", "lstm"])
+@given(B=batch_sizes, T=st.integers(8, 120), V=st.integers(2, 6),
+       d=st.integers(1, 4), H=st.integers(1, 5), K=st.integers(1, 8),
+       S=st.integers(1, 6), seed=seeds)
+@settings(max_examples=25, deadline=None)
+def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, seed):
+    """Each document b of a (B, T) id batch gets the oracle's output on
+    its gathered rows matrix[ids[b]], and the weight gradients are the
+    oracle's summed over the documents.  No recurrent-dropout mask: its
+    1/(1 - rate) scale on the GRU's carried state can grow the state
+    geometrically over a run of repeated or pad rows (about 1e11 after
+    89 steps), past where rounding stays within BATCH_RTOL of the oracle;
+    test_cell_matches_per_sample covers the mask."""
+    rng = np.random.default_rng(seed)
+    matrix = _read_only_table(rng, V, d)
+    ids = _token_ids(rng, B, T, V)
+    if kind == "conv1d":
+        layer = Conv1d(d, H, kernel=K, stride=S, rng=rng)
+        params = layer.parameters()
+        dout = rng.standard_normal((B, layer.output_length(T), H))
+
+        def batched():
+            out = layer.forward(ids, matrix)
+            assert layer.backward(dout) is None
+            return out, []
+
+        def oracle(b):
+            out, grads = per_sample.conv1d(layer, matrix[ids[b]], dout[b])
+            return out, [], grads
+    else:
+        layer = (GruCell if kind == "gru" else LstmCell)(d, H, rng=rng)
+        params = [layer.U, layer.W] + ([layer.b] if kind == "lstm" else [])
+        dh = rng.standard_normal((B, H))
+
+        def batched():
+            out = layer.forward(ids, matrix)
+            assert layer.backward(dh) is None
+            return out, []
+
+        def oracle(b):
+            h, grads = per_sample.cell_unroll(layer, matrix[ids[b]], dh[b], None)
+            return h, [], grads
+
+    _check(layer, params, batched, oracle, B)
 
 
 @given(B=batch_sizes, m=st.integers(1, 5), pure_dot=st.booleans(), seed=seeds)
@@ -238,9 +307,10 @@ def _dense_case(rng):
 
 def _conv_case(rng):
     layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng)
-    x = rng.standard_normal((B, 12, 5))
+    ids, matrix = table(rng.standard_normal((B, 12, 5)))
     w = rng.standard_normal((B, layer.output_length(12), 3))
-    return _summed(lambda: layer.forward(x), layer.backward, w), layer.parameters()
+    return _summed(lambda: layer.forward(ids, matrix), layer.backward, w), \
+        layer.parameters()
 
 
 def _maxpool_case(rng):
@@ -264,9 +334,9 @@ def _dropout_case(rng):
 
 def _cell_case(cell_cls, T, rng):
     cell = cell_cls(2, 3, rng=rng)
-    x = rng.standard_normal((B, T, 2))
+    ids, matrix = table(rng.standard_normal((B, T, 2)))
     mask = (rng.random((B, 3)) >= 0.3) / 0.7
-    return _summed(lambda: cell.forward(x, mask), cell.backward,
+    return _summed(lambda: cell.forward(ids, matrix, mask), cell.backward,
                    rng.standard_normal((B, 3))), cell.parameters()
 
 
@@ -302,16 +372,31 @@ def _full_model_case(kind, head, rng):
     model = miniature_model(kind, head, seed=int(rng.integers(1 << 30)))
     if head == "dp":
         model.head.w.value[:] = 0.1 * rng.standard_normal(model.head.w.value.shape)
-    user_docs = rng.standard_normal((B, 12, 8))
-    item_docs = rng.standard_normal((B, 12, 8))
+    ids, matrix = table(rng.standard_normal((2 * B, 12, 8)))
+    return _model_loss(model, ids[:B], ids[B:], matrix), model.parameters()
+
+
+def _shared_rows_case(kind, rng):
+    """A full model whose user and item documents read one 5-row table:
+    every id repeats, rows are shared across documents and towers, and
+    the documents end in pad ids.  At most 3 pad ids keep a real row in
+    every conv window (kernel 4): a window of pad rows sits on ReLU's
+    kink, where a central difference is off."""
+    model = miniature_model(kind, "fm", seed=int(rng.integers(1 << 30)))
+    matrix = _read_only_table(rng, 5, 8)
+    ids = _token_ids(rng, 2 * B, 12, 5, min_real=9)
+    return _model_loss(model, ids[:B], ids[B:], matrix), model.parameters()
+
+
+def _model_loss(model, user_ids, item_ids, matrix):
     targets = np.array([4.0, 2.0, 5.0])
 
     def loss_fn():
-        y = model.forward(user_docs, item_docs)
+        y = model.forward(user_ids, item_ids, matrix)
         model.backward(2.0 * (y - targets))
         return float(np.sum((y - targets) ** 2))
 
-    return loss_fn, model.parameters()
+    return loss_fn
 
 
 @pytest.mark.parametrize("build", [
@@ -324,9 +409,14 @@ def _full_model_case(kind, head, rng):
     lambda rng: _full_model_case("cnn", "dp", rng),
     lambda rng: _full_model_case("gru", "fm", rng),
     lambda rng: _full_model_case("lstm", "dp", rng),
+    lambda rng: _shared_rows_case("cnn", rng),
+    lambda rng: _shared_rows_case("gru", rng),
+    lambda rng: _shared_rows_case("lstm", rng),
 ], ids=["dense", "conv1d", "maxpool", "dropout", "dp_head", "fm_head",
         "gru_masked_7", "lstm_masked_7", "gru_masked_chunk+3",
-        "lstm_masked_chunk+3", "full_cnn_dp", "full_gru_fm", "full_lstm_dp"])
+        "lstm_masked_chunk+3", "full_cnn_dp", "full_gru_fm", "full_lstm_dp",
+        "full_cnn_fm_shared_rows", "full_gru_fm_shared_rows",
+        "full_lstm_fm_shared_rows"])
 def test_gradient_check_at_batch_of_three(build):
     loss_fn, params = build(np.random.default_rng(5))
     assert gradient_check(loss_fn, params) < DEFAULT_THRESHOLD

@@ -1,7 +1,8 @@
 """The benchmark's training workloads, run through bench/workloads.py's own
 prepare/setup/body at input seed 0, reproduce the test MSEs committed in
-bench/reference.json: a change that moves the numbers fails here, not only
-in the benchmark.  The test only reads bench/."""
+bench/reference.json, and pass the workload's own `verify`: a change that
+moves the numbers, or removes a call the checks make, fails here, not
+only in the benchmark.  The test only reads bench/."""
 
 import sys
 from pathlib import Path
@@ -9,6 +10,11 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# The checks each workload's `verify` makes: the test MSE's three, the
+# checkpoint reload through `DeepConn.predict` and the store's one-pair
+# `user_embedding`/`item_embedding`, and on train-cnn the beats-mean check.
+VERIFY_CHECKS = {"train-lstm": 4, "train-cnn": 5}
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +38,15 @@ def test_train_workload_matches_reference_mse(name, bench, tmp_path):
     checks, workloads = bench
     workload = workloads.WORKLOADS[name]
     inputs = workload.prepare(tmp_path, 0)
-    outcome = workload.body(inputs, workload.setup(inputs))
+    state = workload.setup(inputs)
+    outcome = workload.body(inputs, state)
+    reference = checks.load_reference(name, 0)
     tally = checks.Checks()
     checks.check_mse(tally, "test_mse", outcome.outputs["test_mse"],
-                     checks.load_reference(name, 0).get("test_mse"))
+                     reference.get("test_mse"))
     assert tally.attempted == 3
     assert tally.failures == []
+    verified = checks.Checks()
+    workload.verify(inputs, state, outcome, verified, reference, None)
+    assert verified.attempted == VERIFY_CHECKS[name]
+    assert verified.failures == []

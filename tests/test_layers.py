@@ -12,7 +12,7 @@ from deepconn.layers import (TIME_CHUNK, Conv1d, Dense, Dropout, GruCell, LstmCe
 from deepconn.optim import Adam
 from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
-from per_sample import cell_unroll, sigmoid
+from per_sample import cell_unroll, sigmoid, table
 
 
 def _rng(seed=0):
@@ -79,20 +79,20 @@ class TestConv1d:
     def test_single_window(self):
         layer = Conv1d(3, 2, kernel=8, stride=6, rng=_rng())
         assert layer.output_length(8) == 1
-        out = layer.forward(np.ones((1, 8, 3)))
+        out = layer.forward(*table(np.ones((1, 8, 3))))
         assert out.shape == (1, 1, 2)
 
     def test_zero_kernels_zero_output(self):
         layer = Conv1d(3, 4, kernel=2, stride=1, rng=_rng())
         layer.kernels.value[:] = 0.0
         layer.bias.value[:] = 0.0
-        out = layer.forward(_rng(3).standard_normal((1, 6, 3)))
+        out = layer.forward(*table(_rng(3).standard_normal((1, 6, 3))))
         npt.assert_array_equal(out, np.zeros((1, 5, 4)))
 
     def test_too_short_input(self):
         layer = Conv1d(3, 2, kernel=8, stride=6, rng=_rng())
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 7, 3)))
+            layer.forward(*table(np.zeros((1, 7, 3))))
 
     @given(T=st.integers(1, 64), K=st.integers(1, 12), S=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -104,7 +104,7 @@ class TestConv1d:
         else:
             L = layer.output_length(T)
             assert L == (T - K) // S + 1
-            assert layer.forward(np.zeros((1, T, 2))).shape == (1, L, 1)
+            assert layer.forward(*table(np.zeros((1, T, 2)))).shape == (1, L, 1)
 
     @given(K=st.integers(1, 12), S=st.integers(1, 8), extra=st.integers(0, 40),
            seed=st.integers(0, 2**16))
@@ -113,7 +113,7 @@ class TestConv1d:
         rng = _rng(seed)
         layer = Conv1d(3, 4, kernel=K, stride=S, rng=rng)
         x = rng.standard_normal((1, K + extra, 3))
-        dout = rng.standard_normal(layer.forward(x).shape)
+        dout = rng.standard_normal(layer.forward(*table(x)).shape)
         assert layer.backward(dout) is None
         expected = _conv_grads_by_position(layer, x[0], dout[0])
         for p, ref in zip(layer.parameters(), expected):
@@ -123,11 +123,11 @@ class TestConv1d:
     def test_gradient_matches_finite_differences(self):
         rng = _rng(11)
         layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng)
-        x = rng.standard_normal((1, 12, 5))
+        ids, matrix = table(rng.standard_normal((1, 12, 5)))
         w = rng.standard_normal((1, layer.output_length(12), 3))
 
         def loss_fn():
-            out = layer.forward(x)
+            out = layer.forward(ids, matrix)
             layer.backward(w)
             return float(np.sum(w * out))
 
@@ -283,19 +283,22 @@ class TestGruCell:
         cell = GruCell(3, 4, rng=_rng())
         steps = []
         cell.step = lambda *args: steps.append(args)
-        for x in (np.zeros((1, 5, 4)), np.zeros((5, 3))):  # wrong d, no batch axis
+        ids, matrix = np.zeros((1, 5), dtype=np.int64), np.zeros((2, 3))
+        for bad in ((ids, np.zeros((2, 4))),             # wrong d
+                    (ids[0], matrix),                    # no batch axis
+                    (ids[:, :0], matrix)):               # no steps
             with pytest.raises(ShapeError):
-                cell.forward(x)
+                cell.forward(*bad)
         assert steps == []  # rejected before any step runs
 
     def test_gradient_three_step_unroll(self):
         rng = _rng(29)
         cell = GruCell(3, 4, rng=rng)
-        xs = rng.standard_normal((1, 3, 3))
+        ids, matrix = table(rng.standard_normal((1, 3, 3)))
         w = rng.standard_normal((1, 4))
 
         def loss_fn():
-            s = cell.forward(xs)
+            s = cell.forward(ids, matrix)
             cell.backward(w)
             return float(np.sum(w * s))
 
@@ -339,11 +342,11 @@ class TestLstmCell:
     def test_gradient_three_step_unroll(self):
         rng = _rng(37)
         cell = LstmCell(3, 4, rng=rng)
-        xs = rng.standard_normal((1, 3, 3))
+        ids, matrix = table(rng.standard_normal((1, 3, 3)))
         w = rng.standard_normal((1, 4))
 
         def loss_fn():
-            h = cell.forward(xs)
+            h = cell.forward(ids, matrix)
             cell.backward(w)
             return float(np.sum(w * h))
 
@@ -360,7 +363,7 @@ def _projected(cell, x_t):
 def _one_sample_pass(cell, x, dfinal, mask):
     """The cell's forward and backward on a batch of the one (T, d) sample
     x; returns that sample's final hidden vector."""
-    h = cell.forward(x[None], None if mask is None else mask[None])
+    h = cell.forward(*table(x[None]), None if mask is None else mask[None])
     assert cell.backward(dfinal[None]) is None
     return h[0]
 
@@ -394,7 +397,7 @@ def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
     dfinal = rng.standard_normal(4)
     mask = (rng.random(4) >= 0.3) / 0.7 if masked else None
     cell = cell_cls(3, 4, rng=_rng(43))
-    cell.forward(x[None, :2])  # an eval-mode forward with no backward leaves no trace
+    cell.forward(*table(x[None, :2]))  # an eval-mode forward with no backward leaves no trace
     _check_against_step_loop(cell, x, dfinal, mask)
 
 
@@ -410,7 +413,7 @@ def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, see
     mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
     # An eval-mode forward over another document leaves nothing the train
     # forward and backward that follow could pick up.
-    cell.forward(rng.standard_normal((1, eval_T, d)))
+    cell.forward(*table(rng.standard_normal((1, eval_T, d))))
     _check_against_step_loop(cell, x, dfinal, mask)
 
 
@@ -440,7 +443,7 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
 
     monkeypatch.setattr(cell, "step", recording_step)
     monkeypatch.setattr(cell, "backward_step", recording_backward_step)
-    cell.forward(x, mask)
+    cell.forward(*table(x), mask)
     cell.backward(rng.standard_normal((B, H)))
     npt.assert_array_equal(np.stack(read[::-1]), np.stack(stepped))
 
@@ -449,12 +452,12 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
 def test_gradient_with_recurrent_dropout_mask(cell_cls):
     rng = _rng(53)
     cell = cell_cls(3, 4, rng=rng)
-    xs = rng.standard_normal((1, 7, 3))
+    ids, matrix = table(rng.standard_normal((1, 7, 3)))
     w = rng.standard_normal((1, 4))
     mask = np.array([[1.0, 0.0, 1.0, 1.0]]) / 0.75
 
     def loss_fn():
-        h = cell.forward(xs, mask)
+        h = cell.forward(ids, matrix, mask)
         cell.backward(w)
         return float(np.sum(w * h))
 
@@ -558,8 +561,8 @@ def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
             assert np.shares_memory(view, whole)
         npt.assert_array_equal(p.value, stacked.value[k])
 
-    x = _rng(5).standard_normal((1, 12, 8))
-    cell.backward(np.ones_like(cell.forward(x)))
+    ids, matrix = table(_rng(5).standard_normal((1, 12, 8)))
+    cell.backward(np.ones_like(cell.forward(ids, matrix)))
     before = [r.value.copy() for r in roles]
     Adam(params, learning_rate=0.01).step()
     for old, r in zip(before, roles):
@@ -583,7 +586,7 @@ def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
 
     def loss_fn():
         probes.append(stacked.value[k].copy())
-        out = cell.forward(x)
+        out = cell.forward(ids, matrix)
         cell.backward(np.ones_like(out))
         return float(out.sum())
 

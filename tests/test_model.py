@@ -10,6 +10,7 @@ from deepconn.model import (DeepConn, DpHead, FmHead, ModelConfig, Tower,
                             TowerConfig, build_config, mse)
 
 from fm_oracle import fm_pairwise_reference
+from per_sample import table
 
 
 def _rng(seed=0):
@@ -63,14 +64,14 @@ class TestTower:
                              dense_units=64, dropout_rate=0.0)
         tower = Tower(config, _rng(), "t")
         assert tower.conv.output_length(300) == 49
-        out = tower.forward(_rng(1).standard_normal((1, 300, 50)))
+        out = tower.forward(*table(_rng(1).standard_normal((1, 300, 50))))
         assert out.shape == (1, 64)
 
     def test_relu_output_nonnegative_on_zero_input(self):
         config = TowerConfig(kind="cnn", embedding_dim=8, hidden_units=4,
                              kernel=4, stride=2, dense_units=4, dropout_rate=0.0)
         tower = Tower(config, _rng(2), "t")
-        out = tower.forward(np.zeros((1, 12, 8)))
+        out = tower.forward(*table(np.zeros((1, 12, 8))))
         assert np.all(out >= 0.0)
 
     @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
@@ -78,14 +79,14 @@ class TestTower:
         config = TowerConfig(kind=kind, embedding_dim=8, hidden_units=4,
                              kernel=4, stride=2, dense_units=4)
         tower = Tower(config, _rng(3), "t")
-        doc = _rng(4).standard_normal((1, 10, 8))
-        npt.assert_array_equal(tower.forward(doc), tower.forward(doc))
+        ids, matrix = table(_rng(4).standard_normal((1, 10, 8)))
+        npt.assert_array_equal(tower.forward(ids, matrix), tower.forward(ids, matrix))
 
     def test_wrong_embedding_dim(self):
         config = TowerConfig(kind="cnn", embedding_dim=8, kernel=4)
         tower = Tower(config, _rng(), "t")
         with pytest.raises(ShapeError):
-            tower.forward(np.zeros((1, 10, 9)))
+            tower.forward(*table(np.zeros((1, 10, 9))))
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_recurrent_dropout_gradient(self, kind):
@@ -94,13 +95,13 @@ class TestTower:
                              dense_units=3, dropout_rate=0.0,
                              recurrent_dropout_rate=0.5)
         tower = Tower(config, _rng(5), "t")
-        doc = _rng(6).standard_normal((1, 4, 5))
+        doc = table(_rng(6).standard_normal((1, 4, 5)))
         w = _rng(7).standard_normal((1, 3))
         # gradient_check re-evaluates the loss; the mask must not move
         draws = np.linspace(0.1, 0.9, 4).reshape(1, 1, 4)
 
         def loss_fn():
-            out = tower.forward(doc, draws)
+            out = tower.forward(*doc, draws)
             tower.backward(w)
             return float(np.sum(w * out))
 
@@ -116,14 +117,14 @@ class TestTower:
                              recurrent_dropout_rate=recurrent)
         tower = Tower(config, _rng(5), "t")
         assert tower.n_masks == (1 if kind == "cnn" else 2)
-        doc = _rng(6).standard_normal((1, 6, 5))
+        doc = table(_rng(6).standard_normal((1, 6, 5)))
         draws = _rng(7).random((1, tower.n_masks, 4))
-        out = tower.forward(doc, draws)
+        out = tower.forward(*doc, draws)
 
         def features(recurrent_mask):
             if kind == "cnn":
-                return tower.pool.forward(tower.conv.forward(doc))
-            return tower.cell.forward(doc, recurrent_mask)
+                return tower.pool.forward(tower.conv.forward(*doc))
+            return tower.cell.forward(*doc, recurrent_mask)
 
         uniforms = iter(_rng(7).random((tower.n_masks, 4)))
         mask = None
@@ -131,7 +132,7 @@ class TestTower:
             mask = (next(uniforms) >= recurrent)[None] / (1.0 - recurrent)
         feat = features(mask) * (next(uniforms) >= 0.3) * (1.0 / (1.0 - 0.3))
         npt.assert_array_equal(out, tower.dense.forward(feat))
-        npt.assert_array_equal(tower.forward(doc),
+        npt.assert_array_equal(tower.forward(*doc),
                                tower.dense.forward(features(None)))
 
 
@@ -276,10 +277,10 @@ class TestDeepConn:
         rng = _rng(14)
         model = miniature_model("cnn", "dp", seed=3)
         model.head.w.value[:] = 0.1 * rng.standard_normal(8)
-        user_doc, item_doc = self._docs(15)
+        ids, matrix = table(np.stack(self._docs(15)))
 
         def loss_fn():
-            y = model.forward(user_doc[None], item_doc[None])
+            y = model.forward(ids[:1], ids[1:], matrix)
             model.backward(2.0 * (y - 4.0))
             return float(np.sum((y - 4.0) ** 2))
 
@@ -295,14 +296,15 @@ class TestDeepConn:
             dense_units=3, dropout_rate=0.3,
             recurrent_dropout_rate=0.0 if kind == "cnn" else 0.2), head="fm")
         model = DeepConn(config, seed=8)
-        docs = _rng(9).standard_normal((2, 3, 6, 5))
+        ids, matrix = table(_rng(9).standard_normal((6, 6, 5)))
+        user_ids, item_ids = ids[:3], ids[3:]
         rng, one_at_a_time = _rng(10), _rng(10)
-        y = model.forward(docs[0], docs[1], rng)
+        y = model.forward(user_ids, item_ids, matrix, rng)
         n = model.user_tower.n_masks
         for b in range(3):
             draws = np.array([one_at_a_time.random(4) for _ in range(2 * n)])
-            x_u = model.user_tower.forward(docs[0, b:b + 1], draws[None, :n])
-            x_i = model.item_tower.forward(docs[1, b:b + 1], draws[None, n:])
+            x_u = model.user_tower.forward(user_ids[b:b + 1], matrix, draws[None, :n])
+            x_i = model.item_tower.forward(item_ids[b:b + 1], matrix, draws[None, n:])
             npt.assert_allclose(y[b], model.head.predict(x_u, x_i)[0],
                                 rtol=1e-12, atol=0)
         assert rng.random() == one_at_a_time.random()  # no further draws

@@ -8,12 +8,12 @@ import numpy.testing as npt
 import pytest
 
 from deepconn.errors import (CheckpointError, ConfigError, NumericFault,
-                             ShapeError)
+                             ShapeError, UnknownEntityError)
 from deepconn.gradcheck import miniature_model
 from deepconn.ingest import ReviewRecord, group_reviews, split_dataset
 from deepconn.model import DeepConn, ModelConfig, TowerConfig, build_config, mse
-from deepconn.synthetic import (DirectStore, make_micro_dataset,
-                                make_sample_corpus, make_token_vectors)
+from deepconn.synthetic import (make_micro_dataset, make_sample_corpus,
+                                make_token_vectors)
 from deepconn.text import EmbeddingTable, build_document, embed
 from deepconn.train import (CHECKPOINT_MAGIC, MICRO_BATCH, DocumentStore,
                             RatedPair, TrainReport, evaluate, fit, load_checkpoint,
@@ -28,7 +28,8 @@ def _tiny_setup(seed=0, n_users=6, n_items=4, T=10, dim=8):
     pairs = [RatedPair(f"u{u}", f"m{i}", float(rng.uniform(1, 5)))
              for u in range(n_users) for i in range(n_items)]
     mean = float(np.mean([p.rating for p in pairs]))
-    return miniature_model(seed=seed), DirectStore(users, items, mean), pairs
+    return (miniature_model(seed=seed),
+            DocumentStore.from_documents(users, items, mean), pairs)
 
 
 def _text_store(T=12, dim=8):
@@ -91,6 +92,26 @@ class TestDocumentStore:
         # every call gathers a fresh matrix, so writing to one is harmless
         store.user_embedding("user000")[...] = 7.0
         assert not np.any(store.user_embedding("user000") == 7.0)
+
+    def test_tokens_are_the_documents_ids(self):
+        records, table, store = _text_store(T=12)
+        tokens = store.item_tokens(["item003", "item000", "item003"])
+        assert tokens.shape == (3, 12) and tokens.dtype == np.int32
+        for row, item_id in zip(tokens, ["item003", "item000", "item003"]):
+            npt.assert_array_equal(table.matrix[row], store.item_embedding(item_id))
+
+    def test_from_documents_reads_the_matrices_back(self):
+        rng = np.random.default_rng(2)
+        users = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal((3, 2))}
+        items = {"a": rng.standard_normal((3, 2))}  # ids are per kind
+        store = DocumentStore.from_documents(users, items, 3.5)
+        assert store.table.matrix.shape == (1 + 9, 2)
+        for accessor, docs in ((store.user_embedding, users),
+                               (store.item_embedding, items)):
+            for entity_id, matrix in docs.items():
+                npt.assert_array_equal(accessor(entity_id), matrix)
+        npt.assert_array_equal(store.user_tokens(["b", "a"]), [[4, 5, 6], [1, 2, 3]])
+        assert store.global_mean == 3.5 and not store.has_user("c")
 
 
 class TestFit:
@@ -204,22 +225,38 @@ class TestFit:
         pairs = [p for p in pairs if p.item_id == "m1"][:MICRO_BATCH]
         shuffle_seq, _ = np.random.SeedSequence(4).spawn(2)
         bad = int(np.random.default_rng(shuffle_seq).permutation(len(pairs))[2])
-        store._users[pairs[bad].user_id] = np.full((10, 8), np.inf)
+        matrix = store.table.matrix.copy()
+        matrix[store.user_tokens([pairs[bad].user_id])] = np.inf
+        store.table.matrix = matrix
         with pytest.raises(NumericFault,
                            match=rf"epoch 1, batch at 0, pair {bad} \(user "
                                  rf"'{pairs[bad].user_id}', item 'm1'\)"), \
                 np.errstate(invalid="ignore"):
             fit(model, store, pairs, epochs=1, batch_size=8, seed=4)
 
-    def test_lstm_fit_at_paper_shapes_keeps_a_small_peak(self):
-        # Shaped like the train-lstm benchmark: 32 LSTM pairs at T=300,
-        # d=50, H=64, FM head, RMSprop, with validation.  Forward keeps
-        # only the states, and backward rebuilds one 50-step chunk at a time.
+    def test_pair_without_a_document_rejected_before_any_step(self):
+        model, store, pairs = _tiny_setup(seed=24)
+        before = [p.value.copy() for p in model.parameters()]
+        for stranger, missing in ((RatedPair("stranger", "m0", 4.0), "user"),
+                                  (RatedPair("u0", "nothing", 2.0), "item")):
+            with pytest.raises(UnknownEntityError,
+                               match=rf"pair {len(pairs)} \(user '{stranger.user_id}', "
+                                     rf"item '{stranger.item_id}'\).*its {missing}"):
+                fit(model, store, pairs + [stranger], epochs=1, batch_size=8, seed=0)
+        for p, v in zip(model.parameters(), before):
+            npt.assert_array_equal(p.value, v)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_recurrent_fit_at_paper_shapes_keeps_a_small_peak(self, kind):
+        # Shaped like the train-lstm benchmark: 32 pairs at T=300, d=50,
+        # H=64, FM head, RMSprop, with validation.  The cells gather one
+        # 50-step chunk of rows at a time from the token ids, forward keeps
+        # only the states, and backward rebuilds one chunk at a time.
         records = make_sample_corpus(n_reviews=40, n_users=10, n_items=8, seed=11)
         split = split_dataset(records, 0.81, 0.09, seed=11)
         table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
         store = DocumentStore(split.train + split.validation, table, doc_length=300)
-        config = build_config("comparison", kind="lstm", embedding_dim=50, head="fm")
+        config = build_config("comparison", kind=kind, embedding_dim=50, head="fm")
         model = DeepConn(config, seed=11)
         train_pairs = pairs_from_records(split.train)
         assert len(train_pairs) == 32 and config.tower.hidden_units == 64
@@ -231,7 +268,7 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MB"
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     def test_empty_training_set_rejected(self):
         model, store, _ = _tiny_setup()
