@@ -129,7 +129,6 @@ def _build_parser():
                                            "baseline on the same split")
     p_cmp.add_argument("--data", required=True)
     p_cmp.add_argument("--embeddings", required=True)
-    p_cmp.add_argument("--out", default="deepconn-run")
     p_cmp.add_argument("--k", type=int, default=None)
     _split_arguments(p_cmp)
     _model_arguments(p_cmp)

@@ -16,14 +16,16 @@ backward before the next one; sample b of a batch gets the same result
 as a batch of that sample alone, within rounding.  GruCell and LstmCell
 share one unroll and keep their weights in gate-first arrays (`U`
 (G, d, H), `W` (G, H, H), LSTM's `b` (G, H)); the per-gate Parameters a
-cell returns are views of their gate's slices.  The unroll projects the
-documents onto the gates with one matmul per gate and time chunk and
-takes the weight gradients with a few matmuls per chunk, so a step runs
-only the recurrent product and the gates' elementwise work for the whole
-batch.  Forward keeps only the states; backward rebuilds the gate
-activations one chunk at a time with the routine each step runs, so
-they are forward's bit for bit.  The cells' sigmoid is tanh-based, so it
-needs no branch on the sign of its input.
+cell returns are views of their gate's slices.  The unroll runs in
+chunks of `chunk_steps(B)` steps, about CHUNK_ROWS rows each: it projects
+a chunk's documents onto the gates with one matmul per gate and takes
+the weight gradients with a few matmuls per chunk, so a step runs only
+the recurrent product and the gates' elementwise work for the whole
+batch.  Forward keeps one entering state per chunk and the last chunk's
+states and activations; backward re-runs each earlier chunk's steps from
+its entering state, so the activations it differentiates are forward's
+bit for bit.  The cells' sigmoid is tanh-based, so it needs no branch on
+the sign of its input.
 
 Layers draw no random numbers after construction: the model draws every
 dropout mask, the recurrent one and the feature one, and hands it to
@@ -35,9 +37,15 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-# Steps per chunk of the recurrent unroll: the gate activations of one
-# chunk are all that backward holds at a time.
-TIME_CHUNK = 50
+# Rows (steps x documents) per chunk of the recurrent unroll.  Forward
+# keeps one state per chunk, and backward holds one chunk's states and
+# gate activations at a time.
+CHUNK_ROWS = 256
+
+
+def chunk_steps(B):
+    """Steps per chunk of the recurrent unroll over a batch of B documents."""
+    return max(1, CHUNK_ROWS // B)
 
 
 class Parameter:
@@ -292,49 +300,41 @@ class _RecurrentCell:
     """The unroll shared by GruCell and LstmCell, over (B, T) token ids.
 
     Only the recurrent product `h_prev @ W` depends on the previous step,
-    so every other product runs once per chunk of TIME_CHUNK steps, outside
-    the step loop (the hoisting of Appleyard, Kocisky & Blunsom 2016, arXiv
-    1604.01946):
+    so every other product runs once per chunk of `chunk_steps(B)` steps,
+    outside the step loop (the hoisting of Appleyard, Kocisky & Blunsom
+    2016, arXiv 1604.01946):
 
-    - Forward gathers each chunk's (tc*B, d) time-major rows from the table
-      and projects them onto the gates with one matmul per gate, LSTM's `b`
+    - A chunk gathers its (tc*B, d) time-major rows from the table and
+      projects them onto the gates with one matmul per gate, LSTM's `b`
       added once, into a gate-major (tc, G, B, H) array.  A step,
-      `step(state, a_t)`, hands its (G, B, H) row to `_activate`, which adds
-      the recurrent product `h_prev @ W` and turns the row into the gate
-      activations in place; the step then returns the next state.  The
-      state entering each step, after the mask, is kept in a
-      (T + 1, n_state, B, H) array whose last row is the final state.  Of
-      the activations, forward keeps only the last chunk's, the first that
-      backward needs.
-    - Backward walks the chunks in reverse and gathers each chunk's rows
-      again: between the passes the cell keeps only the ids and the table.
-      For each earlier chunk it takes the projection again and runs
-      `_activate` once over all of the chunk's rows, seen gate-first as
-      (G, tc, B, H), and their (tc, B, H) entering states.  `W` meets
-      those through a broadcast axis, so each step's product is the same
-      (B, H) @ (H, H) matmul that `step` ran, and the rebuilt activations
-      are forward's bit for bit.  Only one chunk's activations and gate
-      gradients are held at a time (the memory-efficient BPTT of Gruslys
-      et al. 2016, arXiv 1606.03401, and Chen et al. 2016, arXiv
-      1604.06174).
+      `step(state, a_t)`, adds the recurrent product to its (G, B, H) row,
+      turns the row into the gate activations in place and returns the
+      next state.  The chunk keeps its (tc + 1, n_state, B, H) states: the
+      state entering each step, after the mask, and the chunk's final one.
+    - Forward runs the chunks in turn and keeps each chunk's entering
+      state, a checkpoint, in a (n_chunks + 1, n_state, B, H) array whose
+      last row is the final state.  Of the chunks, it keeps only the last
+      one's rows, states and activations, the first that backward needs.
+    - Backward walks the chunks in reverse.  It re-runs each earlier chunk
+      from its checkpoint with the steps forward ran, so the chunk's
+      activations are forward's bit for bit, and holds only one chunk at a
+      time (the checkpointing of Chen et al. 2016, arXiv 1604.06174, and
+      Gruslys et al. 2016, arXiv 1606.03401).  Between the passes the cell
+      keeps the ids and the table, not a copy of its input.
       `backward_step(dstate, k)` fills row k of the chunk's (tc, B, G, H)
       dA with the gradients of step k's gate pre-activations and returns
       those of the state entering it.  After the steps, `dU` and the
       recurrent weight (and bias) gradients are a few products over its
       (tc*B, G*H) rows.
 
-    A cell's state is a sequence of (B, H) arrays whose first entry is the
+    The checkpoints grow with B*T/tc, that is B**2 * T / CHUNK_ROWS.  A
+    cell's state is a sequence of (B, H) arrays whose first entry is the
     hidden state.  A recurrent-dropout `mask` (B, H) scales the hidden
     state before every step, and its gradient after every backward step.
     """
 
     def parameters(self):
         return list(self._parameters)
-
-    def _rows(self, t0):
-        """The time-major (tc*B, d) table rows of the chunk from step t0."""
-        ids, matrix = self._table
-        return matrix[ids[:, t0:t0 + TIME_CHUNK].T].reshape(-1, matrix.shape[1])
 
     def _project(self, x_rows, B):
         """A chunk's (tc*B, d) time-major input rows projected onto the
@@ -344,49 +344,60 @@ class _RecurrentCell:
         G, _, H = xu.shape
         return xu.reshape(G, -1, B, H).transpose(1, 0, 2, 3).copy()
 
+    def _run_chunk(self, t0, entering):
+        """Run the chunk from step t0 out of its (n_state, B, H) entering
+        state, keeping its input rows, states and activations; returns its
+        final state."""
+        ids, matrix = self._table
+        B = len(ids)
+        # Free the previous chunk's arrays before this one's are made.
+        self._x_rows = self._gates = self._states = None
+        chunk_ids = ids[:, t0:t0 + chunk_steps(B)].T
+        self._x_rows = matrix[chunk_ids].reshape(-1, matrix.shape[1])
+        self._gates = gates = self._project(self._x_rows, B)
+        self._states = states = np.empty((len(gates) + 1,) + entering.shape)
+        states[0] = entering
+        for k, a_k in enumerate(gates):
+            if self._mask is not None:
+                states[k, 0] *= self._mask
+            states[k + 1] = self.step(states[k], a_k)
+        return states[-1]
+
     def forward(self, ids, matrix, mask=None):
         """Run over the (B, T) ids' documents, whose vectors are the rows of
         the (V, input_dim) `matrix`; returns the (B, H) final hidden states."""
         _check_table(self, ids, matrix, self.input_dim)
         B, T = ids.shape
-        self._table = ids, matrix
-        states = np.zeros((T + 1, self.n_state, B, self.hidden_dim))
-        for t0 in range(0, T, TIME_CHUNK):
-            gates = self._project(self._rows(t0), B)
-            for t, a_t in enumerate(gates, t0):
-                if mask is not None:
-                    states[t, 0] *= mask
-                states[t + 1] = self.step(states[t], a_t)
-        # The last chunk's activations are the first that backward needs.
-        self._mask, self._all_states, self._gates = mask, states, gates
-        return states[T, 0].copy()
+        self._table, self._mask = (ids, matrix), mask
+        starts = range(0, T, chunk_steps(B))
+        checkpoints = np.zeros((len(starts) + 1, self.n_state, B, self.hidden_dim))
+        for c, t0 in enumerate(starts):
+            checkpoints[c + 1] = self._run_chunk(t0, checkpoints[c])
+        self._checkpoints = checkpoints
+        return checkpoints[-1, 0].copy()
 
     def backward(self, dh):
         """Accumulate the weight gradients, given the (B, H) gradient of the
         final hidden states; returns nothing."""
-        mask, states = self._mask, self._all_states
-        T = len(states) - 1
-        B, H = states.shape[2:]
+        mask, checkpoints = self._mask, self._checkpoints
+        B, H = checkpoints.shape[2:]
         G = len(self.U.value)
+        n_chunks = len(checkpoints) - 1
         self._W_columns = _columns(self.W.value)
         dstate = (np.asarray(dh, dtype=np.float64),) + \
             (np.zeros((B, H)),) * (self.n_state - 1)
-        for t0 in reversed(range(0, T, TIME_CHUNK)):
-            x_rows = self._rows(t0)
-            self._states = states[t0:t0 + TIME_CHUNK + 1]
-            tc = len(self._states) - 1
-            h_prev = self._states[:-1, 0]
-            if t0 + tc < T:
-                self._gates = self._project(x_rows, B)
-                self._activate(self._gates.swapaxes(0, 1), h_prev)
+        for c in reversed(range(n_chunks)):
+            if c < n_chunks - 1:                # forward kept the last chunk
+                self._run_chunk(c * chunk_steps(B), checkpoints[c])
+            tc = len(self._gates)
             self._dA = dA = np.empty((tc, B, G, H))
             for k in reversed(range(tc)):
                 dstate = self.backward_step(dstate, k)
                 if mask is not None:
                     dstate = (dstate[0] * mask,) + dstate[1:]
-            self.U.grad += _gate_first(x_rows.T @ dA.reshape(tc * B, G * H), G)
-            self._recurrent_grads(dA, h_prev.reshape(tc * B, H))
-        self._table = self._mask = self._all_states = None
+            self.U.grad += _gate_first(self._x_rows.T @ dA.reshape(tc * B, G * H), G)
+            self._recurrent_grads(dA, self._states[:-1, 0].reshape(tc * B, H))
+        self._table = self._mask = self._checkpoints = self._x_rows = None
         self._states = self._gates = self._dA = self._W_columns = None
 
 
@@ -412,31 +423,23 @@ class GruCell(_RecurrentCell):
         self.W, W_gates = _gate_stacked(W, f"{name}.W", "zrh")
         self._parameters = U_gates + W_gates
 
-    def _activate(self, a, s_prev):
-        """Gate rows `a` that hold x @ U, turned in place into the
-        activations z, r, h; returns `a`.  Either a step's (3, B, H) row and
-        its (B, H) entering state, or a chunk's (3, tc, B, H) rows and their
-        (tc, B, H) entering states."""
-        W = self.W.value if a.ndim == 3 else self.W.value[:, None]
+    def step(self, state, xu_t):
+        """The next state from `xu_t` = x_t @ U, a (3, B, H) row that is
+        overwritten with the gate activations z, r, h."""
+        s_prev, W, a = state[0], self.W.value, xu_t
         a[:2] += s_prev @ W[:2]
         _sigmoid_in_place(a[:2])
         h = a[2]
         h += (s_prev * a[1]) @ W[2]                        # r = a[1]
         np.tanh(h, out=h)
-        return a
-
-    def step(self, state, xu_t):
-        """The next state from `xu_t` = x_t @ U, a (3, B, H) row that is
-        overwritten with the gate activations z, r, h."""
-        s_prev = state[0]
-        a = self._activate(xu_t, s_prev)
         z = a[0]
-        return ((1.0 - z) * s_prev + z * a[2],)            # h = a[2]
+        return ((1.0 - z) * s_prev + z * h,)
 
     def backward_step(self, dstate, k):
         """Gradient of the chunk's step k: fills row k of the chunk's dA
         with the (B, 3, H) gate gradients and returns (ds_prev,)."""
-        z, r, h = self._gates[k]
+        a = self._gates[k]
+        z, r, h = a[0], a[1], a[2]
         s_prev = self._states[k, 0]
         (ds_t,) = dstate
         B, H = s_prev.shape
@@ -492,28 +495,21 @@ class LstmCell(_RecurrentCell):
         xu += self.b.value[:, None]
         return xu
 
-    def _activate(self, a, h_prev):
-        """Gate rows `a` that hold x @ U + b, turned in place into the
-        activations i, f, o, g; returns `a`.  Either a step's (4, B, H) row
-        and its (B, H) entering hidden state, or a chunk's (4, tc, B, H)
-        rows and their (tc, B, H) entering hidden states."""
-        W = self.W.value if a.ndim == 3 else self.W.value[:, None]
-        a += h_prev @ W
-        _sigmoid_in_place(a[:3])
-        np.tanh(a[3], out=a[3])
-        return a
-
     def step(self, state, xu_t):
         """The next state from `xu_t` = x_t @ U + b, a (4, B, H) row that is
         overwritten with the gate activations i, f, o, g."""
-        a = self._activate(xu_t, state[0])
+        a = xu_t
+        a += state[0] @ self.W.value
+        _sigmoid_in_place(a[:3])
+        np.tanh(a[3], out=a[3])
         c = a[1] * state[1] + a[0] * a[3]                  # f * c_prev + i * g
         return a[2] * np.tanh(c), c                        # o * tanh(c)
 
     def backward_step(self, dstate, k):
         """Gradient of the chunk's step k: fills row k of the chunk's dA
         with the (B, 4, H) gate gradients and returns (dh_prev, dc_prev)."""
-        i, f, o, g = self._gates[k]
+        a = self._gates[k]
+        i, f, o, g = a[0], a[1], a[2], a[3]
         c_prev, c = self._states[k, 1], self._states[k + 1, 1]
         tc = np.tanh(c)
         dh, dc = dstate

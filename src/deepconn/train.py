@@ -2,14 +2,18 @@
 
 Documents are kept as token ids; the towers read a micro-batch's (B, T)
 ids through the frozen embedding table and gather the rows themselves.
-`fit` runs each mini-batch as micro-batches of MICRO_BATCH pairs, one
-forward and one backward each; the gradients add up and the optimizer
-steps once per mini-batch.  `evaluate` encodes each distinct user and
-item once per call, MICRO_BATCH at a time, and then runs the head once
-over every predicted pair.  MICRO_BATCH = 4 keeps the recurrent towers'
-memory near the per-sample loop's: with 8 pairs, `fit` over 32 LSTM
-pairs at T=300 and H=64 allocated 6 MB more at its peak, and 8 to 32
-pairs ran the CNN no faster than 4.
+`fit` runs each mini-batch as micro-batches of MICRO_BATCH[kind] pairs,
+one forward and one backward each; the gradients add up and the
+optimizer steps once per mini-batch.  `evaluate` encodes each distinct
+user and item once per call, MICRO_BATCH[kind] at a time, and then runs
+the head once over every predicted pair.
+
+The recurrent towers run up to 32 documents per pass: at 4 a step is
+mostly numpy per-call overhead.  Their cells keep one state per chunk
+of the unroll and re-run each chunk in backward, so their memory grows
+with B**2 * T / layers.CHUNK_ROWS, and the cap of 32 keeps `fit` over
+32 LSTM pairs at T=300 and H=64 near 5.7 MB at its peak.  The CNN keeps
+4: its im2col windows grow with B, and 8 to 32 pairs ran it no faster.
 """
 
 import json
@@ -30,7 +34,8 @@ from .model import DeepConn, ModelConfig, mse
 from .optim import make_optimizer
 from .text import EmbeddingTable, EncodedDocument, build_document, embed
 
-MICRO_BATCH = 4
+# Pairs per forward/backward pass, by tower kind.
+MICRO_BATCH = {"cnn": 4, "gru": 32, "lstm": 32}
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,8 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
     """Mini-batch training; returns a TrainReport.
 
     Per epoch: shuffle under the seed, iterate batches, run each batch as
-    micro-batches of MICRO_BATCH pairs (train-mode forward, MSE gradient,
-    backward), step the optimizer once per batch, then run a full
+    micro-batches of MICRO_BATCH[kind] pairs (train-mode forward, MSE
+    gradient, backward), step the optimizer once per batch, then run a full
     eval-mode validation pass.  A training pair whose user or item has no
     document is an UnknownEntityError before any step.  Deterministic
     given (model, data, seed); wall-clock can be suppressed
@@ -207,6 +212,7 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
 
     targets = np.array([p.rating for p in train_pairs])
     n = len(train_pairs)
+    micro_batch = MICRO_BATCH[model.config.tower.kind]
 
     best_val = np.inf
     best_snapshot = None
@@ -217,8 +223,8 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             residuals = np.empty(len(batch))
-            for m in range(0, len(batch), MICRO_BATCH):
-                micro = batch[m:m + MICRO_BATCH]
+            for m in range(0, len(batch), micro_batch):
+                micro = batch[m:m + micro_batch]
                 y = model.forward(
                     store.user_tokens([train_pairs[k].user_id for k in micro]),
                     store.item_tokens([train_pairs[k].item_id for k in micro]),
@@ -277,8 +283,8 @@ def evaluate(model, store, pairs, clamp=False):
     "cold_start_user", "cold_start_item".  Side-effect free.
 
     Eval-mode towers are deterministic, so each distinct user and item is
-    encoded once, MICRO_BATCH documents at a time, and the head runs once
-    over every predicted pair.  The predictions equal a `model.predict`
+    encoded once, MICRO_BATCH[kind] documents at a time, and the head runs
+    once over every predicted pair.  The predictions equal a `model.predict`
     call per pair within rounding, not always bit for bit: a BLAS product
     over several rows can round a row in another way than over that row
     alone (up to 1.1e-16 at 64 units).
@@ -310,10 +316,11 @@ def evaluate(model, store, pairs, clamp=False):
 
 def _encode(tower, tokens, matrix, entity_ids):
     """Eval-mode latents, one row per id: each distinct entity is encoded
-    once, MICRO_BATCH documents at a time."""
+    once, MICRO_BATCH[tower.kind] documents at a time."""
     distinct = list(dict.fromkeys(entity_ids))
-    latents = np.concatenate([tower.forward(tokens(distinct[k:k + MICRO_BATCH]), matrix)
-                              for k in range(0, len(distinct), MICRO_BATCH)])
+    size = MICRO_BATCH[tower.kind]
+    latents = np.concatenate([tower.forward(tokens(distinct[k:k + size]), matrix)
+                              for k in range(0, len(distinct), size)])
     row = {e: k for k, e in enumerate(distinct)}
     return latents[[row[e] for e in entity_ids]]
 

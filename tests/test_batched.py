@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 import per_sample
 from per_sample import table
 from deepconn.gradcheck import DEFAULT_THRESHOLD, gradient_check, miniature_model
-from deepconn.layers import (TIME_CHUNK, Conv1d, Dense, Dropout, GruCell,
-                             LstmCell, MaxPoolOverTime)
+from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
+                             MaxPoolOverTime, chunk_steps)
 from deepconn.model import DpHead, FmHead
 
 # Batched sums run in another order than the per-sample ones: max |diff|
@@ -404,8 +404,9 @@ def _model_loss(model, user_ids, item_ids, matrix):
     _fm_head_case,
     lambda rng: _cell_case(GruCell, 7, rng),
     lambda rng: _cell_case(LstmCell, 7, rng),
-    lambda rng: _cell_case(GruCell, TIME_CHUNK + 3, rng),
-    lambda rng: _cell_case(LstmCell, TIME_CHUNK + 3, rng),
+    lambda rng: _cell_case(GruCell, chunk_steps(B) + 3, rng),
+    lambda rng: _cell_case(LstmCell, chunk_steps(B) + 3, rng),
+    lambda rng: _cell_case(LstmCell, 2 * chunk_steps(B) + 3, rng),
     lambda rng: _full_model_case("cnn", "dp", rng),
     lambda rng: _full_model_case("gru", "fm", rng),
     lambda rng: _full_model_case("lstm", "dp", rng),
@@ -414,7 +415,8 @@ def _model_loss(model, user_ids, item_ids, matrix):
     lambda rng: _shared_rows_case("lstm", rng),
 ], ids=["dense", "conv1d", "maxpool", "dropout", "dp_head", "fm_head",
         "gru_masked_7", "lstm_masked_7", "gru_masked_chunk+3",
-        "lstm_masked_chunk+3", "full_cnn_dp", "full_gru_fm", "full_lstm_dp",
+        "lstm_masked_chunk+3", "lstm_masked_2chunks+3", "full_cnn_dp",
+        "full_gru_fm", "full_lstm_dp",
         "full_cnn_fm_shared_rows", "full_gru_fm_shared_rows",
         "full_lstm_fm_shared_rows"])
 def test_gradient_check_at_batch_of_three(build):

@@ -128,8 +128,7 @@ class TestTrain:
                             (["--fm-rank", "4"], "--fm-rank"),
                             (["--filters", "8", "--hidden-units", "8"], "--filters")):
             argv = [command, "--data", str(tmp_path / "missing.jsonl"),
-                    "--embeddings", str(tmp_path / "missing.txt"),
-                    "--out", str(tmp_path / "x")] + knob
+                    "--embeddings", str(tmp_path / "missing.txt")] + knob
             assert main(argv) == EXIT_CONFIG
             assert field in capsys.readouterr().err
 
@@ -229,10 +228,9 @@ class TestBaseline:
 
 class TestCompare:
     def test_prints_all_three_rows(self, sample_reviews_path,
-                                   toy_embeddings_path, tmp_path, capsys):
+                                   toy_embeddings_path, capsys):
         code = main(["compare", "--data", str(sample_reviews_path),
-                     "--embeddings", str(toy_embeddings_path),
-                     "--out", str(tmp_path / "cmp"), "--epochs", "1",
+                     "--embeddings", str(toy_embeddings_path), "--epochs", "1",
                      "--seed", "5"] + FAST_MODEL)
         assert code == EXIT_OK
         out = capsys.readouterr().out
@@ -241,18 +239,26 @@ class TestCompare:
         assert "global-mean" in out
 
     def test_split_without_test_records_rejected_before_training(
-            self, sample_reviews_path, toy_embeddings_path, tmp_path, capsys,
-            monkeypatch):
+            self, sample_reviews_path, toy_embeddings_path, capsys, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("training started")
 
         monkeypatch.setattr("deepconn.cli.fit", no_training)
         code = main(["compare", "--data", str(sample_reviews_path),
                      "--embeddings", str(toy_embeddings_path),
-                     "--out", str(tmp_path / "cmp"),
                      "--train-fraction", "0.9995", "--val-fraction", "0.0004"])
         assert code == EXIT_CONFIG
         assert "sizes 1000/0/0" in capsys.readouterr().err
+
+    def test_takes_no_output_path(self, tmp_path, capsys):
+        # compare prints its table and writes no file.
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--data", str(tmp_path / "missing.jsonl"),
+                  "--embeddings", str(tmp_path / "missing.txt"),
+                  "--out", str(tmp_path / "x")])
+        assert info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestGradcheckCommand:
@@ -362,6 +368,10 @@ def test_console_entry_point_runs(sample_reviews_path):
     ["--tower", "cnn", "--doc-length", "64", "--epochs", "2"],
     ["--tower", "lstm", "--doc-length", "16", "--train-fraction", "0.3",
      "--recurrent-dropout", "0.2", "--epochs", "1"],
+    # train-lstm's shapes: T=300 and whole mini-batches of 32 pairs.
+    ["--tower", "lstm", "--head", "fm", "--optimizer", "rmsprop",
+     "--doc-length", "300", "--train-fraction", "0.05", "--val-fraction", "0.01",
+     "--epochs", "1"],
 ])
 def test_outputs_identical_across_blas_thread_counts(sample_reviews_path,
                                                      toy_embeddings_path,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from deepconn.errors import ConfigError, NumericFault, ShapeError
 from deepconn.gradcheck import (DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check,
                                 miniature_model)
-from deepconn.layers import (TIME_CHUNK, Conv1d, Dense, Dropout, GruCell, LstmCell,
-                             MaxPoolOverTime, Parameter, _sigmoid_in_place)
+from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell, MaxPoolOverTime,
+                             Parameter, _sigmoid_in_place, chunk_steps)
 from deepconn.optim import Adam
 from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
@@ -418,14 +418,16 @@ def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, see
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
-@pytest.mark.parametrize("B", [1, 3, 4])
+@pytest.mark.parametrize("B", [1, 3, 4, 32])
 @pytest.mark.parametrize("masked", [False, True])
 def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeypatch):
-    """Backward keeps the last chunk's activations and rebuilds the earlier
-    chunks'; every step's gates it differentiates are, bit for bit, the
-    ones `step` computed in forward."""
+    """Backward keeps the last chunk's activations and re-runs each earlier
+    chunk once from its entering state: the rows and states of every step
+    it re-runs and differentiates are, bit for bit, the ones forward's
+    `step` saw and wrote.  T spans three whole chunks and a partial one."""
     rng = _rng(59)
-    T, H = 2 * TIME_CHUNK + 7, 4
+    tc = chunk_steps(B)
+    T, H = 3 * tc + tc // 2 + 1, 4
     cell = cell_cls(3, H, rng=rng)
     x = rng.standard_normal((B, T, 3))
     mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
@@ -433,19 +435,31 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
     step, backward_step = cell.step, cell.backward_step
 
     def recording_step(state, xu_t):
+        entering = np.array(state)
         out = step(state, xu_t)
-        stepped.append(xu_t.copy())
+        stepped.append((entering, xu_t.copy()))
         return out
 
     def recording_backward_step(dstate, k):
-        read.append(cell._gates[k].copy())
+        read.append((cell._states[k].copy(), cell._gates[k].copy()))
         return backward_step(dstate, k)
 
     monkeypatch.setattr(cell, "step", recording_step)
     monkeypatch.setattr(cell, "backward_step", recording_backward_step)
     cell.forward(*table(x), mask)
+    forward = stepped.copy()
+    stepped.clear()
     cell.backward(rng.standard_normal((B, H)))
-    npt.assert_array_equal(np.stack(read[::-1]), np.stack(stepped))
+    assert len(forward) == len(read) == T
+    # Chunks re-run last to first, each one's steps in order.
+    rerun = [t for c0 in reversed(range(0, 3 * tc, tc)) for t in range(c0, c0 + tc)]
+    assert len(stepped) == len(rerun)
+    for (state, row), t in zip(stepped, rerun):
+        npt.assert_array_equal(state, forward[t][0])
+        npt.assert_array_equal(row, forward[t][1])
+    for (state, row), (state_fwd, row_fwd) in zip(read[::-1], forward):
+        npt.assert_array_equal(state, state_fwd)
+        npt.assert_array_equal(row, row_fwd)
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])

@@ -222,7 +222,7 @@ class TestFit:
         # puts pair `bad` third in the one micro-batch, and only its user's
         # document is not finite.
         model, store, pairs = _tiny_setup(seed=23)
-        pairs = [p for p in pairs if p.item_id == "m1"][:MICRO_BATCH]
+        pairs = [p for p in pairs if p.item_id == "m1"][:MICRO_BATCH["cnn"]]
         shuffle_seq, _ = np.random.SeedSequence(4).spawn(2)
         bad = int(np.random.default_rng(shuffle_seq).permutation(len(pairs))[2])
         matrix = store.table.matrix.copy()
@@ -249,9 +249,10 @@ class TestFit:
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_recurrent_fit_at_paper_shapes_keeps_a_small_peak(self, kind):
         # Shaped like the train-lstm benchmark: 32 pairs at T=300, d=50,
-        # H=64, FM head, RMSprop, with validation.  The cells gather one
-        # 50-step chunk of rows at a time from the token ids, forward keeps
-        # only the states, and backward rebuilds one chunk at a time.
+        # H=64, FM head, RMSprop, with validation, run as one micro-batch
+        # of 32.  The cells gather one chunk of rows at a time from the
+        # token ids, forward keeps one state per chunk, and backward re-runs
+        # one chunk at a time.
         records = make_sample_corpus(n_reviews=40, n_users=10, n_items=8, seed=11)
         split = split_dataset(records, 0.81, 0.09, seed=11)
         table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
