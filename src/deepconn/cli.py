@@ -10,6 +10,7 @@ problems, 4 numeric fault, 5 verification failure.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -162,10 +163,14 @@ def _validate_run(args):
     Returns the model config for the commands that take model flags
     (train, compare) and None for the others.
     """
-    problems = [f"--train-fraction/--val-fraction: {problem}"
-                for problem in split_problems(args.train_fraction, args.val_fraction)]
-    if hasattr(args, "lr") and args.lr <= 0:
-        problems.append(f"--lr must be > 0, got {args.lr}")
+    problems = []
+    if hasattr(args, "train_fraction"):
+        problems += [f"--train-fraction/--val-fraction: {problem}" for problem
+                     in split_problems(args.train_fraction, args.val_fraction)]
+    for flag in ("lr", "eps", "threshold"):
+        value = getattr(args, flag, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            problems.append(f"--{flag} must be a finite number > 0, got {value}")
     if hasattr(args, "batch_size") and args.batch_size < 1:
         problems.append(f"--batch-size must be >= 1, got {args.batch_size}")
     if hasattr(args, "epochs") and args.epochs < 0:
@@ -372,8 +377,13 @@ def cmd_baseline(args):
     print(f"item-cf test MSE: {cf_mse:.6f}")
     print(f"prediction sources: {counters}")
     if args.export_sims:
-        Path(args.export_sims).write_text(similarity_table_text(matrix, sims),
-                                          encoding="utf-8")
+        try:
+            text = similarity_table_text(matrix, sims).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataFormatError(f"{args.export_sims}: an item id cannot be "
+                                  f"written as UTF-8 ({exc})") from exc
+        with atomic_open(args.export_sims) as fh:
+            fh.write(text)
         print(f"wrote {args.export_sims}")
     return EXIT_OK
 
@@ -394,6 +404,7 @@ def cmd_compare(args):
 
 
 def cmd_gradcheck(args):
+    _validate_run(args)
     results = gc.standard_checks(eps=args.eps, seed=args.seed,
                                  corrupt=args.corrupt_gradients)
     failed = 0

@@ -1,9 +1,12 @@
 """Finite-difference verification of every hand-written backward pass.
 
 `gradient_check` is the generic harness; `standard_checks` runs the
-battery the CLI exposes: each layer type in isolation, both coupling
-heads, and full miniature twin-tower models, each on a batch of one
-sample so that the battery stays cheap.
+battery the CLI exposes, `STANDARD_CASES`: each layer type in isolation,
+both recurrent cells under a recurrent-dropout mask, both coupling heads,
+and full miniature twin-tower models.  Every case builds its inputs,
+masks, output weights and targets with a leading axis of `BATCH`
+samples: one in the CLI, which keeps the battery cheap, and three in the
+tests, which run the same cases.
 """
 
 import numpy as np
@@ -61,17 +64,44 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
     return worst
 
 
-# Each case builder returns (loss_fn, params) for gradient_check.
+# Samples per case.  The tests run the battery at a batch of three too;
+# the CLI stays at one, where fewer ReLU pre-activations can land within
+# eps of their kink and read as a failure at some seeds.
+BATCH = 1
 
-def _case_layer(layer, inputs, w):
-    """The loss w . layer(*inputs), for w of the output's shape."""
+
+# Each case builder returns (loss_fn, params) for gradient_check, drawing
+# from its rng in the order its lines are written.
+
+def _summed(forward, backward, w):
+    """The loss w . forward(), whose gradient w.r.t. the output is w."""
 
     def loss_fn():
-        out = layer.forward(*inputs)
-        layer.backward(w)
+        out = forward()
+        backward(w)
         return float(np.vdot(w, out))
 
-    return loss_fn, layer.parameters()
+    return loss_fn
+
+
+def _documents(rng, n, T, d):
+    """n documents of T token ids; document b reads rows b*T to b*T + T - 1
+    of an (n*T, d) table of random vectors."""
+    return np.arange(n * T).reshape(n, T), rng.standard_normal((n * T, d))
+
+
+def _case_dense(rng):
+    layer = Dense(4, 3, activation="tanh", rng=rng, name="check.dense")
+    x = rng.standard_normal((BATCH, 4))
+    return _summed(lambda: layer.forward(x), layer.backward,
+                   rng.standard_normal((BATCH, 3))), layer.parameters()
+
+
+def _case_conv1d(rng):
+    layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv")
+    ids, matrix = _documents(rng, BATCH, 12, 5)   # L = (12 - 4) // 2 + 1 = 5
+    return _summed(lambda: layer.forward(ids, matrix), layer.backward,
+                   rng.standard_normal((BATCH, 5, 3))), layer.parameters()
 
 
 def _case_maxpool(rng):
@@ -79,32 +109,32 @@ def _case_maxpool(rng):
     # by driving its input from a dense layer whose weights get perturbed.
     pre = Dense(6, 12, activation="identity", rng=rng, name="check.pool_pre")
     pool = MaxPoolOverTime()
-    x = rng.standard_normal((1, 6))
-    w = rng.standard_normal((1, 3))
-
-    def loss_fn():
-        rows = pre.forward(x).reshape(1, 4, 3)
-        out = pool.forward(rows)
-        pre.backward(pool.backward(w).reshape(1, 12))
-        return float(np.vdot(w, out))
-
-    return loss_fn, pre.parameters()
+    x = rng.standard_normal((BATCH, 6))
+    return _summed(lambda: pool.forward(pre.forward(x).reshape(-1, 4, 3)),
+                   lambda w: pre.backward(pool.backward(w).reshape(-1, 12)),
+                   rng.standard_normal((BATCH, 3))), pre.parameters()
 
 
 def _case_dropout(rng):
     pre = Dense(4, 6, activation="tanh", rng=rng, name="check.drop_pre")
     drop = Dropout(0.4)
-    mask = rng.random((1, 6)) >= 0.4  # fixed across probing evaluations
-    x = rng.standard_normal((1, 4))
-    w = rng.standard_normal((1, 6))
+    mask = rng.random((BATCH, 6)) >= 0.4  # fixed across probing evaluations
+    x = rng.standard_normal((BATCH, 4))
+    return _summed(lambda: drop.forward(pre.forward(x), mask),
+                   lambda w: pre.backward(drop.backward(w)),
+                   rng.standard_normal((BATCH, 6))), pre.parameters()
 
-    def loss_fn():
-        out = drop.forward(pre.forward(x), mask)
-        pre.backward(drop.backward(w))
-        return float(np.vdot(w, out))
 
-    return loss_fn, pre.parameters()
+def _case_cell(cell_cls, rng):
+    """Three steps under a recurrent-dropout mask at rate 0.3."""
+    cell = cell_cls(3, 4, rng=rng)
+    ids, matrix = _documents(rng, BATCH, 3, 3)
+    mask = (rng.random((BATCH, 4)) >= 0.3) / 0.7
+    return _summed(lambda: cell.forward(ids, matrix, mask), cell.backward,
+                   rng.standard_normal((BATCH, 4))), cell.parameters()
 
+
+# The heads' w is ones: the loss is the sum of the predictions.
 
 def _case_dp_head(rng):
     head = DpHead(5, name="check.dp")
@@ -113,31 +143,27 @@ def _case_dp_head(rng):
     # Feed the head from dense layers so its input gradients are verified too.
     u_pre = Dense(3, 5, activation="tanh", rng=rng, name="check.dp_u")
     i_pre = Dense(3, 5, activation="tanh", rng=rng, name="check.dp_i")
-    xu_in = rng.standard_normal((1, 3))
-    xi_in = rng.standard_normal((1, 3))
+    xu_in = rng.standard_normal((BATCH, 3))
+    xi_in = rng.standard_normal((BATCH, 3))
 
-    def loss_fn():
-        y = head.predict(u_pre.forward(xu_in), i_pre.forward(xi_in))
-        dx_u, dx_i = head.backward(np.ones(1))
+    def backward(w):
+        dx_u, dx_i = head.backward(w)
         u_pre.backward(dx_u)
         i_pre.backward(dx_i)
-        return float(y[0])
 
-    return loss_fn, head.parameters() + u_pre.parameters() + i_pre.parameters()
+    return (_summed(lambda: head.predict(u_pre.forward(xu_in), i_pre.forward(xi_in)),
+                    backward, np.ones(BATCH)),
+            head.parameters() + u_pre.parameters() + i_pre.parameters())
 
 
 def _case_fm_head(rng):
     head = FmHead(5, rank=3, rng=rng, name="check.fm")
     head.w.value[:] = rng.standard_normal(10)
     pre = Dense(4, 10, activation="tanh", rng=rng, name="check.fm_pre")
-    x_in = rng.standard_normal((1, 4))
-
-    def loss_fn():
-        y = head.predict_z(pre.forward(x_in))
-        pre.backward(head.backward_z(np.ones(1)))
-        return float(y[0])
-
-    return loss_fn, head.parameters() + pre.parameters()
+    x_in = rng.standard_normal((BATCH, 4))
+    return (_summed(lambda: head.predict_z(pre.forward(x_in)),
+                    lambda w: pre.backward(head.backward_z(w)), np.ones(BATCH)),
+            head.parameters() + pre.parameters())
 
 
 def miniature_model(kind="cnn", head="dp", seed=0):
@@ -148,41 +174,31 @@ def miniature_model(kind="cnn", head="dp", seed=0):
     return DeepConn(config, seed=seed)
 
 
-def _case_full_model(rng, kind="cnn", head="dp", T=12):
+def _case_full_model(rng, kind, head):
+    """The squared error of the rating against a target of 4 per pair."""
     model = miniature_model(kind, head, seed=int(rng.integers(1 << 30)))
     if head == "dp":
         # Zero first-order weights would leave their gradient path untested.
         model.head.w.value[:] = 0.1 * rng.standard_normal(model.head.w.value.shape)
-    matrix = rng.standard_normal((2 * T, 8))   # the user's rows, then the item's
-    ids = np.arange(2 * T).reshape(2, T)
-    target = 4.0
+    ids, matrix = _documents(rng, 2 * BATCH, 12, 8)  # the users', then the items'
+    user_ids, item_ids = ids[:BATCH], ids[BATCH:]
+    targets = np.full(BATCH, 4.0)
 
     def loss_fn():
-        residual = model.forward(ids[:1], ids[1:], matrix) - target
+        residual = model.forward(user_ids, item_ids, matrix) - targets
         model.backward(2.0 * residual)
         return float(residual @ residual)
 
     return loss_fn, model.parameters()
 
 
-# Arguments are evaluated left to right: a plain layer case draws the
-# layer's weights, then its input, then w from its rng.
 STANDARD_CASES = (
-    ("dense", lambda rng: _case_layer(
-        Dense(4, 3, activation="tanh", rng=rng, name="check.dense"),
-        (rng.standard_normal((1, 4)),), rng.standard_normal((1, 3)))),
-    ("conv1d", lambda rng: _case_layer(   # L = (12 - 4) // 2 + 1 = 5 positions
-        Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv"),
-        (np.arange(12)[None], rng.standard_normal((12, 5))),
-        rng.standard_normal((1, 5, 3)))),
+    ("dense", _case_dense),
+    ("conv1d", _case_conv1d),
     ("maxpool_over_time", _case_maxpool),
     ("dropout_fixed_mask", _case_dropout),
-    ("gru_3step", lambda rng: _case_layer(
-        GruCell(3, 4, rng=rng), (np.arange(3)[None], rng.standard_normal((3, 3))),
-        rng.standard_normal((1, 4)))),
-    ("lstm_3step", lambda rng: _case_layer(
-        LstmCell(3, 4, rng=rng), (np.arange(3)[None], rng.standard_normal((3, 3))),
-        rng.standard_normal((1, 4)))),
+    ("gru_3step", lambda rng: _case_cell(GruCell, rng)),
+    ("lstm_3step", lambda rng: _case_cell(LstmCell, rng)),
     ("dp_head", _case_dp_head),
     ("fm_head", _case_fm_head),
     ("full_model_cnn_dp", lambda rng: _case_full_model(rng, "cnn", "dp")),

@@ -13,6 +13,12 @@ from .errors import ConfigError, NumericFault
 _BETA1, _BETA2, _RHO, _EPS = 0.9, 0.999, 0.9, 1e-8
 
 
+def _check_learning_rate(learning_rate):
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ConfigError(f"learning_rate must be a finite number > 0, "
+                          f"got {learning_rate}")
+
+
 def _check_finite_grads(params):
     for p in params:
         if not np.isfinite(p.grad).all():
@@ -28,8 +34,7 @@ class Adam:
     """
 
     def __init__(self, params, learning_rate=0.001):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
+        _check_learning_rate(learning_rate)
         self.params = list(params)
         self.learning_rate = learning_rate
         self.step_count = 0
@@ -60,8 +65,7 @@ class RMSprop:
     """
 
     def __init__(self, params, learning_rate=0.001):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {learning_rate}")
+        _check_learning_rate(learning_rate)
         self.params = list(params)
         self.learning_rate = learning_rate
         self.step_count = 0

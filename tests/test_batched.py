@@ -10,7 +10,8 @@ cases reach them through `per_sample.table`, and one case feeds them ids
 as the document store does: repeated, padded and shared across documents.
 Each case first runs an eval-mode forward on another batch, which must
 leave nothing that the train forward and backward could pick up.  The
-gradient checks run the layers, heads and full models at B=3.
+gradient checks run the package's battery, `gradcheck.STANDARD_CASES`,
+at B=3, and a few cases the battery leaves out.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import per_sample
 from per_sample import table
+from deepconn import gradcheck
 from deepconn.gradcheck import DEFAULT_THRESHOLD, gradient_check, miniature_model
 from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
                              MaxPoolOverTime, chunk_steps)
@@ -286,94 +288,18 @@ def test_fm_head_matches_per_sample(B, m, rank, seed):
     _check(head, head.parameters(), batched, oracle, B)
 
 
-# Gradient checks at B=3: the battery's cases with a batch axis.
+# Gradient checks at B=3: the package's battery, then the cases the CLI
+# leaves out: cells whose unroll spans one and two chunk boundaries, and
+# full models whose documents share one small table.
 B = 3
 
 
-def _summed(forward, backward, w):
-    def loss_fn():
-        out = forward()
-        backward(w)
-        return float(np.sum(w * out))
-    return loss_fn
-
-
-def _dense_case(rng):
-    layer = Dense(4, 3, "tanh", rng)
-    x = rng.standard_normal((B, 4))
-    return _summed(lambda: layer.forward(x), layer.backward,
-                   rng.standard_normal((B, 3))), layer.parameters()
-
-
-def _conv_case(rng):
-    layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng)
-    ids, matrix = table(rng.standard_normal((B, 12, 5)))
-    w = rng.standard_normal((B, layer.output_length(12), 3))
-    return _summed(lambda: layer.forward(ids, matrix), layer.backward, w), \
-        layer.parameters()
-
-
-def _maxpool_case(rng):
-    pre = Dense(6, 12, "identity", rng)
-    pool = MaxPoolOverTime()
-    x = rng.standard_normal((B, 6))
-    return _summed(lambda: pool.forward(pre.forward(x).reshape(B, 4, 3)),
-                   lambda w: pre.backward(pool.backward(w).reshape(B, 12)),
-                   rng.standard_normal((B, 3))), pre.parameters()
-
-
-def _dropout_case(rng):
-    pre = Dense(4, 6, "tanh", rng)
-    drop = Dropout(0.4)
-    mask = rng.random((B, 6)) >= 0.4
-    x = rng.standard_normal((B, 4))
-    return _summed(lambda: drop.forward(pre.forward(x), mask),
-                   lambda w: pre.backward(drop.backward(w)),
-                   rng.standard_normal((B, 6))), pre.parameters()
-
-
-def _cell_case(cell_cls, T, rng):
+def _chunked_cell_case(cell_cls, T, rng):
     cell = cell_cls(2, 3, rng=rng)
     ids, matrix = table(rng.standard_normal((B, T, 2)))
     mask = (rng.random((B, 3)) >= 0.3) / 0.7
-    return _summed(lambda: cell.forward(ids, matrix, mask), cell.backward,
-                   rng.standard_normal((B, 3))), cell.parameters()
-
-
-def _dp_head_case(rng):
-    head = DpHead(5)
-    head.w.value[:] = rng.standard_normal(10)
-    head.beta0.value[...] = 0.3
-    u_pre, i_pre = Dense(3, 5, "tanh", rng), Dense(3, 5, "tanh", rng)
-    xu_in, xi_in = rng.standard_normal((B, 3)), rng.standard_normal((B, 3))
-
-    def backward(w):
-        dx_u, dx_i = head.backward(w)
-        u_pre.backward(dx_u)
-        i_pre.backward(dx_i)
-
-    return (_summed(lambda: head.predict(u_pre.forward(xu_in), i_pre.forward(xi_in)),
-                    backward, rng.standard_normal(B)),
-            head.parameters() + u_pre.parameters() + i_pre.parameters())
-
-
-def _fm_head_case(rng):
-    head = FmHead(5, rank=3, rng=rng)
-    head.w.value[:] = rng.standard_normal(10)
-    pre = Dense(4, 10, "tanh", rng)
-    x_in = rng.standard_normal((B, 4))
-    return (_summed(lambda: head.predict_z(pre.forward(x_in)),
-                    lambda w: pre.backward(head.backward_z(w)),
-                    rng.standard_normal(B)),
-            head.parameters() + pre.parameters())
-
-
-def _full_model_case(kind, head, rng):
-    model = miniature_model(kind, head, seed=int(rng.integers(1 << 30)))
-    if head == "dp":
-        model.head.w.value[:] = 0.1 * rng.standard_normal(model.head.w.value.shape)
-    ids, matrix = table(rng.standard_normal((2 * B, 12, 8)))
-    return _model_loss(model, ids[:B], ids[B:], matrix), model.parameters()
+    return gradcheck._summed(lambda: cell.forward(ids, matrix, mask), cell.backward,
+                             rng.standard_normal((B, 3))), cell.parameters()
 
 
 def _shared_rows_case(kind, rng):
@@ -385,40 +311,29 @@ def _shared_rows_case(kind, rng):
     model = miniature_model(kind, "fm", seed=int(rng.integers(1 << 30)))
     matrix = _read_only_table(rng, 5, 8)
     ids = _token_ids(rng, 2 * B, 12, 5, min_real=9)
-    return _model_loss(model, ids[:B], ids[B:], matrix), model.parameters()
+    return gradcheck._summed(lambda: model.forward(ids[:B], ids[B:], matrix),
+                             model.backward, rng.standard_normal(B)), model.parameters()
 
 
-def _model_loss(model, user_ids, item_ids, matrix):
-    targets = np.array([4.0, 2.0, 5.0])
-
-    def loss_fn():
-        y = model.forward(user_ids, item_ids, matrix)
-        model.backward(2.0 * (y - targets))
-        return float(np.sum((y - targets) ** 2))
-
-    return loss_fn
-
-
-@pytest.mark.parametrize("build", [
-    _dense_case, _conv_case, _maxpool_case, _dropout_case, _dp_head_case,
-    _fm_head_case,
-    lambda rng: _cell_case(GruCell, 7, rng),
-    lambda rng: _cell_case(LstmCell, 7, rng),
-    lambda rng: _cell_case(GruCell, chunk_steps(B) + 3, rng),
-    lambda rng: _cell_case(LstmCell, chunk_steps(B) + 3, rng),
-    lambda rng: _cell_case(LstmCell, 2 * chunk_steps(B) + 3, rng),
-    lambda rng: _full_model_case("cnn", "dp", rng),
-    lambda rng: _full_model_case("gru", "fm", rng),
-    lambda rng: _full_model_case("lstm", "dp", rng),
+EXTRA_CASES = (
+    lambda rng: _chunked_cell_case(GruCell, chunk_steps(B) + 3, rng),
+    lambda rng: _chunked_cell_case(LstmCell, chunk_steps(B) + 3, rng),
+    lambda rng: _chunked_cell_case(LstmCell, 2 * chunk_steps(B) + 3, rng),
     lambda rng: _shared_rows_case("cnn", rng),
     lambda rng: _shared_rows_case("gru", rng),
     lambda rng: _shared_rows_case("lstm", rng),
-], ids=["dense", "conv1d", "maxpool", "dropout", "dp_head", "fm_head",
-        "gru_masked_7", "lstm_masked_7", "gru_masked_chunk+3",
-        "lstm_masked_chunk+3", "lstm_masked_2chunks+3", "full_cnn_dp",
-        "full_gru_fm", "full_lstm_dp",
-        "full_cnn_fm_shared_rows", "full_gru_fm_shared_rows",
-        "full_lstm_fm_shared_rows"])
-def test_gradient_check_at_batch_of_three(build):
+)
+
+
+# ids: the battery's cases in STANDARD_CASES order, then the extras.
+@pytest.mark.parametrize(
+    "build", [build for _, build in gradcheck.STANDARD_CASES] + list(EXTRA_CASES),
+    ids=["dense", "conv1d", "maxpool", "dropout", "gru_masked_3", "lstm_masked_3",
+         "dp_head", "fm_head", "full_cnn_dp", "full_gru_fm", "full_lstm_dp",
+         "gru_masked_chunk+3", "lstm_masked_chunk+3", "lstm_masked_2chunks+3",
+         "full_cnn_fm_shared_rows", "full_gru_fm_shared_rows",
+         "full_lstm_fm_shared_rows"])
+def test_gradient_check_at_batch_of_three(build, monkeypatch):
+    monkeypatch.setattr(gradcheck, "BATCH", B)
     loss_fn, params = build(np.random.default_rng(5))
     assert gradient_check(loss_fn, params) < DEFAULT_THRESHOLD

@@ -2,7 +2,8 @@
 prepare/setup/body at input seed 0, reproduce the test MSEs committed in
 bench/reference.json, and pass the workload's own `verify`: a change that
 moves the numbers, or removes a call the checks make, fails here, not
-only in the benchmark.  The test only reads bench/."""
+only in the benchmark.  The gradcheck workload runs the same way once.
+The test only reads bench/."""
 
 import sys
 from pathlib import Path
@@ -49,4 +50,21 @@ def test_train_workload_matches_reference_mse(name, bench, tmp_path):
     verified = checks.Checks()
     workload.verify(inputs, state, outcome, verified, reference, None)
     assert verified.attempted == VERIFY_CHECKS[name]
+    assert verified.failures == []
+
+
+def test_gradcheck_workload_runs_the_battery(bench, tmp_path):
+    """The `gradcheck` workload builds the battery's cases through their
+    `build(rng) -> (loss_fn, params)` interface to count loss evaluations,
+    then runs `standard_checks`; each of the 11 cases must pass its check."""
+    checks, workloads = bench
+    workload = workloads.WORKLOADS["gradcheck"]
+    inputs = workload.prepare(tmp_path, 0)
+    state = workload.setup(inputs)
+    assert state["loss_evals"] == 3365
+    outcome = workload.body(inputs, state)
+    verified = checks.Checks()
+    workload.verify(inputs, state, outcome, verified,
+                    checks.load_reference("gradcheck", 0), None)
+    assert verified.attempted == 11
     assert verified.failures == []

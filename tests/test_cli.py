@@ -97,6 +97,16 @@ class TestTrain:
                       "dropout_rate"):
             assert field in err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_lr_must_be_finite_and_positive(self, tmp_path, capsys, lr):
+        # Missing input files: exit 2 means the check ran before any read.
+        argv = ["train", "--data", str(tmp_path / "missing.jsonl"),
+                "--embeddings", str(tmp_path / "missing.txt"),
+                "--out", str(tmp_path / "x"), "--lr", lr]
+        assert main(argv) == EXIT_CONFIG
+        assert "--lr must be a finite number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("extra, code", [
         ([], EXIT_CONFIG),                       # the presets' kernel is 8
         (["--kernel", "5"], EXIT_CONFIG),
@@ -225,6 +235,21 @@ class TestBaseline:
         assert "item000" in table
         assert "1.0000" in table  # diagonal
 
+    def test_export_sims_failure_leaves_previous_file(self, sample_reviews_path,
+                                                     tmp_path, capsys):
+        # A lone surrogate is valid in a JSON string but has no UTF-8 form.
+        data = tmp_path / "reviews.jsonl"
+        data.write_text(sample_reviews_path.read_text().replace(
+            '"item000"', '"\\ud800x"'))
+        dest = tmp_path / "sims.txt"
+        dest.write_bytes(b"previous table\n")
+        assert main(["baseline", "--data", str(data),
+                     "--export-sims", str(dest)]) == EXIT_IO
+        assert "sims.txt" in capsys.readouterr().err
+        assert dest.read_bytes() == b"previous table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reviews.jsonl",
+                                                              "sims.txt"]
+
 
 class TestCompare:
     def test_prints_all_three_rows(self, sample_reviews_path,
@@ -274,8 +299,9 @@ class TestGradcheckCommand:
         assert "4.76" in out  # 0.1 / 2.1 relative error
 
     def test_seed_with_tiny_gradients_passes(self, capsys):
-        # full_model_gru_fm holds an entry of 1.5e-7 beside a loss of
-        # about 16, below what the central difference resolves.
+        # full_model_gru_fm holds an entry of 1.5e-7 (user_tower.gru.W_r)
+        # beside a loss of 16.0, below what the central difference
+        # resolves: without the rounding allowance it reads 6.9e-4.
         assert main(["gradcheck", "--seed", "1346559176"]) == EXIT_OK
         assert capsys.readouterr().out.count("PASS") == 11
 
@@ -283,6 +309,16 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--corrupt-gradients",
                      "--seed", "1346559176"]) == EXIT_VERIFY
         assert capsys.readouterr().out.count("FAIL") == 11
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "0"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--threshold", "0"), ("--threshold", "-1"), ("--threshold", "nan")])
+    def test_bad_float_flag_rejected_before_probing(self, capsys, monkeypatch,
+                                                    flag, value):
+        monkeypatch.setattr("deepconn.gradcheck.standard_checks",
+                            lambda *args, **kwargs: pytest.fail("probing started"))
+        assert main(["gradcheck", flag, value]) == EXIT_CONFIG
+        assert f"{flag} must be a finite number > 0" in capsys.readouterr().err
 
     def test_threshold_flag(self, capsys):
         # absurdly loose threshold lets even corrupted gradients pass

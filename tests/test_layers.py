@@ -120,19 +120,6 @@ class TestConv1d:
             npt.assert_allclose(p.grad, ref, rtol=0,
                                 atol=1e-12 * np.max(np.abs(ref)))
 
-    def test_gradient_matches_finite_differences(self):
-        rng = _rng(11)
-        layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng)
-        ids, matrix = table(rng.standard_normal((1, 12, 5)))
-        w = rng.standard_normal((1, layer.output_length(12), 3))
-
-        def loss_fn():
-            out = layer.forward(ids, matrix)
-            layer.backward(w)
-            return float(np.sum(w * out))
-
-        assert gradient_check(loss_fn, layer.parameters()) < 1e-4
-
 
 class TestMaxPool:
     def test_columnwise_max(self):
@@ -291,19 +278,6 @@ class TestGruCell:
                 cell.forward(*bad)
         assert steps == []  # rejected before any step runs
 
-    def test_gradient_three_step_unroll(self):
-        rng = _rng(29)
-        cell = GruCell(3, 4, rng=rng)
-        ids, matrix = table(rng.standard_normal((1, 3, 3)))
-        w = rng.standard_normal((1, 4))
-
-        def loss_fn():
-            s = cell.forward(ids, matrix)
-            cell.backward(w)
-            return float(np.sum(w * s))
-
-        assert gradient_check(loss_fn, cell.parameters()) < 1e-4
-
 
 class TestLstmCell:
     def test_forget_bias_path(self):
@@ -338,19 +312,6 @@ class TestLstmCell:
         for t in range(100):
             h, c = cell.step((h, c), _projected(cell, 5.0 * rng.standard_normal((1, 3))))
         assert np.isfinite(c).all() and np.isfinite(h).all()
-
-    def test_gradient_three_step_unroll(self):
-        rng = _rng(37)
-        cell = LstmCell(3, 4, rng=rng)
-        ids, matrix = table(rng.standard_normal((1, 3, 3)))
-        w = rng.standard_normal((1, 4))
-
-        def loss_fn():
-            h = cell.forward(ids, matrix)
-            cell.backward(w)
-            return float(np.sum(w * h))
-
-        assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
 
 def _projected(cell, x_t):
@@ -460,22 +421,6 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
     for (state, row), (state_fwd, row_fwd) in zip(read[::-1], forward):
         npt.assert_array_equal(state, state_fwd)
         npt.assert_array_equal(row, row_fwd)
-
-
-@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
-def test_gradient_with_recurrent_dropout_mask(cell_cls):
-    rng = _rng(53)
-    cell = cell_cls(3, 4, rng=rng)
-    ids, matrix = table(rng.standard_normal((1, 7, 3)))
-    w = rng.standard_normal((1, 4))
-    mask = np.array([[1.0, 0.0, 1.0, 1.0]]) / 0.75
-
-    def loss_fn():
-        h = cell.forward(ids, matrix, mask)
-        cell.backward(w)
-        return float(np.sum(w * h))
-
-    assert gradient_check(loss_fn, cell.parameters()) < 1e-4
 
 
 def _per_gate_unroll(cell, x, dfinal, mask):

@@ -273,19 +273,6 @@ class TestDeepConn:
         item_params = {id(p) for p in model.item_tower.parameters()}
         assert not user_params & item_params
 
-    def test_full_model_gradient(self):
-        rng = _rng(14)
-        model = miniature_model("cnn", "dp", seed=3)
-        model.head.w.value[:] = 0.1 * rng.standard_normal(8)
-        ids, matrix = table(np.stack(self._docs(15)))
-
-        def loss_fn():
-            y = model.forward(ids[:1], ids[1:], matrix)
-            model.backward(2.0 * (y - 4.0))
-            return float(np.sum((y - 4.0) ** 2))
-
-        assert gradient_check(loss_fn, model.parameters()) < 1e-4
-
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_rng_block_holds_the_per_pair_draws_in_order(self, kind):
         # One rng.random((B, 2n, H)) block: pair b gets the uniforms that B

@@ -88,6 +88,13 @@ class TestRMSprop:
             RMSprop([p]).step()
 
 
+@pytest.mark.parametrize("cls", [Adam, RMSprop])
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0])
+def test_learning_rate_must_be_finite_and_positive(cls, rate):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        cls([_param([1.0])], learning_rate=rate)
+
+
 def test_make_optimizer_dispatch():
     p = _param([1.0])
     assert isinstance(make_optimizer("adam", [p]), Adam)
