@@ -167,6 +167,8 @@ def _validate_run(args):
     if hasattr(args, "train_fraction"):
         problems += [f"--train-fraction/--val-fraction: {problem}" for problem
                      in split_problems(args.train_fraction, args.val_fraction)]
+    if args.seed < 0:
+        problems.append(f"--seed must be >= 0, got {args.seed}")
     for flag in ("lr", "eps", "threshold"):
         value = getattr(args, flag, None)
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -271,6 +273,7 @@ def _run_echo(args, keys):
 
 
 def cmd_stats(args):
+    _validate_run(args)
     result = _read_reviews(args)
     try:
         split = _split(args, result.records)
@@ -454,12 +457,33 @@ def _apply_config_file(path, commands, command):
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(defaults, dict):
         raise ConfigError(f"{path}: config file must hold a JSON object")
-    flags = {name: {a.dest for a in p._actions} for name, p in commands.items()}
+    flags = {name: {a.dest: a for a in p._actions} for name, p in commands.items()}
     unknown = set(defaults) - set().union(*flags.values())
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    commands[command].set_defaults(
-        **{k: v for k, v in defaults.items() if k in flags[command]})
+    ours = {k: v for k, v in defaults.items() if k in flags[command]}
+    for key, value in ours.items():
+        if not _config_value_fits(flags[command][key], value):
+            raise ConfigError(f"{path}: config key {key!r} cannot take "
+                              f"{json.dumps(value)}")
+    commands[command].set_defaults(**ours)
+
+
+def _config_value_fits(action, value):
+    """Whether a flag can take a JSON value as its default.  argparse
+    converts a string default as it would the flag's argument; any other
+    value reaches the program as it is."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return isinstance(value, bool)
+    if isinstance(value, str):
+        return True
+    if value is None:
+        return action.default is None
+    if action.type is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if action.type is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return False
 
 
 def main(argv=None):

@@ -1,9 +1,12 @@
 """Finite-difference verification of every hand-written backward pass.
 
-`gradient_check` is the generic harness; `standard_checks` runs the
-battery the CLI exposes, `STANDARD_CASES`: each layer type in isolation,
-both recurrent cells under a recurrent-dropout mask, both coupling heads,
-and full miniature twin-tower models.  Every case builds its inputs,
+`gradient_check` is the generic harness.  A loss function runs the
+forward pass only and returns (loss, backward); the harness calls
+backward once, for the analytic gradient, and its 2n central-difference
+probes read the loss alone.  `standard_checks` runs the battery the CLI
+exposes, `STANDARD_CASES`: each layer type in isolation, both recurrent
+cells under a recurrent-dropout mask, both coupling heads, and full
+miniature twin-tower models.  Every case builds its inputs,
 masks, output weights and targets with a leading axis of `BATCH`
 samples: one in the CLI, which keeps the battery cheap, and three in the
 tests, which run the same cases.
@@ -23,10 +26,12 @@ _MACHEPS = np.finfo(np.float64).eps
 def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
     """Max relative error between analytic and central-difference gradients.
 
-    loss_fn() must run a full forward+backward pass with the *current*
-    parameter values, accumulate gradients into `params`, and return the
-    scalar loss.  It has to be deterministic across calls (fix any dropout
-    masks).  Error per entry is
+    loss_fn() runs the forward pass only, with the *current* parameter
+    values, and returns (loss, backward): the scalar loss and a function
+    that accumulates that forward's gradients into `params`.  The check
+    calls backward once, for the analytic gradient; its 2n probes run
+    forward only.  loss_fn has to be deterministic across calls (fix any
+    dropout masks).  The grads are zero again on return.  Error per entry is
 
         max(0, |a - n| - macheps * |f| / eps) / max(1e-8, |a| + |n|)
 
@@ -36,10 +41,13 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
     """
     for p in params:
         p.zero_grad()
-    loss = float(loss_fn())
+    loss, backward = loss_fn()
     if not np.isfinite(loss):
         raise NumericFault(f"loss is not finite: {loss}")
+    backward()
     analytic = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
 
     worst = 0.0
     for p, grad in zip(params, analytic):
@@ -48,9 +56,9 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = float(loss_fn())
+            f_plus = float(loss_fn()[0])
             flat[i] = orig - eps
-            f_minus = float(loss_fn())
+            f_minus = float(loss_fn()[0])
             flat[i] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericFault(f"non-finite loss while probing {p.name}[{i}]")
@@ -59,8 +67,6 @@ def gradient_check(loss_fn, params, eps=DEFAULT_EPS):
             a = gflat[i]
             err = max(0.0, abs(a - numeric) - noise) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)
-    for p in params:
-        p.zero_grad()  # probing calls accumulated junk
     return worst
 
 
@@ -77,9 +83,7 @@ def _summed(forward, backward, w):
     """The loss w . forward(), whose gradient w.r.t. the output is w."""
 
     def loss_fn():
-        out = forward()
-        backward(w)
-        return float(np.vdot(w, out))
+        return float(np.vdot(w, forward())), lambda: backward(w)
 
     return loss_fn
 
@@ -186,8 +190,7 @@ def _case_full_model(rng, kind, head):
 
     def loss_fn():
         residual = model.forward(user_ids, item_ids, matrix) - targets
-        model.backward(2.0 * residual)
-        return float(residual @ residual)
+        return float(residual @ residual), lambda: model.backward(2.0 * residual)
 
     return loss_fn, model.parameters()
 
@@ -225,8 +228,12 @@ def standard_checks(eps=DEFAULT_EPS, seed=0, corrupt=False):
 
 def _corrupted(loss_fn, params):
     def tampered():
-        loss = loss_fn()
-        for p in params:
-            p.grad *= 1.1
-        return loss
+        loss, backward = loss_fn()
+
+        def inflated():
+            backward()
+            for p in params:
+                p.grad *= 1.1
+
+        return loss, inflated
     return tampered

@@ -11,16 +11,18 @@ embedding, which takes no gradient, so their `backward` returns nothing.
 Every layer is batch-first: a batch of B documents is a (B, T) array of
 token ids into a read-only (V, d) embedding matrix, whose rows each
 encoder gathers itself, and vectors are the rows of a (B, n) array.  A
-forward caches one batch, so a training forward must be followed by its
-backward before the next one; sample b of a batch gets the same result
-as a batch of that sample alone, within rounding.  GruCell and LstmCell
-share one unroll and keep their weights in gate-first arrays (`U`
-(G, d, H), `W` (G, H, H), LSTM's `b` (G, H)); the per-gate Parameters a
-cell returns are views of their gate's slices.  The unroll runs in
-chunks of `chunk_steps(B)` steps, about CHUNK_ROWS rows each: it projects
-a chunk's documents onto the gates with one matmul per gate and takes
-the weight gradients with a few matmuls per chunk, so a step runs only
-the recurrent product and the gates' elementwise work for the whole
+forward caches one batch, and backward differentiates the latest
+forward: a forward with no backward after it is allowed (evaluation, and
+the gradient check's probes), but a training forward must be followed by
+its backward before the next forward.  Sample b of a batch gets the same
+result as a batch of that sample alone, within rounding.  GruCell and
+LstmCell share one unroll and keep their weights in gate-first arrays
+(`U` (G, d, H), `W` (G, H, H), LSTM's `b` (G, H)); the per-gate
+Parameters a cell returns are views of their gate's slices.  The unroll
+runs in chunks of `chunk_steps(B)` steps, about CHUNK_ROWS rows each: it
+projects a chunk's documents onto the gates with one matmul per gate and
+takes the weight gradients with a few matmuls per chunk, so a step runs
+only the recurrent product and the gates' elementwise work for the whole
 batch.  Forward keeps one entering state per chunk and the last chunk's
 states and activations; backward re-runs each earlier chunk's steps from
 its entering state, so the activations it differentiates are forward's

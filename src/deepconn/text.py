@@ -140,17 +140,20 @@ def build_document(texts, length, table, owner=""):
     """Concatenate the texts' tokens in list order, map to ids, pad/truncate.
 
     The first `length` tokens are kept; shorter streams are post-padded
-    with the pad id.
+    with the pad id.  Texts after the one that fills the document are not
+    tokenized.
     """
     if length < 1:
         raise ConfigError(f"document length must be >= 1, got {length}")
     tokens = []
     for text in texts:
         tokens.extend(tokenize(text))
+        if len(tokens) >= length:
+            break
     kept = tokens[:length]
     ids = np.full(length, PAD_ID, dtype=np.int32)
-    for i, token in enumerate(kept):
-        ids[i] = table.id_for(token)
+    known = table._ids.get
+    ids[:len(kept)] = [known(token) or table.id_for(token) for token in kept]
     ids.setflags(write=False)
     return EncodedDocument(ids=ids, n_real_tokens=len(kept), owner=owner)
 

@@ -320,6 +320,17 @@ class TestGradcheckCommand:
         assert main(["gradcheck", flag, value]) == EXIT_CONFIG
         assert f"{flag} must be a finite number > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gradcheck", "baseline", "stats"])
+    def test_negative_seed_rejected_before_any_work(self, sample_reviews_path,
+                                                    capsys, monkeypatch, command):
+        monkeypatch.setattr("deepconn.gradcheck.standard_checks",
+                            lambda *args, **kwargs: pytest.fail("probing started"))
+        data = [] if command == "gradcheck" else ["--data", str(sample_reviews_path)]
+        assert main([command, *data, "--seed", "-1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_threshold_flag(self, capsys):
         # absurdly loose threshold lets even corrupted gradients pass
         assert main(["gradcheck", "--corrupt-gradients",
@@ -384,6 +395,33 @@ class TestConfigFile:
         cfg.write_bytes(content)
         assert main(["--config", str(cfg), "gradcheck"]) == EXIT_CONFIG
         assert f"{cfg}: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "lr", [1]), ("gradcheck", "eps", [1]), ("gradcheck", "seed", None),
+        ("gradcheck", "seed", True), ("gradcheck", "corrupt_gradients", "yes")])
+    def test_value_of_wrong_json_type_rejected(self, sample_reviews_path,
+                                               toy_embeddings_path, tmp_path,
+                                               capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "run"
+        argv = (_train_argv(sample_reviews_path, toy_embeddings_path, out)
+                if command == "train" else [command])
+        assert main(["--config", str(cfg), *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config key {key!r} cannot take {json.dumps(value)}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_string_value_converted_as_a_flag(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("deepconn.gradcheck.standard_checks",
+                            lambda **kwargs: calls.append(kwargs) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "3", "eps": "1e-6",
+                                   "corrupt_gradients": True}))
+        assert main(["--config", str(cfg), "gradcheck"]) == EXIT_OK
+        assert calls == [{"eps": 1e-6, "seed": 3, "corrupt": True}]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -64,8 +64,7 @@ class TestDense:
 
         def loss_fn():
             out = layer.forward(x)
-            layer.backward(w)
-            return float(np.sum(w * out))
+            return float(np.sum(w * out)), lambda: layer.backward(w)
 
         assert gradient_check(loss_fn, layer.parameters()) < 1e-6
 
@@ -151,10 +150,9 @@ class TestMaxPool:
         w = rng.standard_normal((1, 3))
 
         def loss_fn():
-            rows = pre.forward(x).reshape(1, 4, 3)
-            out = pool.forward(rows)
-            pre.backward(pool.backward(w).reshape(1, 12))
-            return float(np.sum(w * out))
+            out = pool.forward(pre.forward(x).reshape(1, 4, 3))
+            return (float(np.sum(w * out)),
+                    lambda: pre.backward(pool.backward(w).reshape(1, 12)))
 
         assert gradient_check(loss_fn, pre.parameters()) < 1e-6
 
@@ -198,8 +196,7 @@ class TestDropout:
 
         def loss_fn():
             out = drop.forward(pre.forward(x), mask)
-            pre.backward(drop.backward(w))
-            return float(np.sum(w * out))
+            return float(np.sum(w * out)), lambda: pre.backward(drop.backward(w))
 
         assert gradient_check(loss_fn, pre.parameters()) < 1e-6
 
@@ -546,8 +543,7 @@ def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
     def loss_fn():
         probes.append(stacked.value[k].copy())
         out = cell.forward(ids, matrix)
-        cell.backward(np.ones_like(out))
-        return float(out.sum())
+        return float(out.sum()), lambda: cell.backward(np.ones_like(out))
 
     gradient_check(loss_fn, [first])
     assert probes[1].reshape(-1)[0] == 0.25 + DEFAULT_EPS  # the first probe's +eps
@@ -559,21 +555,23 @@ class TestGradientCheckHarness:
         x = Parameter(np.array(3.0), "x")
 
         def loss_fn():
-            x.grad += 2.0 * x.value
-            return float(x.value ** 2)
+            def backward():
+                x.grad += 2.0 * x.value
+            return float(x.value ** 2), backward
 
         assert gradient_check(loss_fn, [x]) < 1e-9
 
     def test_constant_function(self):
         x = Parameter(np.array(3.0), "x")
-        assert gradient_check(lambda: 5.0, [x]) == 0.0
+        assert gradient_check(lambda: (5.0, lambda: None), [x]) == 0.0
 
     def test_corrupted_gradient_detected(self):
         x = Parameter(np.array(3.0), "x")
 
         def loss_fn():
-            x.grad += 1.1 * 2.0 * x.value  # 10% too large
-            return float(x.value ** 2)
+            def backward():
+                x.grad += 1.1 * 2.0 * x.value  # 10% too large
+            return float(x.value ** 2), backward
 
         err = gradient_check(loss_fn, [x])
         assert 0.04 < err < 0.06  # |0.1 g| / |2.1 g|
@@ -584,8 +582,9 @@ class TestGradientCheckHarness:
         x = Parameter(np.array(0.3), "x")
 
         def loss_fn():
-            x.grad += 1e-8 + grad_error
-            return 16.0 + 1e-8 * float(x.value)
+            def backward():
+                x.grad += 1e-8 + grad_error
+            return 16.0 + 1e-8 * float(x.value), backward
 
         return gradient_check(loss_fn, [x])
 
@@ -599,7 +598,7 @@ class TestGradientCheckHarness:
     def test_non_finite_loss_raises(self):
         x = Parameter(np.array(3.0), "x")
         with pytest.raises(NumericFault):
-            gradient_check(lambda: float("nan"), [x])
+            gradient_check(lambda: (float("nan"), lambda: None), [x])
 
 
 def test_gradient_accumulation_is_additive():

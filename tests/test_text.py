@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deepconn.errors import ConfigError, DataFormatError, ShapeError
-from deepconn.text import (PAD_ID, EmbeddingTable, build_document, embed,
-                           load_embeddings, tokenize)
+from deepconn.text import (OOV_POLICIES, PAD_ID, EmbeddingTable, build_document,
+                           embed, load_embeddings, tokenize)
 
 
 class TestTokenize:
@@ -150,6 +150,22 @@ class TestBuildDocument:
         doc = build_document(["good " * n_tokens], T, table)
         assert len(doc.ids) == T
         assert doc.n_real_tokens == min(n_tokens, T)
+
+    @given(texts=st.lists(st.lists(st.sampled_from(
+               ["good", "film", "bad", "dull", "x9", "GOOD", "!", "film's"]),
+               max_size=12).map(" ".join), max_size=6),
+           T=st.integers(1, 30), oov_policy=st.sampled_from(OOV_POLICIES))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_token_loop(self, texts, T, oov_policy):
+        table = _toy_table(oov_policy=oov_policy)
+        doc = build_document(texts, T, table)
+        kept = [token for text in texts for token in tokenize(text)][:T]
+        ids = np.full(T, PAD_ID, dtype=np.int32)
+        for i, token in enumerate(kept):
+            ids[i] = table.id_for(token)
+        assert doc.ids.dtype == np.int32
+        npt.assert_array_equal(doc.ids, ids)
+        assert doc.n_real_tokens == len(kept)
 
 
 class TestEmbed:
