@@ -315,6 +315,21 @@ def _train_once(args):
     return model, store, report, split
 
 
+def _print_test_summary(test_mse, counters, test_pairs, store):
+    print(f"test MSE: {test_mse:.6f}")
+    print(f"global-mean reference MSE: "
+          f"{mean_predictor_mse(test_pairs, store.global_mean):.6f}")
+    print(f"cold-start fallbacks: {counters}")
+
+
+def _item_cf(args, split):
+    """Item-item CF fitted on train + validation and scored on test:
+    (matrix, similarities, test MSE, prediction sources)."""
+    matrix = RatingMatrix(split.train + split.validation)
+    sims = item_similarity(matrix)
+    return (matrix, sims) + evaluate_cf(matrix, sims, split.test, k=args.k)
+
+
 def cmd_train(args):
     model, store, report, split = _train_once(args)
     out = Path(args.out)
@@ -336,11 +351,8 @@ def cmd_train(args):
         val = f"{e.validation_loss:.6f}" if e.validation_loss is not None else "-"
         print(f"  epoch {e.epoch}: train {e.train_loss:.6f}  val {val}  "
               f"{e.seconds:.1f}s")
-    test_pairs = pairs_from_records(split.test)
-    print(f"test MSE: {report.test_mse:.6f}")
-    print(f"global-mean reference MSE: "
-          f"{mean_predictor_mse(test_pairs, store.global_mean):.6f}")
-    print(f"cold-start fallbacks: {report.cold_start_counts}")
+    _print_test_summary(report.test_mse, report.cold_start_counts,
+                        pairs_from_records(split.test), store)
     print(f"wrote {out / 'report.json'}, {out / 'curves.csv'}, {out / 'model.ckpt'}")
     return EXIT_OK
 
@@ -362,10 +374,7 @@ def cmd_evaluate(args):
     store = _document_store(args, split)
     test_pairs = pairs_from_records(split.test)
     test_mse, counters = evaluate(model, store, test_pairs, clamp=args.clamp)
-    print(f"test MSE: {test_mse:.6f}")
-    print(f"global-mean reference MSE: "
-          f"{mean_predictor_mse(test_pairs, store.global_mean):.6f}")
-    print(f"cold-start fallbacks: {counters}")
+    _print_test_summary(test_mse, counters, test_pairs, store)
     return EXIT_OK
 
 
@@ -374,9 +383,7 @@ def cmd_baseline(args):
     split = _split(args, _read_reviews(args).records)
     if split is None:
         raise ConfigError(f"{args.data}: no valid records to split")
-    matrix = RatingMatrix(split.train + split.validation)
-    sims = item_similarity(matrix)
-    cf_mse, counters = evaluate_cf(matrix, sims, split.test, k=args.k)
+    matrix, sims, cf_mse, counters = _item_cf(args, split)
     print(f"item-cf test MSE: {cf_mse:.6f}")
     print(f"prediction sources: {counters}")
     if args.export_sims:
@@ -393,9 +400,7 @@ def cmd_baseline(args):
 
 def cmd_compare(args):
     model, store, report, split = _train_once(args)
-    matrix = RatingMatrix(split.train + split.validation)
-    sims = item_similarity(matrix)
-    cf_mse, cf_counters = evaluate_cf(matrix, sims, split.test, k=args.k)
+    _, _, cf_mse, cf_counters = _item_cf(args, split)
     test_pairs = pairs_from_records(split.test)
     mean_mse = mean_predictor_mse(test_pairs, store.global_mean)
     print("model                 test MSE")

@@ -121,8 +121,8 @@ def _case_maxpool(rng):
 
 def _case_dropout(rng):
     pre = Dense(4, 6, activation="tanh", rng=rng, name="check.drop_pre")
-    drop = Dropout(0.4)
-    mask = rng.random((BATCH, 6)) >= 0.4  # fixed across probing evaluations
+    drop = Dropout()
+    mask = (rng.random((BATCH, 6)) >= 0.4) / 0.6  # fixed across probing evaluations
     x = rng.standard_normal((BATCH, 4))
     return _summed(lambda: drop.forward(pre.forward(x), mask),
                    lambda w: pre.backward(drop.backward(w)),

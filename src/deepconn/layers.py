@@ -30,9 +30,10 @@ bit for bit.  The cells' sigmoid is tanh-based, so it needs no branch on
 the sign of its input.
 
 Layers draw no random numbers after construction: the model draws every
-dropout mask, the recurrent one and the feature one, and hands it to
-`GruCell`/`LstmCell.forward` or `Dropout.forward`.  A layer with weights
-takes the rng they are drawn from as a required argument.
+dropout mask, the recurrent one and the feature one, scales its kept
+entries to 1/(1 - rate), and hands it to `GruCell`/`LstmCell.forward` or
+`Dropout.forward`.  A layer with weights takes the rng they are drawn
+from as a required argument.
 """
 
 import numpy as np
@@ -241,38 +242,22 @@ class MaxPoolOverTime:
 
 
 class Dropout:
-    """Inverted dropout: keep with probability 1-p and scale kept entries by 1/(1-p).
+    """Inverted dropout: the input times a mask whose kept entries hold
+    1/(1 - rate) and dropped ones 0.  The model draws and scales the (B, n)
+    mask in train mode and passes none in eval mode, where the layer is
+    the identity."""
 
-    The layer applies a mask; it does not draw one.  The model draws the
-    (B, n) boolean mask (`draws >= rate`) in train mode and passes none in
-    eval mode, where the layer is the identity.
-    """
-
-    def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._cache = None
-
-    def parameters(self):
-        return []
+    _mask = None
 
     def forward(self, x, mask=None):
-        """x with the boolean `mask` applied and kept entries rescaled;
-        x itself when there is no mask."""
+        """x times `mask`; x itself when there is no mask."""
         x = np.asarray(x, dtype=np.float64)
-        if mask is None:
-            self._cache = None
-            return x
-        scale = 1.0 / (1.0 - self.rate)
-        self._cache = (mask, scale)
-        return x * mask * scale
+        self._mask = mask
+        return x if mask is None else x * mask
 
     def backward(self, dout):
-        if self._cache is None:
-            return np.asarray(dout, dtype=np.float64)
-        mask, scale = self._cache
-        return np.asarray(dout) * mask * scale
+        dout = np.asarray(dout, dtype=np.float64)
+        return dout if self._mask is None else dout * self._mask
 
 
 def _gate_stacked(gates, name, gate_names):
@@ -312,7 +297,7 @@ class _RecurrentCell:
       `step(state, a_t)`, adds the recurrent product to its (G, B, H) row,
       turns the row into the gate activations in place and returns the
       next state.  The chunk keeps its (tc + 1, n_state, B, H) states: the
-      state entering each step, after the mask, and the chunk's final one.
+      state entering each step and the chunk's final one.
     - Forward runs the chunks in turn and keeps each chunk's entering
       state, a checkpoint, in a (n_chunks + 1, n_state, B, H) array whose
       last row is the final state.  Of the chunks, it keeps only the last
@@ -332,11 +317,19 @@ class _RecurrentCell:
     The checkpoints grow with B*T/tc, that is B**2 * T / CHUNK_ROWS.  A
     cell's state is a sequence of (B, H) arrays whose first entry is the
     hidden state.  A recurrent-dropout `mask` (B, H) scales the hidden
-    state before every step, and its gradient after every backward step.
+    state where the recurrent products read it (`_masked`), the variational
+    dropout of Gal & Ghahramani 2016, arXiv 1512.05287; the states the
+    cell keeps and carries from step to step are unmasked.
     """
+
+    _mask = None
 
     def parameters(self):
         return list(self._parameters)
+
+    def _masked(self, hidden):
+        """`hidden` as the recurrent products read it: times the mask, if any."""
+        return hidden if self._mask is None else hidden * self._mask
 
     def _project(self, x_rows, B):
         """A chunk's (tc*B, d) time-major input rows projected onto the
@@ -360,8 +353,6 @@ class _RecurrentCell:
         self._states = states = np.empty((len(gates) + 1,) + entering.shape)
         states[0] = entering
         for k, a_k in enumerate(gates):
-            if self._mask is not None:
-                states[k, 0] *= self._mask
             states[k + 1] = self.step(states[k], a_k)
         return states[-1]
 
@@ -381,7 +372,7 @@ class _RecurrentCell:
     def backward(self, dh):
         """Accumulate the weight gradients, given the (B, H) gradient of the
         final hidden states; returns nothing."""
-        mask, checkpoints = self._mask, self._checkpoints
+        checkpoints = self._checkpoints
         B, H = checkpoints.shape[2:]
         G = len(self.U.value)
         n_chunks = len(checkpoints) - 1
@@ -395,10 +386,9 @@ class _RecurrentCell:
             self._dA = dA = np.empty((tc, B, G, H))
             for k in reversed(range(tc)):
                 dstate = self.backward_step(dstate, k)
-                if mask is not None:
-                    dstate = (dstate[0] * mask,) + dstate[1:]
             self.U.grad += _gate_first(self._x_rows.T @ dA.reshape(tc * B, G * H), G)
-            self._recurrent_grads(dA, self._states[:-1, 0].reshape(tc * B, H))
+            s_in = self._masked(self._states[:-1, 0]).reshape(tc * B, H)
+            self._recurrent_grads(dA, s_in)
         self._table = self._mask = self._checkpoints = self._x_rows = None
         self._states = self._gates = self._dA = self._W_columns = None
 
@@ -406,10 +396,11 @@ class _RecurrentCell:
 class GruCell(_RecurrentCell):
     """Gated recurrent unit, no bias terms; the state is (s,).
 
-    z   = sigmoid(x_t @ U_z + s_prev @ W_z)
-    r   = sigmoid(x_t @ U_r + s_prev @ W_r)
-    h   = tanh(x_t @ U_h + (s_prev * r) @ W_h)
-    s_t = (1 - z) * s_prev + z * h
+    s_m = s_prev * mask                (s_prev without a mask)
+    z   = sigmoid(x_t @ U_z + s_m @ W_z)
+    r   = sigmoid(x_t @ U_r + s_m @ W_r)
+    h   = tanh(x_t @ U_h + (s_m * r) @ W_h)
+    s_t = (1 - z) * s_prev + z * h     (unmasked, so |s_t| <= 1 under any mask)
 
     `U` (3, d, H) and `W` (3, H, H) stack the gates z, r, h.
     """
@@ -429,10 +420,11 @@ class GruCell(_RecurrentCell):
         """The next state from `xu_t` = x_t @ U, a (3, B, H) row that is
         overwritten with the gate activations z, r, h."""
         s_prev, W, a = state[0], self.W.value, xu_t
-        a[:2] += s_prev @ W[:2]
+        s_in = self._masked(s_prev)
+        a[:2] += s_in @ W[:2]
         _sigmoid_in_place(a[:2])
         h = a[2]
-        h += (s_prev * a[1]) @ W[2]                        # r = a[1]
+        h += (s_in * a[1]) @ W[2]                          # r = a[1]
         np.tanh(h, out=h)
         z = a[0]
         return ((1.0 - z) * s_prev + z * h,)
@@ -449,10 +441,10 @@ class GruCell(_RecurrentCell):
         da_h = ds_t * z * (1.0 - h * h)                    # h = tanh(a_h)
         dsr = da_h @ self.W.value[2].T
         da[:, 0] = ds_t * (h - s_prev) * z * (1.0 - z)     # z = sigmoid(a_z)
-        da[:, 1] = dsr * s_prev * r * (1.0 - r)            # r = sigmoid(a_r)
+        da[:, 1] = dsr * self._masked(s_prev) * r * (1.0 - r)  # r = sigmoid(a_r)
         da[:, 2] = da_h
         ds_zr = da[:, :2].reshape(B, 2 * H) @ self._W_columns[:, :2 * H].T
-        return (ds_t * (1.0 - z) + dsr * r + ds_zr,)
+        return (ds_t * (1.0 - z) + self._masked(dsr * r) + self._masked(ds_zr),)
 
     def _recurrent_grads(self, dA, s_prev):
         tc, B, _, H = dA.shape
@@ -473,6 +465,7 @@ class LstmCell(_RecurrentCell):
     c = f * c_prev + i * g
     h = o * tanh(c)
 
+    where h_prev is the previous hidden state times the mask, if any.
     `U` (4, d, H), `W` (4, H, H) and `b` (4, H) stack the gates i, f, o, g.
     """
 
@@ -501,7 +494,7 @@ class LstmCell(_RecurrentCell):
         """The next state from `xu_t` = x_t @ U + b, a (4, B, H) row that is
         overwritten with the gate activations i, f, o, g."""
         a = xu_t
-        a += state[0] @ self.W.value
+        a += self._masked(state[0]) @ self.W.value
         _sigmoid_in_place(a[:3])
         np.tanh(a[3], out=a[3])
         c = a[1] * state[1] + a[0] * a[3]                  # f * c_prev + i * g
@@ -521,7 +514,7 @@ class LstmCell(_RecurrentCell):
         da[:, 1] = dc * c_prev * f * (1.0 - f)
         da[:, 2] = dh * tc * o * (1.0 - o)
         da[:, 3] = dc * i * (1.0 - g * g)
-        return da.reshape(len(c), -1) @ self._W_columns.T, dc * f
+        return self._masked(da.reshape(len(c), -1) @ self._W_columns.T), dc * f
 
     def _recurrent_grads(self, dA, h_prev):
         tc, B, G, H = dA.shape

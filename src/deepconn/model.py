@@ -146,7 +146,7 @@ class Tower:
         else:
             cell_cls = GruCell if self.kind == "gru" else LstmCell
             self.cell = cell_cls(d, config.hidden_units, rng, f"{name}.{self.kind}")
-        self.dropout = Dropout(config.dropout_rate) if config.dropout_rate > 0 else None
+        self.dropout = Dropout() if config.dropout_rate > 0 else None
         self.dense = Dense(config.hidden_units, config.dense_units, "relu", rng,
                            f"{name}.dense")
         self.n_masks = int(config.recurrent_dropout_rate > 0.0) \
@@ -181,14 +181,12 @@ class Tower:
             feat = self.pool.forward(self.conv.forward(ids, matrix))
         else:
             rate = self.config.recurrent_dropout_rate
-            mask = None
-            if draws is not None and rate > 0.0:
-                # One mask per sequence, applied to the state input at every step.
-                mask = (draws[:, 0] >= rate) / (1.0 - rate)
+            # One mask per sequence, applied to the state input at every step.
+            mask = _keep_mask(draws, 0, rate) if rate > 0.0 else None
             feat = self.cell.forward(ids, matrix, mask)
         if self.dropout is not None:
-            mask = None if draws is None else draws[:, -1] >= self.dropout.rate
-            feat = self.dropout.forward(feat, mask)
+            feat = self.dropout.forward(
+                feat, _keep_mask(draws, -1, self.config.dropout_rate))
         return self.dense.forward(feat)
 
     def backward(self, dvec):
@@ -202,6 +200,11 @@ class Tower:
             self.conv.backward(self.pool.backward(dfeat))
         else:
             self.cell.backward(dfeat)
+
+
+def _keep_mask(draws, row, rate):
+    """1/(1 - rate) where draws[:, row] >= rate, else 0; None without draws."""
+    return None if draws is None else (draws[:, row] >= rate) / (1.0 - rate)
 
 
 class DpHead:

@@ -174,7 +174,7 @@ class TrainReport:
 
 def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
         learning_rate=0.001, epochs=10, batch_size=32, seed=0,
-        record_timing=True, stop_below_train_loss=None):
+        record_timing=True):
     """Mini-batch training; returns a TrainReport.
 
     Per epoch: shuffle under the seed, iterate batches, run each batch as
@@ -256,8 +256,6 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
                 report.best_validation_epoch = epoch
         seconds = (time.monotonic() - started) if record_timing else 0.0
         report.epochs.append(EpochStats(epoch, train_loss, val_loss, seconds))
-        if stop_below_train_loss is not None and train_loss < stop_below_train_loss:
-            break
 
     report.optimizer_steps = opt.step_count
     report.best_parameters = best_snapshot

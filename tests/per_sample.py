@@ -67,9 +67,8 @@ def maxpool(x, dout):
     return x[argmax, columns], dx, {}
 
 
-def dropout(layer, x, mask, dout):
-    scale = 1.0 / (1.0 - layer.rate)
-    return x * mask * scale, dout * mask * scale, {}
+def dropout(x, mask, dout):
+    return x * mask, dout * mask, {}
 
 
 def dp_head(head, x_u, x_i, dy):
@@ -108,25 +107,26 @@ def cell_unroll(cell, x, dfinal, mask):
     if isinstance(cell, GruCell):
         s, cache = np.zeros(H), []
         for t in range(T):
-            s_prev = s * mask if mask is not None else s
+            # The products read the masked state; the carry, the unmasked one.
+            s_prev, s_m = s, (s * mask if mask is not None else s)
             xu = x[t] @ U
-            z, r = sigmoid(xu[:2] + s_prev @ W[:2])
-            h = np.tanh(xu[2] + (s_prev * r) @ W[2])
+            z, r = sigmoid(xu[:2] + s_m @ W[:2])
+            h = np.tanh(xu[2] + (s_m * r) @ W[2])
             s = (1.0 - z) * s_prev + z * h
-            cache.append((s_prev, z, r, h))
+            cache.append((s_prev, s_m, z, r, h))
         ds_t = dfinal
         for t in reversed(range(T)):
-            s_prev, z, r, h = cache[t]
+            s_prev, s_m, z, r, h = cache[t]
             da_h = ds_t * z * (1.0 - h * h)
             dsr = W[2] @ da_h
             da = np.stack([ds_t * (h - s_prev) * z * (1.0 - z),
-                           dsr * s_prev * r * (1.0 - r),
+                           dsr * s_m * r * (1.0 - r),
                            da_h])
-            s_in = np.stack([s_prev, s_prev, s_prev * r])
+            s_in = np.stack([s_m, s_m, s_m * r])
             grads["U"] += x[t][:, None] * da[:, None, :]
             grads["W"] += s_in[:, :, None] * da[:, None, :]
-            ds_prev = ds_t * (1.0 - z) + dsr * r + W[1] @ da[1] + W[0] @ da[0]
-            ds_t = ds_prev * mask if mask is not None else ds_prev
+            ds_m = dsr * r + W[1] @ da[1] + W[0] @ da[0]
+            ds_t = ds_t * (1.0 - z) + (ds_m * mask if mask is not None else ds_m)
         return s, grads
     b = cell.b.value
     grads["b"] = np.zeros_like(b)

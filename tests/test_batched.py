@@ -135,9 +135,9 @@ def test_maxpool_matches_per_sample(B, L, C, ties, seed):
 @settings(max_examples=30, deadline=None)
 def test_dropout_matches_per_sample(B, n, rate, masked, seed):
     rng = np.random.default_rng(seed)
-    drop = Dropout(rate)
+    drop = Dropout()
     x, dout = rng.standard_normal((B, n)), rng.standard_normal((B, n))
-    mask = rng.random((B, n)) >= rate
+    mask = (rng.random((B, n)) >= rate) / (1.0 - rate)
     drop.forward(rng.standard_normal((B + 1, n)))
     if masked:
         drop.forward(x, mask)  # a train forward whose backward never ran
@@ -149,18 +149,17 @@ def test_dropout_matches_per_sample(B, n, rate, masked, seed):
     def oracle(b):
         if not masked:
             return x[b], [dout[b]], {}
-        out, dx, grads = per_sample.dropout(drop, x[b], mask[b], dout[b])
+        out, dx, grads = per_sample.dropout(x[b], mask[b], dout[b])
         return out, [dx], grads
 
     _check(drop, [], batched, oracle, B)
 
 
-@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
-@given(B=batch_sizes, T=st.integers(1, 120), d=st.integers(1, 4),
-       H=st.integers(1, 5), masked=st.booleans(), eval_T=st.integers(1, 60),
-       seed=seeds)
-@settings(max_examples=25, deadline=None)
-def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
+def check_cell(cell_cls, B, T, d, H, masked, eval_T, seed):
+    """The cell on a random (B, T, d) batch, masked or not, against
+    `per_sample.cell_unroll`: each sample's final hidden vector and the
+    summed stacked gradients.  An eval-mode forward over another batch of
+    length eval_T runs first."""
     rng = np.random.default_rng(seed)
     cell = cell_cls(d, H, rng=rng)
     x, dh = rng.standard_normal((B, T, d)), rng.standard_normal((B, H))
@@ -179,6 +178,15 @@ def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
 
     stacked = [cell.U, cell.W] + ([cell.b] if cell_cls is LstmCell else [])
     _check(cell, stacked, batched, oracle, B)
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@given(B=batch_sizes, T=st.integers(1, 120), d=st.integers(1, 6),
+       H=st.integers(1, 8), masked=st.booleans(), eval_T=st.integers(1, 60),
+       seed=seeds)
+@settings(max_examples=40, deadline=None)
+def test_cell_matches_per_sample(cell_cls, B, T, d, H, masked, eval_T, seed):
+    check_cell(cell_cls, B, T, d, H, masked, eval_T, seed)
 
 
 def _token_ids(rng, B, T, V, min_real=0):
@@ -204,16 +212,13 @@ def _read_only_table(rng, V, d):
 @pytest.mark.parametrize("kind", ["conv1d", "gru", "lstm"])
 @given(B=batch_sizes, T=st.integers(8, 120), V=st.integers(2, 6),
        d=st.integers(1, 4), H=st.integers(1, 5), K=st.integers(1, 8),
-       S=st.integers(1, 6), seed=seeds)
+       S=st.integers(1, 6), masked=st.booleans(), seed=seeds)
 @settings(max_examples=25, deadline=None)
-def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, seed):
+def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, masked, seed):
     """Each document b of a (B, T) id batch gets the oracle's output on
     its gathered rows matrix[ids[b]], and the weight gradients are the
-    oracle's summed over the documents.  No recurrent-dropout mask: its
-    1/(1 - rate) scale on the GRU's carried state can grow the state
-    geometrically over a run of repeated or pad rows (about 1e11 after
-    89 steps), past where rounding stays within BATCH_RTOL of the oracle;
-    test_cell_matches_per_sample covers the mask."""
+    oracle's summed over the documents.  `masked` gives the cells a
+    recurrent-dropout mask; the conv takes none."""
     rng = np.random.default_rng(seed)
     matrix = _read_only_table(rng, V, d)
     ids = _token_ids(rng, B, T, V)
@@ -234,14 +239,16 @@ def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, seed):
         layer = (GruCell if kind == "gru" else LstmCell)(d, H, rng=rng)
         params = [layer.U, layer.W] + ([layer.b] if kind == "lstm" else [])
         dh = rng.standard_normal((B, H))
+        mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
 
         def batched():
-            out = layer.forward(ids, matrix)
+            out = layer.forward(ids, matrix, mask)
             assert layer.backward(dh) is None
             return out, []
 
         def oracle(b):
-            h, grads = per_sample.cell_unroll(layer, matrix[ids[b]], dh[b], None)
+            h, grads = per_sample.cell_unroll(
+                layer, matrix[ids[b]], dh[b], None if mask is None else mask[b])
             return h, [], grads
 
     _check(layer, params, batched, oracle, B)

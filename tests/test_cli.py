@@ -446,6 +446,8 @@ def test_console_entry_point_runs(sample_reviews_path):
     ["--tower", "lstm", "--head", "fm", "--optimizer", "rmsprop",
      "--doc-length", "300", "--train-fraction", "0.05", "--val-fraction", "0.01",
      "--epochs", "1"],
+    ["--tower", "gru", "--doc-length", "16", "--train-fraction", "0.3",
+     "--recurrent-dropout", "0.3", "--epochs", "1"],
 ])
 def test_outputs_identical_across_blas_thread_counts(sample_reviews_path,
                                                      toy_embeddings_path,

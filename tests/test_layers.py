@@ -9,10 +9,12 @@ from deepconn.gradcheck import (DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check,
                                 miniature_model)
 from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell, MaxPoolOverTime,
                              Parameter, _sigmoid_in_place, chunk_steps)
+from deepconn.model import Tower, TowerConfig
 from deepconn.optim import Adam
 from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
-from per_sample import cell_unroll, sigmoid, table
+from per_sample import sigmoid, table
+from test_batched import check_cell
 
 
 def _rng(seed=0):
@@ -160,28 +162,32 @@ class TestMaxPool:
 class TestDropout:
     def test_zero_rate_train_is_identity(self):
         x = _rng(1).standard_normal((1, 10))
-        mask = _rng(3).random((1, 10)) >= 0.0
-        npt.assert_array_equal(Dropout(0.0).forward(x, mask), x)
+        mask = (_rng(3).random((1, 10)) >= 0.0) / 1.0
+        npt.assert_array_equal(Dropout().forward(x, mask), x)
 
     def test_eval_is_identity_for_any_rate(self):
         x = _rng(2).standard_normal((1, 10))
-        npt.assert_array_equal(Dropout(0.7).forward(x), x)
+        npt.assert_array_equal(Dropout().forward(x), x)
 
     def test_invalid_rate(self):
-        with pytest.raises(ConfigError):
-            Dropout(1.0)
-        with pytest.raises(ConfigError):
-            Dropout(-0.1)
+        # The rate is checked once, by the config; the layer only multiplies.
+        for rate in (1.0, -0.1):
+            with pytest.raises(ConfigError, match="dropout_rate"):
+                Tower(TowerConfig(dropout_rate=rate), _rng(), "t")
 
     def test_inverted_scaling_preserves_mean(self):
-        # E[kept * 1/(1-p)] = 1 for unit entries.
-        x = np.ones((1, 100_000))
-        out = Dropout(0.1).forward(x, _rng(5).random(x.shape) >= 0.1)
-        assert abs(out.mean() - 1.0) < 0.01
+        # The tower's feature mask keeps the mean: E[kept * 1/(1-p)] = 1.
+        tower = Tower(TowerConfig(embedding_dim=3, hidden_units=100_000, kernel=2,
+                                  stride=1, dense_units=1, dropout_rate=0.1),
+                      _rng(), "t")
+        tower.forward(*table(np.ones((1, 2, 3))), _rng(5).random((1, 1, 100_000)))
+        mask = tower.dropout._mask
+        assert set(np.unique(mask)) == {0.0, 1.0 / 0.9}
+        assert abs(mask.mean() - 1.0) < 0.01
 
     def test_backward_uses_recorded_mask(self):
-        drop = Dropout(0.5)
-        mask = np.array([[True, False, True, False]])
+        drop = Dropout()
+        mask = np.array([[2.0, 0.0, 2.0, 0.0]])
         out = drop.forward(np.ones((1, 4)), mask)
         npt.assert_array_equal(out, [[2.0, 0.0, 2.0, 0.0]])
         npt.assert_array_equal(drop.backward(np.ones((1, 4))), [[2.0, 0.0, 2.0, 0.0]])
@@ -189,8 +195,8 @@ class TestDropout:
     def test_gradient_with_fixed_mask(self):
         rng = _rng(17)
         pre = Dense(4, 6, activation="tanh", rng=rng)
-        drop = Dropout(0.4)
-        mask = rng.random((1, 6)) >= 0.4
+        drop = Dropout()
+        mask = (rng.random((1, 6)) >= 0.4) / 0.6
         x = rng.standard_normal((1, 4))
         w = rng.standard_normal((1, 6))
 
@@ -263,6 +269,19 @@ class TestGruCell:
             # convex combination of s_prev and |h| < 1 keeps the sup norm bounded
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
 
+    @given(B=st.integers(1, 4), T=st.integers(1, 200), rate=st.floats(0.0, 0.95),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_state_stays_in_unit_ball_under_any_mask(self, B, T, rate, seed):
+        # The carry (1 - z) * s_prev + z * h reads the unmasked state, so a
+        # recurrent-dropout mask cannot grow it past |h| < 1.
+        rng = _rng(seed)
+        cell = GruCell(3, 4, rng=rng)
+        mask = (rng.random((B, 4)) >= rate) / (1.0 - rate)
+        s = cell.forward(*table(5.0 * rng.standard_normal((B, T, 3))), mask)
+        for states in (s, cell._checkpoints, cell._states):
+            assert np.max(np.abs(states)) <= 1.0 + 1e-12
+
     def test_shape_mismatch(self):
         cell = GruCell(3, 4, rng=_rng())
         steps = []
@@ -318,45 +337,13 @@ def _projected(cell, x_t):
     return xu + cell.b.value[:, None] if isinstance(cell, LstmCell) else xu
 
 
-def _one_sample_pass(cell, x, dfinal, mask):
-    """The cell's forward and backward on a batch of the one (T, d) sample
-    x; returns that sample's final hidden vector."""
-    h = cell.forward(*table(x[None]), None if mask is None else mask[None])
-    assert cell.backward(dfinal[None]) is None
-    return h[0]
-
-
-# The hoisted unroll sums the input and weight products over the time axis
-# in one matmul each, in another order than a per-step loop: agreement is
-# measured as max |diff| / max |ref| per array.
-UNROLL_RTOL = 1e-12
-
-
-def _assert_close(actual, reference):
-    assert np.max(np.abs(actual - reference)) <= UNROLL_RTOL * np.max(np.abs(reference))
-
-
-def _check_against_step_loop(cell, x, dfinal, mask):
-    """The cell's forward/backward against `per_sample.cell_unroll`: the output
-    and every parameter gradient, within UNROLL_RTOL."""
-    h_ref, grads_ref = cell_unroll(cell, x, dfinal, mask)
-    h = _one_sample_pass(cell, x, dfinal, mask)
-    _assert_close(h, h_ref)
-    for p in cell.parameters():
-        stacked, k = _stacked_role(cell, p)
-        _assert_close(p.grad, grads_ref[stacked.name.rsplit(".", 1)[1]][k])
-
-
+# The cells against `per_sample.cell_unroll`, the one GRU/LSTM reference,
+# through `test_batched.check_cell`: one sample after an eval forward, the
+# hoisted unroll over random shapes, and the paper's sizes among fixed ones.
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
 @pytest.mark.parametrize("masked", [False, True])
 def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
-    rng = _rng(41)
-    x = rng.standard_normal((7, 3))
-    dfinal = rng.standard_normal(4)
-    mask = (rng.random(4) >= 0.3) / 0.7 if masked else None
-    cell = cell_cls(3, 4, rng=_rng(43))
-    cell.forward(*table(x[None, :2]))  # an eval-mode forward with no backward leaves no trace
-    _check_against_step_loop(cell, x, dfinal, mask)
+    check_cell(cell_cls, B=1, T=7, d=3, H=4, masked=masked, eval_T=2, seed=41)
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
@@ -364,15 +351,15 @@ def test_unroll_matches_step_loop_bit_for_bit(cell_cls, masked):
        masked=st.booleans(), eval_T=st.integers(1, 40), seed=st.integers(0, 2**16))
 @settings(max_examples=40, deadline=None)
 def test_hoisted_unroll_matches_step_loop(cell_cls, T, d, H, masked, eval_T, seed):
-    rng = _rng(seed)
-    cell = cell_cls(d, H, rng=rng)
-    x = rng.standard_normal((T, d))
-    dfinal = rng.standard_normal(H)
-    mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
-    # An eval-mode forward over another document leaves nothing the train
-    # forward and backward that follow could pick up.
-    cell.forward(*table(rng.standard_normal((1, eval_T, d))))
-    _check_against_step_loop(cell, x, dfinal, mask)
+    check_cell(cell_cls, 1, T, d, H, masked, eval_T, seed)
+
+
+@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
+@pytest.mark.parametrize("T,d,H", [(3, 3, 4), (24, 8, 64), (300, 50, 64)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked):
+    for B in (1, 3):
+        check_cell(cell_cls, B, T, d, H, masked, eval_T=2, seed=47)
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
@@ -418,83 +405,6 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
     for (state, row), (state_fwd, row_fwd) in zip(read[::-1], forward):
         npt.assert_array_equal(state, state_fwd)
         npt.assert_array_equal(row, row_fwd)
-
-
-def _per_gate_unroll(cell, x, dfinal, mask):
-    """Reference for the gate-stacked cells: the GRU/LSTM equations with one
-    small product per gate and weight role, each gate's gradients added in
-    turn.  Reads the cell's weights; returns (final hidden vector,
-    {parameter name: gradient})."""
-    P = {p.name.rsplit(".", 1)[1]: p.value.copy() for p in cell.parameters()}
-    dP = {name: np.zeros_like(v) for name, v in P.items()}
-
-    def gate_backward(gate, x_t, h_in, da):
-        dP["U_" + gate] += np.outer(x_t, da)
-        dP["W_" + gate] += np.outer(h_in, da)
-        return da @ P["W_" + gate].T
-
-    T, H = len(x), cell.hidden_dim
-    if isinstance(cell, GruCell):
-        s, cache = np.zeros(H), []
-        for t in range(T):
-            s_prev = s * mask if mask is not None else s
-            z = sigmoid(x[t] @ P["U_z"] + s_prev @ P["W_z"])
-            r = sigmoid(x[t] @ P["U_r"] + s_prev @ P["W_r"])
-            h = np.tanh(x[t] @ P["U_h"] + (s_prev * r) @ P["W_h"])
-            s = (1.0 - z) * s_prev + z * h
-            cache.append((s_prev, z, r, h))
-        ds_t = dfinal
-        for t in reversed(range(T)):
-            s_prev, z, r, h = cache[t]
-            ds_prev = ds_t * (1.0 - z)
-            da_h = ds_t * z * (1.0 - h * h)
-            dsr = gate_backward("h", x[t], s_prev * r, da_h)
-            ds_prev += dsr * r
-            da_r = dsr * s_prev * r * (1.0 - r)
-            da_z = ds_t * (h - s_prev) * z * (1.0 - z)
-            for gate, da in (("r", da_r), ("z", da_z)):
-                ds_prev += gate_backward(gate, x[t], s_prev, da)
-            ds_t = ds_prev * mask if mask is not None else ds_prev
-        return s, dP
-    gates = ("i", "f", "o", "g")
-    h, c, cache = np.zeros(H), np.zeros(H), []
-    for t in range(T):
-        h_prev = h * mask if mask is not None else h
-        a = {g: x[t] @ P["U_" + g] + h_prev @ P["W_" + g] + P["b_" + g] for g in gates}
-        i, f, o, g = sigmoid(a["i"]), sigmoid(a["f"]), sigmoid(a["o"]), np.tanh(a["g"])
-        c_prev, c = c, f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        cache.append((h_prev, c_prev, i, f, o, g, tc))
-    dh, dc = dfinal, np.zeros(H)
-    for t in reversed(range(T)):
-        h_prev, c_prev, i, f, o, g, tc = cache[t]
-        dc = dc + dh * o * (1.0 - tc * tc)
-        da = {"i": dc * g * i * (1.0 - i), "f": dc * c_prev * f * (1.0 - f),
-              "o": dh * tc * o * (1.0 - o), "g": dc * i * (1.0 - g * g)}
-        dh_prev = np.zeros(H)
-        for gate in gates:
-            dP["b_" + gate] += da[gate]
-            dh_prev += gate_backward(gate, x[t], h_prev, da[gate])
-        dh, dc = (dh_prev * mask if mask is not None else dh_prev), dc * f
-    return h, dP
-
-
-@pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
-@pytest.mark.parametrize("T,d,H", [(3, 3, 4), (24, 8, 64), (300, 50, 64)])
-@pytest.mark.parametrize("masked", [False, True])
-def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked):
-    rng = _rng(47)
-    cell = cell_cls(d, H, rng=rng)
-    x = rng.standard_normal((T, d))
-    dfinal = rng.standard_normal(H)
-    mask = (rng.random(H) >= 0.3) / 0.7 if masked else None
-    h_ref, grads_ref = _per_gate_unroll(cell, x, dfinal, mask)
-
-    h = _one_sample_pass(cell, x, dfinal, mask)
-    _assert_close(h, h_ref)
-    for p in cell.parameters():
-        _assert_close(p.grad, grads_ref[p.name.rsplit(".", 1)[1]])
 
 
 def _stacked_role(cell, p):

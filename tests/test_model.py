@@ -129,7 +129,7 @@ class TestTower:
         mask = None
         if kind != "cnn":
             mask = (next(uniforms) >= recurrent)[None] / (1.0 - recurrent)
-        feat = features(mask) * (next(uniforms) >= 0.3) * (1.0 / (1.0 - 0.3))
+        feat = features(mask) * ((next(uniforms) >= 0.3) / (1.0 - 0.3))
         npt.assert_array_equal(out, tower.dense.forward(feat))
         npt.assert_array_equal(tower.forward(*doc),
                                tower.dense.forward(features(None)))

@@ -168,14 +168,6 @@ class TestFit:
                      record_timing=False)
         assert all(e.seconds == 0.0 for e in report.epochs)
 
-    def test_stop_below_train_loss(self):
-        pairs, store = make_micro_dataset(n_users=6, n_items=4, seed=1)
-        model = miniature_model(seed=1)
-        report = fit(model, store, pairs, epochs=300, batch_size=8, seed=2,
-                     stop_below_train_loss=0.2)
-        assert len(report.epochs) < 300
-        assert report.epochs[-1].train_loss < 0.2
-
     def test_training_reduces_loss_on_planted_rule(self):
         pairs, store = make_micro_dataset(seed=5)
         model = miniature_model(seed=5)
