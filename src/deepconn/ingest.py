@@ -52,7 +52,10 @@ def _validate_line(obj):
         return None, "reviewText must be a string"
     if isinstance(rating, bool) or not isinstance(rating, (int, float)):
         return None, "overall must be a number"
-    rating = float(rating)
+    try:
+        rating = float(rating)
+    except OverflowError:
+        return None, "overall out of range [1, 5]: too large for a float"
     if not np.isfinite(rating) or not 1.0 <= rating <= 5.0:
         return None, f"overall out of range [1, 5]: {rating}"
     return ReviewRecord(user_id, item_id, rating, text), None
@@ -74,6 +77,9 @@ def parse_reviews(stream):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             skips.append((line_number, f"invalid JSON ({exc.msg})"))
+            continue
+        except ValueError as exc:   # an integer past int()'s digit limit
+            skips.append((line_number, f"unreadable number ({exc})"))
             continue
         if not isinstance(obj, dict):
             obj = {}

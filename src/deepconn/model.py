@@ -172,18 +172,29 @@ class Tower:
         layers.append(("dense", {"units": c.dense_units, "activation": "relu"}))
         return layers
 
-    def forward(self, ids, matrix, draws=None):
+    def forward(self, ids, matrix, draws=None, rows=None):
         """Latent vectors of the (B, T) ids into the (V, d) `matrix`.  `draws`,
         a (B, n_masks, hidden_units) block of uniforms, means train mode:
         sample b's recurrent mask is made from draws[b, 0], then its
-        feature mask from the next row.  Without draws it runs in eval mode."""
+        feature mask from the next row.  Without draws it runs in eval mode.
+
+        `rows`, a (B,) index into the ids, gives sample b the document
+        ids[rows[b]]: the encoder runs once per document, and each sample
+        keeps its own feature mask and dense row.  Without rows, document
+        b is sample b.  A train-mode recurrent mask is drawn per sample, so
+        under recurrent dropout each sample runs its document itself."""
+        rate = self.config.recurrent_dropout_rate
+        if rows is not None and draws is not None and rate > 0.0:
+            ids, rows = ids[rows], None
         if self.kind == "cnn":
             feat = self.pool.forward(self.conv.forward(ids, matrix))
         else:
-            rate = self.config.recurrent_dropout_rate
             # One mask per sequence, applied to the state input at every step.
             mask = _keep_mask(draws, 0, rate) if rate > 0.0 else None
             feat = self.cell.forward(ids, matrix, mask)
+        self._rows, self._documents = rows, len(ids)
+        if rows is not None:
+            feat = feat[rows]
         if self.dropout is not None:
             feat = self.dropout.forward(
                 feat, _keep_mask(draws, -1, self.config.dropout_rate))
@@ -191,11 +202,17 @@ class Tower:
 
     def backward(self, dvec):
         """Accumulate the tower's parameter gradients given the (B,
-        dense_units) gradient of its latents.  Returns nothing: the input
-        documents are frozen embeddings, which take no gradient."""
+        dense_units) gradient of its latents.  The gradients of samples
+        that share a document add up in its row before the encoder's
+        backward.  Returns nothing: the input documents are frozen
+        embeddings, which take no gradient."""
         dfeat = self.dense.backward(dvec)
         if self.dropout is not None:
             dfeat = self.dropout.backward(dfeat)
+        if self._rows is not None:
+            per_document = np.zeros((self._documents, dfeat.shape[1]))
+            np.add.at(per_document, self._rows, dfeat)
+            dfeat = per_document
         if self.kind == "cnn":
             self.conv.backward(self.pool.backward(dfeat))
         else:
@@ -335,9 +352,15 @@ class DeepConn:
         return (self.user_tower.parameters() + self.item_tower.parameters()
                 + self.head.parameters())
 
-    def forward(self, user_ids, item_ids, matrix, rng=None):
+    def forward(self, user_ids, item_ids, matrix, rng=None, user_rows=None,
+                item_rows=None):
         """(B,) predicted ratings of B pairs, given as the users' and the
-        items' (B, T) token ids into the (V, d) `matrix`.
+        items' token ids into the (V, d) `matrix`.
+
+        Without rows, `user_ids` and `item_ids` are (B, T), one document per
+        pair.  `user_rows` (B,) indexes the rows of `user_ids` instead, so a
+        user's document is encoded once however many pairs share it;
+        `item_rows` does the same for the items (see `Tower.forward`).
 
         An rng means train mode.  One `rng.random((B, 2n, hidden_units))`
         block holds every dropout draw, pair b's in row b, in the order
@@ -347,10 +370,11 @@ class DeepConn:
         user_draws = item_draws = None
         if rng is not None:
             n = self.user_tower.n_masks
-            draws = rng.random((len(user_ids), 2 * n, self.config.tower.hidden_units))
+            B = len(user_ids if user_rows is None else user_rows)
+            draws = rng.random((B, 2 * n, self.config.tower.hidden_units))
             user_draws, item_draws = draws[:, :n], draws[:, n:]
-        x_u = self.user_tower.forward(user_ids, matrix, user_draws)
-        x_i = self.item_tower.forward(item_ids, matrix, item_draws)
+        x_u = self.user_tower.forward(user_ids, matrix, user_draws, user_rows)
+        x_i = self.item_tower.forward(item_ids, matrix, item_draws, item_rows)
         return self.head.predict(x_u, x_i)
 
     def backward(self, dy):

@@ -4,16 +4,21 @@ Documents are kept as token ids; the towers read a micro-batch's (B, T)
 ids through the frozen embedding table and gather the rows themselves.
 `fit` runs each mini-batch as micro-batches of MICRO_BATCH[kind] pairs,
 one forward and one backward each; the gradients add up and the
-optimizer steps once per mini-batch.  `evaluate` encodes each distinct
-user and item once per call, MICRO_BATCH[kind] at a time, and then runs
-the head once over every predicted pair.
+optimizer steps once per mini-batch.  Within a micro-batch each tower
+encodes each distinct user's or item's document once, and the gradients
+of the pairs that share it add up before the encoder's backward; under
+recurrent dropout every pair draws its own mask and runs its own
+document.  `evaluate` encodes each distinct user and item once per
+call, MICRO_BATCH[kind] at a time, and then runs the head once over
+every predicted pair.
 
 The recurrent towers run up to 32 documents per pass: at 4 a step is
 mostly numpy per-call overhead.  Their cells keep one state per chunk
 of the unroll and re-run each chunk in backward, so their memory grows
 with B**2 * T / layers.CHUNK_ROWS, and the cap of 32 keeps `fit` over
-32 LSTM pairs at T=300 and H=64 near 5.7 MB at its peak.  The CNN keeps
-4: its im2col windows grow with B, and 8 to 32 pairs ran it no faster.
+32 LSTM pairs at T=300 and H=64 near 5.9 MB at its peak when no two
+pairs share a user or an item, the worst case.  The CNN keeps 4: its
+im2col windows grow with B, and 8 to 32 pairs ran it no faster.
 """
 
 import json
@@ -178,10 +183,11 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
     """Mini-batch training; returns a TrainReport.
 
     Per epoch: shuffle under the seed, iterate batches, run each batch as
-    micro-batches of MICRO_BATCH[kind] pairs (train-mode forward, MSE
-    gradient, backward), step the optimizer once per batch, then run a full
-    eval-mode validation pass.  A training pair whose user or item has no
-    document is an UnknownEntityError before any step.  Deterministic
+    micro-batches of MICRO_BATCH[kind] pairs (train-mode forward over the
+    micro-batch's distinct documents, MSE gradient, backward), step the
+    optimizer once per batch, then run a full eval-mode validation pass.
+    A training pair whose user or item has no document is an
+    UnknownEntityError before any step.  Deterministic
     given (model, data, seed); wall-clock can be suppressed
     (record_timing=False) when byte-identical reports matter more than
     timing.
@@ -225,10 +231,10 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
             residuals = np.empty(len(batch))
             for m in range(0, len(batch), micro_batch):
                 micro = batch[m:m + micro_batch]
-                y = model.forward(
-                    store.user_tokens([train_pairs[k].user_id for k in micro]),
-                    store.item_tokens([train_pairs[k].item_id for k in micro]),
-                    store.table.matrix, dropout_rng)
+                users, user_rows = _distinct([train_pairs[k].user_id for k in micro])
+                items, item_rows = _distinct([train_pairs[k].item_id for k in micro])
+                y = model.forward(store.user_tokens(users), store.item_tokens(items),
+                                  store.table.matrix, dropout_rng, user_rows, item_rows)
                 bad = np.flatnonzero(~np.isfinite(y))
                 if bad.size:
                     idx = micro[bad[0]]
@@ -315,12 +321,19 @@ def evaluate(model, store, pairs, clamp=False):
 def _encode(tower, tokens, matrix, entity_ids):
     """Eval-mode latents, one row per id: each distinct entity is encoded
     once, MICRO_BATCH[tower.kind] documents at a time."""
-    distinct = list(dict.fromkeys(entity_ids))
+    distinct, rows = _distinct(entity_ids)
     size = MICRO_BATCH[tower.kind]
     latents = np.concatenate([tower.forward(tokens(distinct[k:k + size]), matrix)
                               for k in range(0, len(distinct), size)])
-    row = {e: k for k, e in enumerate(distinct)}
-    return latents[[row[e] for e in entity_ids]]
+    return latents[rows]
+
+
+def _distinct(entity_ids):
+    """(distinct, rows): the ids in order of first appearance, and the
+    (len(entity_ids),) index of each id in that list."""
+    row = {}
+    rows = np.array([row.setdefault(e, len(row)) for e in entity_ids], dtype=np.intp)
+    return list(row), rows
 
 
 def mean_predictor_mse(pairs, mean):

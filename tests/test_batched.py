@@ -296,8 +296,9 @@ def test_fm_head_matches_per_sample(B, m, rank, seed):
 
 
 # Gradient checks at B=3: the package's battery, then the cases the CLI
-# leaves out: cells whose unroll spans one and two chunk boundaries, and
-# full models whose documents share one small table.
+# leaves out: cells whose unroll spans one and two chunk boundaries, full
+# models whose documents share one small table, and full models whose
+# pairs share documents.
 B = 3
 
 
@@ -322,6 +323,18 @@ def _shared_rows_case(kind, rng):
                              model.backward, rng.standard_normal(B)), model.parameters()
 
 
+def _repeated_documents_case(kind, rng):
+    """A full model whose three pairs read two users' and two items'
+    documents, as `fit` hands them over: the gradients of pairs that share
+    a document add up in its row before the encoder's backward."""
+    model = miniature_model(kind, "fm", seed=int(rng.integers(1 << 30)))
+    ids, matrix = gradcheck._documents(rng, 4, 12, 8)
+    user_rows, item_rows = np.array([0, 1, 0]), np.array([1, 1, 0])
+    return gradcheck._summed(
+        lambda: model.forward(ids[:2], ids[2:], matrix, None, user_rows, item_rows),
+        model.backward, rng.standard_normal(B)), model.parameters()
+
+
 EXTRA_CASES = (
     lambda rng: _chunked_cell_case(GruCell, chunk_steps(B) + 3, rng),
     lambda rng: _chunked_cell_case(LstmCell, chunk_steps(B) + 3, rng),
@@ -329,6 +342,9 @@ EXTRA_CASES = (
     lambda rng: _shared_rows_case("cnn", rng),
     lambda rng: _shared_rows_case("gru", rng),
     lambda rng: _shared_rows_case("lstm", rng),
+    lambda rng: _repeated_documents_case("cnn", rng),
+    lambda rng: _repeated_documents_case("gru", rng),
+    lambda rng: _repeated_documents_case("lstm", rng),
 )
 
 
@@ -339,7 +355,8 @@ EXTRA_CASES = (
          "dp_head", "fm_head", "full_cnn_dp", "full_gru_fm", "full_lstm_dp",
          "gru_masked_chunk+3", "lstm_masked_chunk+3", "lstm_masked_2chunks+3",
          "full_cnn_fm_shared_rows", "full_gru_fm_shared_rows",
-         "full_lstm_fm_shared_rows"])
+         "full_lstm_fm_shared_rows", "full_cnn_fm_repeated_documents",
+         "full_gru_fm_repeated_documents", "full_lstm_fm_repeated_documents"])
 def test_gradient_check_at_batch_of_three(build, monkeypatch):
     monkeypatch.setattr(gradcheck, "BATCH", B)
     loss_fn, params = build(np.random.default_rng(5))

@@ -56,6 +56,20 @@ class TestParse:
         assert result.records == []
         assert len(result.skips) == 1
 
+    def test_oversize_integer_ratings_skipped_with_a_reason(self):
+        # 401 digits overflow float(); 5,001 pass int()'s digit limit,
+        # where json.loads raises a plain ValueError.
+        good = json.dumps(_record())
+        lines = [good,
+                 good.replace('"overall": 5.0', '"overall": 1' + "0" * 400),
+                 good.replace('"overall": 5.0', '"overall": ' + "9" * 5001),
+                 json.dumps(_record(user="u2"))]
+        result = parse_reviews(io.StringIO("\n".join(lines) + "\n"))
+        assert [r.user_id for r in result.records] == ["u1", "u2"]
+        assert [n for n, _ in result.skips] == [2, 3]
+        assert "too large for a float" in result.skips[0][1]
+        assert "unreadable number" in result.skips[1][1]
+
     def test_empty_ids_rejected(self):
         result = parse_reviews(_jsonl(_record(user="")))
         assert result.records == []

@@ -295,6 +295,48 @@ class TestDeepConn:
                                 rtol=1e-12, atol=0)
         assert rng.random() == one_at_a_time.random()  # no further draws
 
+    @pytest.mark.parametrize("kind, recurrent", [
+        ("cnn", 0.0), ("gru", 0.0), ("lstm", 0.0), ("gru", 0.2), ("lstm", 0.2)])
+    @pytest.mark.parametrize("user_rows, item_rows", [
+        ([0, 0, 0, 0, 0], [0, 0, 0, 0, 0]),     # every pair shares one document
+        ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]),     # every document is its own
+        ([0, 1, 0, 2, 1], [2, 2, 0, 1, 2]),     # a mix
+    ], ids=["same", "distinct", "mixed"])
+    def test_shared_documents_match_one_document_per_pair(
+            self, kind, recurrent, user_rows, item_rows):
+        # The training path, each document once plus a row per pair, against
+        # the same pairs run one document per pair with the same draws: the
+        # predictions and every parameter gradient agree within 1e-12 of the
+        # array's largest entry, and bit for bit under recurrent dropout,
+        # where each pair runs its own document.  T=60 puts a chunk boundary
+        # into the unroll of 5 documents but not of 1 to 3.
+        config = ModelConfig(tower=TowerConfig(
+            kind=kind, embedding_dim=5, hidden_units=4, kernel=2, stride=1,
+            dense_units=3, dropout_rate=0.3, recurrent_dropout_rate=recurrent),
+            head="fm")
+        model = DeepConn(config, seed=11)
+        user_rows, item_rows = np.array(user_rows), np.array(item_rows)
+        ids, matrix = table(_rng(12).standard_normal((12, 60, 5)))
+        user_ids = ids[:user_rows.max() + 1]
+        item_ids = ids[6:7 + item_rows.max()]
+        dy = _rng(13).standard_normal(5)
+
+        def run(*batch):
+            for p in model.parameters():
+                p.zero_grad()
+            y = model.forward(*batch[:3], _rng(14), *batch[3:])
+            model.backward(dy)
+            return [y] + [p.grad.copy() for p in model.parameters()]
+
+        shared = run(user_ids, item_ids, matrix, user_rows, item_rows)
+        per_pair = run(user_ids[user_rows], item_ids[item_rows], matrix)
+        for actual, reference in zip(shared, per_pair):
+            if recurrent:
+                npt.assert_array_equal(actual, reference)
+            else:
+                assert np.max(np.abs(actual - reference)) <= \
+                    1e-12 * np.max(np.abs(reference))
+
     def test_eval_mode_is_pure(self):
         model = miniature_model("gru", "fm", seed=4)
         user_doc, item_doc = self._docs(16)

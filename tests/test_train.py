@@ -240,33 +240,51 @@ class TestFit:
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_recurrent_fit_at_paper_shapes_keeps_a_small_peak(self, kind):
-        # Shaped like the train-lstm benchmark: 32 pairs at T=300, d=50,
-        # H=64, FM head, RMSprop, with validation, run as one micro-batch
-        # of 32.  The cells gather one chunk of rows at a time from the
-        # token ids, forward keeps one state per chunk, and backward re-runs
-        # one chunk at a time.
+        # Shaped like the train-lstm benchmark: 32 pairs of 10 users and 8
+        # items at T=300, d=50, H=64, FM head, RMSprop, with validation, run
+        # as one micro-batch of 32.  The cells gather one chunk of rows at a
+        # time from the token ids, forward keeps one state per chunk, and
+        # backward re-runs one chunk at a time.
         records = make_sample_corpus(n_reviews=40, n_users=10, n_items=8, seed=11)
-        split = split_dataset(records, 0.81, 0.09, seed=11)
-        table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
-        store = DocumentStore(split.train + split.validation, table, doc_length=300)
-        config = build_config("comparison", kind=kind, embedding_dim=50, head="fm")
-        model = DeepConn(config, seed=11)
-        train_pairs = pairs_from_records(split.train)
-        assert len(train_pairs) == 32 and config.tower.hidden_units == 64
-        tracemalloc.start()
-        try:
-            fit(model, store, train_pairs,
-                validation_pairs=pairs_from_records(split.validation),
-                optimizer="rmsprop", epochs=1, batch_size=32, seed=11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MB"
+        _assert_small_fit_peak(kind, records)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_recurrent_fit_over_32_distinct_documents_keeps_a_small_peak(self, kind):
+        # The worst case of the same run: no two of the 32 pairs share a
+        # user or an item, so each cell unrolls 32 documents at once.
+        records = [ReviewRecord(r.user_id, f"item{k:03d}", r.rating, r.text)
+                   for k, r in enumerate(make_sample_corpus(
+                       n_reviews=40, n_users=40, n_items=40, seed=11))]
+        _assert_small_fit_peak(kind, records, distinct=32)
 
     def test_empty_training_set_rejected(self):
         model, store, _ = _tiny_setup()
         with pytest.raises(ConfigError):
             fit(model, store, [], epochs=1, batch_size=8, seed=0)
+
+
+def _assert_small_fit_peak(kind, records, distinct=None):
+    """`fit` over the 32 training pairs of a 0.81/0.09 split of 40 records,
+    at the paper's shapes, peaks under 6 MB of traced allocations."""
+    split = split_dataset(records, 0.81, 0.09, seed=11)
+    table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
+    store = DocumentStore(split.train + split.validation, table, doc_length=300)
+    config = build_config("comparison", kind=kind, embedding_dim=50, head="fm")
+    model = DeepConn(config, seed=11)
+    train_pairs = pairs_from_records(split.train)
+    assert len(train_pairs) == 32 and config.tower.hidden_units == 64
+    if distinct is not None:
+        assert len({p.user_id for p in train_pairs}) == distinct
+        assert len({p.item_id for p in train_pairs}) == distinct
+    tracemalloc.start()
+    try:
+        fit(model, store, train_pairs,
+            validation_pairs=pairs_from_records(split.validation),
+            optimizer="rmsprop", epochs=1, batch_size=32, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestEvaluate:
