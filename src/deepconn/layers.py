@@ -40,14 +40,15 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-# Rows (steps x documents) per chunk of the recurrent unroll.  Forward
-# keeps one state per chunk, and backward holds one chunk's states and
-# gate activations at a time.
+# Rows per chunk of the recurrent unroll (steps x documents) and of the
+# conv's windows (documents x positions).  Backward holds one chunk's rows
+# at a time.
 CHUNK_ROWS = 256
 
 
 def chunk_steps(B):
-    """Steps per chunk of the recurrent unroll over a batch of B documents."""
+    """Steps per chunk of the recurrent unroll over a batch of B documents;
+    also documents per chunk of a conv with B output positions."""
     return max(1, CHUNK_ROWS // B)
 
 
@@ -122,6 +123,10 @@ def _check_table(layer, ids, matrix, dim):
     if ids.ndim != 2 or ids.shape[1] < 1 or matrix.shape[1:] != (dim,):
         raise ShapeError(f"{type(layer).__name__} expected (B, T >= 1) ids and a "
                          f"(V, {dim}) table, got {ids.shape} and {matrix.shape}")
+    # Once per forward, not per chunk: a negative id would wrap silently.
+    if ids.size and (ids.min() < 0 or ids.max() >= len(matrix)):
+        raise ShapeError(f"{type(layer).__name__} got token ids outside its "
+                         f"{len(matrix)}-row table (min {ids.min()}, max {ids.max()})")
 
 
 class Dense:
@@ -166,6 +171,10 @@ class Conv1d:
 
     Its input is the frozen word embedding, so `backward(dout)` only
     accumulates the kernel and bias gradients and returns nothing.
+
+    Forward and backward gather the windows `chunk_steps(L)` documents at
+    a time; between the passes the layer keeps the ids, the table and its
+    ReLU output (the checkpointing of Chen et al. 2016, arXiv 1604.06174).
     """
 
     def __init__(self, in_dim, channels, kernel, stride, rng, name="conv"):
@@ -189,29 +198,40 @@ class Conv1d:
                 f"conv1d needs T >= kernel ({self.kernel}), got T={T}")
         return (T - self.kernel) // self.stride + 1
 
+    def _windows(self, ids, matrix):
+        """The (n, L, K*d) im2col windows of n documents' (n, T) ids."""
+        S, L = self.stride, self.output_length(ids.shape[1])
+        rows = np.arange(0, S * L, S)[:, None] + np.arange(self.kernel)
+        return matrix[ids[:, rows]].reshape(len(ids), L, -1)
+
     def forward(self, ids, matrix):
         _check_table(self, ids, matrix, self.in_dim)
-        B, T = ids.shape
-        L = self.output_length(T)
-        K, S, C = self.kernel, self.stride, self.channels
-        # im2col: each sample's (L, K*d) matrix of flattened windows,
-        # gathered from the table once and kept for backward.  The product
-        # stays one matmul per sample: a single (B*L, K*d) GEMM changes its
-        # bits with the BLAS thread count.
-        rows = np.arange(0, S * L, S)[:, None] + np.arange(K)
-        windows = matrix[ids[:, rows]].reshape(B, L, K * self.in_dim)
-        z = windows @ self.kernels.value.reshape(C, -1).T + self.bias.value
-        out = np.maximum(z, 0.0)
-        self._cache = (windows, z)
+        L, C = self.output_length(ids.shape[1]), self.channels
+        kernels = self.kernels.value.reshape(C, -1).T
+        out = np.empty((len(ids), L, C))
+        n = chunk_steps(L)
+        for b in range(0, len(ids), n):
+            # One product per document: a single (n*L, K*d) GEMM changes
+            # its bits with the BLAS thread count.
+            z = out[b:b + n]
+            np.matmul(self._windows(ids[b:b + n], matrix), kernels, out=z)
+            z += self.bias.value
+            np.maximum(z, 0.0, out=z)
+        self._cache = (ids, matrix, out)
         return out
 
     def backward(self, dout):
-        windows, z = self._cache
+        ids, matrix, out = self._cache
         self._cache = None
         C, K, d = self.kernels.shape
-        dz = (np.asarray(dout) * (z > 0.0)).reshape(-1, C)
-        self.kernels.grad += (dz.T @ windows.reshape(len(dz), -1)).reshape(C, K, d)
-        self.bias.grad += dz.sum(axis=0)
+        dout = np.asarray(dout)
+        n = chunk_steps(out.shape[1])
+        for b in range(0, len(ids), n):
+            # The ReLU's output is positive exactly where its input is.
+            dz = (dout[b:b + n] * (out[b:b + n] > 0.0)).reshape(-1, C)
+            windows = self._windows(ids[b:b + n], matrix).reshape(len(dz), -1)
+            self.kernels.grad += (dz.T @ windows).reshape(C, K, d)
+            self.bias.grad += dz.sum(axis=0)
 
 
 class MaxPoolOverTime:

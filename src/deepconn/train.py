@@ -2,23 +2,23 @@
 
 Documents are kept as token ids; the towers read a micro-batch's (B, T)
 ids through the frozen embedding table and gather the rows themselves.
-`fit` runs each mini-batch as micro-batches of MICRO_BATCH[kind] pairs,
-one forward and one backward each; the gradients add up and the
-optimizer steps once per mini-batch.  Within a micro-batch each tower
-encodes each distinct user's or item's document once, and the gradients
-of the pairs that share it add up before the encoder's backward; under
-recurrent dropout every pair draws its own mask and runs its own
-document.  `evaluate` encodes each distinct user and item once per
-call, MICRO_BATCH[kind] at a time, and then runs the head once over
-every predicted pair.
+`fit` runs each mini-batch as micro-batches of MICRO_BATCH pairs, one
+forward and one backward each; the gradients add up and the optimizer
+steps once per mini-batch.  Within a micro-batch each tower encodes each
+distinct user's or item's document once, and the gradients of the pairs
+that share it add up before the encoder's backward; under recurrent
+dropout every pair draws its own mask and runs its own document.
+`evaluate` encodes each distinct user and item once per call,
+MICRO_BATCH at a time, and then runs the head once over every predicted
+pair.
 
-The recurrent towers run up to 32 documents per pass: at 4 a step is
-mostly numpy per-call overhead.  Their cells keep one state per chunk
-of the unroll and re-run each chunk in backward, so their memory grows
-with B**2 * T / layers.CHUNK_ROWS, and the cap of 32 keeps `fit` over
-32 LSTM pairs at T=300 and H=64 near 5.9 MB at its peak when no two
-pairs share a user or an item, the worst case.  The CNN keeps 4: its
-im2col windows grow with B, and 8 to 32 pairs ran it no faster.
+Every tower runs up to 32 documents per pass: at 4 a recurrent step is
+mostly numpy per-call overhead, and few pairs of 4 share a document.
+Each encoder gathers one chunk of about layers.CHUNK_ROWS rows at a
+time; a cell also keeps one state per chunk, so its memory grows with
+B**2 * T / layers.CHUNK_ROWS.  The cap of 32 keeps `fit` over 32 pairs
+at T=300 and H=64 near 5.9 MB at its peak when no two pairs share a
+user or an item, the worst case.
 """
 
 import json
@@ -39,8 +39,8 @@ from .model import DeepConn, ModelConfig, mse
 from .optim import make_optimizer
 from .text import EmbeddingTable, EncodedDocument, build_document, embed
 
-# Pairs per forward/backward pass, by tower kind.
-MICRO_BATCH = {"cnn": 4, "gru": 32, "lstm": 32}
+# Pairs per forward/backward pass of `fit`, documents per tower pass of `evaluate`.
+MICRO_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
     """Mini-batch training; returns a TrainReport.
 
     Per epoch: shuffle under the seed, iterate batches, run each batch as
-    micro-batches of MICRO_BATCH[kind] pairs (train-mode forward over the
+    micro-batches of MICRO_BATCH pairs (train-mode forward over the
     micro-batch's distinct documents, MSE gradient, backward), step the
     optimizer once per batch, then run a full eval-mode validation pass.
     A training pair whose user or item has no document is an
@@ -218,7 +218,6 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
 
     targets = np.array([p.rating for p in train_pairs])
     n = len(train_pairs)
-    micro_batch = MICRO_BATCH[model.config.tower.kind]
 
     best_val = np.inf
     best_snapshot = None
@@ -229,8 +228,8 @@ def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             residuals = np.empty(len(batch))
-            for m in range(0, len(batch), micro_batch):
-                micro = batch[m:m + micro_batch]
+            for m in range(0, len(batch), MICRO_BATCH):
+                micro = batch[m:m + MICRO_BATCH]
                 users, user_rows = _distinct([train_pairs[k].user_id for k in micro])
                 items, item_rows = _distinct([train_pairs[k].item_id for k in micro])
                 y = model.forward(store.user_tokens(users), store.item_tokens(items),
@@ -287,7 +286,7 @@ def evaluate(model, store, pairs, clamp=False):
     "cold_start_user", "cold_start_item".  Side-effect free.
 
     Eval-mode towers are deterministic, so each distinct user and item is
-    encoded once, MICRO_BATCH[kind] documents at a time, and the head runs
+    encoded once, MICRO_BATCH documents at a time, and the head runs
     once over every predicted pair.  The predictions equal a `model.predict`
     call per pair within rounding, not always bit for bit: a BLAS product
     over several rows can round a row in another way than over that row
@@ -320,12 +319,11 @@ def evaluate(model, store, pairs, clamp=False):
 
 def _encode(tower, tokens, matrix, entity_ids):
     """Eval-mode latents, one row per id: each distinct entity is encoded
-    once, MICRO_BATCH[tower.kind] documents at a time."""
+    once, MICRO_BATCH documents at a time."""
     distinct, rows = _distinct(entity_ids)
-    size = MICRO_BATCH[tower.kind]
-    latents = np.concatenate([tower.forward(tokens(distinct[k:k + size]), matrix)
-                              for k in range(0, len(distinct), size)])
-    return latents[rows]
+    latents = [tower.forward(tokens(distinct[k:k + MICRO_BATCH]), matrix)
+               for k in range(0, len(distinct), MICRO_BATCH)]
+    return np.concatenate(latents)[rows]
 
 
 def _distinct(entity_ids):

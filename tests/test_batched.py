@@ -16,14 +16,14 @@ at B=3, and a few cases the battery leaves out.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_sample
 from per_sample import table
 from deepconn import gradcheck
 from deepconn.gradcheck import DEFAULT_THRESHOLD, gradient_check, miniature_model
-from deepconn.layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
+from deepconn.layers import (CHUNK_ROWS, Conv1d, Dense, Dropout, GruCell, LstmCell,
                              MaxPoolOverTime, chunk_steps)
 from deepconn.model import DpHead, FmHead
 
@@ -87,6 +87,10 @@ def test_dense_matches_per_sample(B, n_in, n_out, activation, seed):
 @given(B=batch_sizes, K=st.integers(1, 8), S=st.integers(1, 6),
        extra=st.integers(0, 40), d=st.integers(1, 4), C=st.integers(1, 4),
        seed=seeds)
+# Batches of several chunks of windows: 4 + 1 documents of L=59, and
+# documents longer than a chunk.
+@example(B=5, K=2, S=1, extra=58, d=2, C=3, seed=1)
+@example(B=3, K=1, S=1, extra=CHUNK_ROWS, d=1, C=2, seed=2)
 @settings(max_examples=40, deadline=None)
 def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
     rng = np.random.default_rng(seed)
@@ -105,6 +109,25 @@ def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
         return out, [], grads
 
     _check(layer, layer.parameters(), batched, oracle, B)
+
+
+@pytest.mark.parametrize("B,L", [(32, 49), (32, 10), (5, CHUNK_ROWS + 1)])
+def test_conv1d_forward_is_one_product_per_document(B, L):
+    """However the documents fall into chunks, each document's output has
+    the bits of its own (L, K*d) @ (K*d, C) im2col product, which the
+    BLAS thread check relies on.  B=32 is a micro-batch of 32 distinct
+    documents, at the paper's L=49 in 7 chunks of 5 documents or fewer,
+    and at the thread check's L=10 in chunks of 25, where one flat
+    product per chunk rounds differently."""
+    rng = np.random.default_rng(L)
+    layer = Conv1d(50, 64, kernel=8, stride=6, rng=rng)
+    matrix = _read_only_table(rng, 40, 50)
+    ids = _token_ids(rng, B, 8 + 6 * (L - 1), 40)
+    out = layer.forward(ids, matrix)
+    assert out.shape == (B, L, 64)
+    for b in range(B):
+        expected, _ = per_sample.conv1d(layer, matrix[ids[b]], np.zeros((L, 64)))
+        np.testing.assert_array_equal(out[b], expected)
 
 
 @given(B=batch_sizes, L=st.integers(1, 20), C=st.integers(1, 5),
@@ -297,8 +320,9 @@ def test_fm_head_matches_per_sample(B, m, rank, seed):
 
 # Gradient checks at B=3: the package's battery, then the cases the CLI
 # leaves out: cells whose unroll spans one and two chunk boundaries, full
-# models whose documents share one small table, and full models whose
-# pairs share documents.
+# models whose documents share one small table, full models whose pairs
+# share documents, and a conv and a full CNN model whose documents span
+# two chunks of windows.
 B = 3
 
 
@@ -310,7 +334,20 @@ def _chunked_cell_case(cell_cls, T, rng):
                              rng.standard_normal((B, 3))), cell.parameters()
 
 
-def _shared_rows_case(kind, rng):
+# Conv positions at which the B documents span two chunks of windows,
+# and the document length that gives them at kernel 4 and stride 2.
+CHUNKED_L = CHUNK_ROWS // (B - 1)
+CHUNKED_T = 4 + 2 * (CHUNKED_L - 1)
+
+
+def _chunked_conv_case(rng):
+    layer = Conv1d(2, 3, kernel=4, stride=2, rng=rng)
+    ids, matrix = table(rng.standard_normal((B, CHUNKED_T, 2)))
+    return gradcheck._summed(lambda: layer.forward(ids, matrix), layer.backward,
+                             rng.standard_normal((B, CHUNKED_L, 3))), layer.parameters()
+
+
+def _shared_rows_case(kind, rng, T=12):
     """A full model whose user and item documents read one 5-row table:
     every id repeats, rows are shared across documents and towers, and
     the documents end in pad ids.  At most 3 pad ids keep a real row in
@@ -318,7 +355,7 @@ def _shared_rows_case(kind, rng):
     kink, where a central difference is off."""
     model = miniature_model(kind, "fm", seed=int(rng.integers(1 << 30)))
     matrix = _read_only_table(rng, 5, 8)
-    ids = _token_ids(rng, 2 * B, 12, 5, min_real=9)
+    ids = _token_ids(rng, 2 * B, T, 5, min_real=T - 3)
     return gradcheck._summed(lambda: model.forward(ids[:B], ids[B:], matrix),
                              model.backward, rng.standard_normal(B)), model.parameters()
 
@@ -345,6 +382,8 @@ EXTRA_CASES = (
     lambda rng: _repeated_documents_case("cnn", rng),
     lambda rng: _repeated_documents_case("gru", rng),
     lambda rng: _repeated_documents_case("lstm", rng),
+    _chunked_conv_case,
+    lambda rng: _shared_rows_case("cnn", rng, CHUNKED_T),
 )
 
 
@@ -356,7 +395,8 @@ EXTRA_CASES = (
          "gru_masked_chunk+3", "lstm_masked_chunk+3", "lstm_masked_2chunks+3",
          "full_cnn_fm_shared_rows", "full_gru_fm_shared_rows",
          "full_lstm_fm_shared_rows", "full_cnn_fm_repeated_documents",
-         "full_gru_fm_repeated_documents", "full_lstm_fm_repeated_documents"])
+         "full_gru_fm_repeated_documents", "full_lstm_fm_repeated_documents",
+         "conv1d_2chunks", "full_cnn_fm_shared_rows_2chunks"])
 def test_gradient_check_at_batch_of_three(build, monkeypatch):
     monkeypatch.setattr(gradcheck, "BATCH", B)
     loss_fn, params = build(np.random.default_rng(5))

@@ -295,6 +295,23 @@ class TestGruCell:
         assert steps == []  # rejected before any step runs
 
 
+@pytest.mark.parametrize("encoder,options", [
+    (Conv1d, {"kernel": 2, "stride": 1}), (GruCell, {}), (LstmCell, {})])
+def test_encoders_reject_ids_outside_the_table(encoder, options):
+    # In a 6-row table, id -1 would read the last row and id 6 would fail
+    # in numpy's gather, in the middle of a chunked forward.
+    layer = encoder(3, 2, rng=_rng(), **options)
+    matrix = _rng(1).standard_normal((6, 3))
+    ids = _rng(2).integers(0, 6, (2, 5))
+    layer.forward(ids, matrix)
+    for bad in (-1, 6):
+        wrong = ids.copy()
+        wrong[1, 3] = bad
+        with pytest.raises(ShapeError, match=rf"^{encoder.__name__} got token ids "
+                                             "outside its 6-row table"):
+            layer.forward(wrong, matrix)
+
+
 class TestLstmCell:
     def test_forget_bias_path(self):
         # All weights zero, forget bias 1: c = sigmoid(1) * c_prev, h = 0.5 * tanh(c).

@@ -210,21 +210,20 @@ class TestFit:
         assert (pair.user_id, pair.item_id) == found.group(2, 3)
 
     def test_non_finite_prediction_names_its_pair_within_the_micro_batch(self):
-        # Four pairs with four users: the shuffled order (fit's recipe)
-        # puts pair `bad` third in the one micro-batch, and only its user's
-        # document is not finite.
-        model, store, pairs = _tiny_setup(seed=23)
-        pairs = [p for p in pairs if p.item_id == "m1"][:MICRO_BATCH["cnn"]]
+        # MICRO_BATCH pairs of as many users and one item: the shuffled
+        # order (fit's recipe) puts pair `bad` 21st in the one micro-batch,
+        # and only its user's document is not finite.
+        model, store, pairs = _tiny_setup(seed=23, n_users=MICRO_BATCH, n_items=1)
         shuffle_seq, _ = np.random.SeedSequence(4).spawn(2)
-        bad = int(np.random.default_rng(shuffle_seq).permutation(len(pairs))[2])
+        bad = int(np.random.default_rng(shuffle_seq).permutation(len(pairs))[20])
         matrix = store.table.matrix.copy()
         matrix[store.user_tokens([pairs[bad].user_id])] = np.inf
         store.table.matrix = matrix
         with pytest.raises(NumericFault,
                            match=rf"epoch 1, batch at 0, pair {bad} \(user "
-                                 rf"'{pairs[bad].user_id}', item 'm1'\)"), \
+                                 rf"'{pairs[bad].user_id}', item 'm0'\)"), \
                 np.errstate(invalid="ignore"):
-            fit(model, store, pairs, epochs=1, batch_size=8, seed=4)
+            fit(model, store, pairs, epochs=1, batch_size=MICRO_BATCH, seed=4)
 
     def test_pair_without_a_document_rejected_before_any_step(self):
         model, store, pairs = _tiny_setup(seed=24)
@@ -245,17 +244,21 @@ class TestFit:
         # as one micro-batch of 32.  The cells gather one chunk of rows at a
         # time from the token ids, forward keeps one state per chunk, and
         # backward re-runs one chunk at a time.
-        records = make_sample_corpus(n_reviews=40, n_users=10, n_items=8, seed=11)
-        _assert_small_fit_peak(kind, records)
+        _assert_small_fit_peak(kind, _shared_corpus())
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_recurrent_fit_over_32_distinct_documents_keeps_a_small_peak(self, kind):
         # The worst case of the same run: no two of the 32 pairs share a
         # user or an item, so each cell unrolls 32 documents at once.
-        records = [ReviewRecord(r.user_id, f"item{k:03d}", r.rating, r.text)
-                   for k, r in enumerate(make_sample_corpus(
-                       n_reviews=40, n_users=40, n_items=40, seed=11))]
-        _assert_small_fit_peak(kind, records, distinct=32)
+        _assert_small_fit_peak(kind, _distinct_corpus(), distinct=32)
+
+    @pytest.mark.parametrize("distinct", [None, 32])
+    def test_cnn_fit_at_paper_shapes_keeps_a_small_peak(self, distinct):
+        # Shaped like the train-cnn benchmark (DP head, Adam), on both
+        # corpora above, as one micro-batch of 32.  The conv gathers one
+        # chunk of windows at a time and keeps only its ReLU output.
+        records = _shared_corpus() if distinct is None else _distinct_corpus()
+        _assert_small_fit_peak("cnn", records, distinct, head="dp", optimizer="adam")
 
     def test_empty_training_set_rejected(self):
         model, store, _ = _tiny_setup()
@@ -263,13 +266,26 @@ class TestFit:
             fit(model, store, [], epochs=1, batch_size=8, seed=0)
 
 
-def _assert_small_fit_peak(kind, records, distinct=None):
+def _shared_corpus():
+    """40 records of 10 users and 8 items."""
+    return make_sample_corpus(n_reviews=40, n_users=10, n_items=8, seed=11)
+
+
+def _distinct_corpus():
+    """40 records, no two of which share a user or an item."""
+    return [ReviewRecord(r.user_id, f"item{k:03d}", r.rating, r.text)
+            for k, r in enumerate(make_sample_corpus(
+                n_reviews=40, n_users=40, n_items=40, seed=11))]
+
+
+def _assert_small_fit_peak(kind, records, distinct=None, head="fm",
+                           optimizer="rmsprop"):
     """`fit` over the 32 training pairs of a 0.81/0.09 split of 40 records,
     at the paper's shapes, peaks under 6 MB of traced allocations."""
     split = split_dataset(records, 0.81, 0.09, seed=11)
     table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
     store = DocumentStore(split.train + split.validation, table, doc_length=300)
-    config = build_config("comparison", kind=kind, embedding_dim=50, head="fm")
+    config = build_config("comparison", kind=kind, embedding_dim=50, head=head)
     model = DeepConn(config, seed=11)
     train_pairs = pairs_from_records(split.train)
     assert len(train_pairs) == 32 and config.tower.hidden_units == 64
@@ -280,7 +296,7 @@ def _assert_small_fit_peak(kind, records, distinct=None):
     try:
         fit(model, store, train_pairs,
             validation_pairs=pairs_from_records(split.validation),
-            optimizer="rmsprop", epochs=1, batch_size=32, seed=11)
+            optimizer=optimizer, epochs=1, batch_size=32, seed=11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
