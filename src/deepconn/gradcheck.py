@@ -103,9 +103,9 @@ def _case_dense(rng):
 
 def _case_conv1d(rng):
     layer = Conv1d(5, 3, kernel=4, stride=2, rng=rng, name="check.conv")
-    ids, matrix = _documents(rng, BATCH, 12, 5)   # L = (12 - 4) // 2 + 1 = 5
+    ids, matrix = _documents(rng, BATCH, 12, 5)   # max over L = 5 positions
     return _summed(lambda: layer.forward(ids, matrix), layer.backward,
-                   rng.standard_normal((BATCH, 5, 3))), layer.parameters()
+                   rng.standard_normal((BATCH, 3))), layer.parameters()
 
 
 def _case_maxpool(rng):

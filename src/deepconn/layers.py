@@ -27,7 +27,8 @@ batch.  Forward keeps one entering state per chunk and the last chunk's
 states and activations; backward re-runs each earlier chunk's steps from
 its entering state, so the activations it differentiates are forward's
 bit for bit.  The cells' sigmoid is tanh-based, so it needs no branch on
-the sign of its input.
+the sign of its input.  Conv1d ends in its ReLU and max over time, so its
+backward reads one window per document and channel.
 
 Layers draw no random numbers after construction: the model draws every
 dropout mask, the recurrent one and the feature one, scales its kept
@@ -164,17 +165,22 @@ class Dense:
 
 
 class Conv1d:
-    """Valid temporal convolution over (B, T) token ids, ReLU activation.
+    """Valid temporal convolution over (B, T) token ids, then ReLU and the
+    max over time, which commute: (B, T) ids -> (B, C) features.
 
-    out[b, l, c] = relu(sum_{k,j} x[b, l*S + k, j] * kernels[c, k, j] + bias[c])
+    z[b, l, c] = sum_{k,j} x[b, l*S + k, j] * kernels[c, k, j] + bias[c]
+    out[b, c] = max(z[b, argmax[b, c], c], 0), argmax the first peak over l
     with x[b, t] = matrix[ids[b, t]] and L = floor((T - K) / S) + 1 positions.
 
     Its input is the frozen word embedding, so `backward(dout)` only
     accumulates the kernel and bias gradients and returns nothing.
 
-    Forward and backward gather the windows `chunk_steps(L)` documents at
-    a time; between the passes the layer keeps the ids, the table and its
-    ReLU output (the checkpointing of Chen et al. 2016, arXiv 1604.06174).
+    Forward runs one (L, K*d) @ (K*d, C) product per document, gathering
+    the windows `chunk_steps(L)` documents at a time, and keeps the ids,
+    the table and the (B, C) argmax and output (the checkpointing of Chen
+    et al. 2016, arXiv 1604.06174).  Backward gathers the B*C argmax
+    windows channel-major, `chunk_steps(C)` documents at a time, for one
+    (C, 1, n) @ (C, n, K*d) kernel-gradient product per chunk.
     """
 
     def __init__(self, in_dim, channels, kernel, stride, rng, name="conv"):
@@ -206,32 +212,41 @@ class Conv1d:
 
     def forward(self, ids, matrix):
         _check_table(self, ids, matrix, self.in_dim)
-        L, C = self.output_length(ids.shape[1]), self.channels
+        C = self.channels
         kernels = self.kernels.value.reshape(C, -1).T
-        out = np.empty((len(ids), L, C))
-        n = chunk_steps(L)
+        argmax, out = np.empty((len(ids), C), dtype=np.intp), np.empty((len(ids), C))
+        n = chunk_steps(self.output_length(ids.shape[1]))
         for b in range(0, len(ids), n):
             # One product per document: a single (n*L, K*d) GEMM changes
             # its bits with the BLAS thread count.
-            z = out[b:b + n]
-            np.matmul(self._windows(ids[b:b + n], matrix), kernels, out=z)
+            z = self._windows(ids[b:b + n], matrix) @ kernels
             z += self.bias.value
-            np.maximum(z, 0.0, out=z)
-        self._cache = (ids, matrix, out)
+            argmax[b:b + n], out[b:b + n] = _max_over_time(z)
+        np.maximum(out, 0.0, out=out)
+        self._cache = (ids, matrix, argmax, out)
         return out
 
     def backward(self, dout):
-        ids, matrix, out = self._cache
+        ids, matrix, argmax, out = self._cache
         self._cache = None
         C, K, d = self.kernels.shape
-        dout = np.asarray(dout)
-        n = chunk_steps(out.shape[1])
+        # The ReLU's output is positive exactly where its input is.
+        g = np.asarray(dout) * (out > 0.0)
+        self.bias.grad += g.sum(axis=0)
+        n = chunk_steps(C)
         for b in range(0, len(ids), n):
-            # The ReLU's output is positive exactly where its input is.
-            dz = (dout[b:b + n] * (out[b:b + n] > 0.0)).reshape(-1, C)
-            windows = self._windows(ids[b:b + n], matrix).reshape(len(dz), -1)
-            self.kernels.grad += (dz.T @ windows).reshape(C, K, d)
-            self.bias.grad += dz.sum(axis=0)
+            # Channel c's window of document j starts at argmax[j, c] * S.
+            docs = np.arange(b, min(b + n, len(ids)))
+            starts = argmax[docs].T[..., None] * self.stride
+            rows = ids[docs[:, None], starts + np.arange(K)]
+            windows = matrix[rows].reshape(C, len(docs), K * d)
+            self.kernels.grad += (g[docs].T[:, None] @ windows).reshape(C, K, d)
+
+
+def _max_over_time(x):
+    """(B, C) first argmax and maxima over the L of a (B, L, C) batch."""
+    argmax = np.argmax(x, axis=1)  # first maximum per channel on ties
+    return argmax, x[np.arange(len(x))[:, None], argmax, np.arange(x.shape[2])]
 
 
 class MaxPoolOverTime:
@@ -248,16 +263,14 @@ class MaxPoolOverTime:
         if x.ndim != 3 or x.shape[1] < 1:
             raise ShapeError(
                 f"maxpool expected non-empty (B, L, C) input, got {x.shape}")
-        B, L, C = x.shape
-        argmax = np.argmax(x, axis=1)  # first maximum per channel on ties
-        rows, cols = np.arange(B)[:, None], np.arange(C)
-        self._cache = (x.shape, rows, argmax, cols)
-        return x[rows, argmax, cols]
+        argmax, out = _max_over_time(x)
+        self._cache = (x.shape, argmax)
+        return out
 
     def backward(self, dout):
-        shape, rows, argmax, cols = self._cache
+        shape, argmax = self._cache
         dx = np.zeros(shape)
-        dx[rows, argmax, cols] = dout
+        dx[np.arange(shape[0])[:, None], argmax, np.arange(shape[2])] = dout
         return dx
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericFault, ShapeError
-from .layers import (Conv1d, Dense, Dropout, GruCell, LstmCell,
-                     MaxPoolOverTime, Parameter, glorot_uniform)
+from .layers import (Conv1d, Dense, Dropout, GruCell, LstmCell, Parameter,
+                     glorot_uniform)
 
 TOWER_KINDS = ("cnn", "lstm", "gru")
 HEAD_KINDS = ("dp", "fm")
@@ -121,7 +121,8 @@ class Tower:
     """One encoder: a (B, T) batch of review documents' token ids, read
     through a (V, embedding_dim) table -> (B, dense_units) latent vectors.
 
-    cnn:      conv1d -> max-pool over time -> flatten -> [dropout] -> dense(relu)
+    cnn:      Conv1d (conv1d -> max-pool over time -> flatten) -> [dropout]
+              -> dense(relu)
     lstm/gru: recurrence over T steps (tanh candidate), final state
               -> [dropout] -> dense(relu)
 
@@ -142,7 +143,6 @@ class Tower:
         if self.kind == "cnn":
             self.conv = Conv1d(d, config.hidden_units, config.kernel,
                                config.stride, rng, f"{name}.conv")
-            self.pool = MaxPoolOverTime()
         else:
             cell_cls = GruCell if self.kind == "gru" else LstmCell
             self.cell = cell_cls(d, config.hidden_units, rng, f"{name}.{self.kind}")
@@ -187,7 +187,7 @@ class Tower:
         if rows is not None and draws is not None and rate > 0.0:
             ids, rows = ids[rows], None
         if self.kind == "cnn":
-            feat = self.pool.forward(self.conv.forward(ids, matrix))
+            feat = self.conv.forward(ids, matrix)
         else:
             # One mask per sequence, applied to the state input at every step.
             mask = _keep_mask(draws, 0, rate) if rate > 0.0 else None
@@ -214,7 +214,7 @@ class Tower:
             np.add.at(per_document, self._rows, dfeat)
             dfeat = per_document
         if self.kind == "cnn":
-            self.conv.backward(self.pool.backward(dfeat))
+            self.conv.backward(dfeat)
         else:
             self.cell.backward(dfeat)
 

@@ -47,13 +47,14 @@ class Adam:
         t = self.step_count
         bias1 = 1.0 - _BETA1 ** t
         bias2 = 1.0 - _BETA2 ** t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self._m, self._v):
+            # The moments in place, each product in the order written above.
             g = p.grad
-            self._m[i] = _BETA1 * self._m[i] + (1.0 - _BETA1) * g
-            self._v[i] = _BETA2 * self._v[i] + (1.0 - _BETA2) * g * g
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
-            p.value -= self.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += ((1.0 - _BETA2) * g) * g
+            p.value -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _EPS)
             p.zero_grad()
 
 
@@ -74,10 +75,11 @@ class RMSprop:
     def step(self):
         _check_finite_grads(self.params)
         self.step_count += 1
-        for i, p in enumerate(self.params):
+        for p, v in zip(self.params, self._v):
             g = p.grad
-            self._v[i] = _RHO * self._v[i] + (1.0 - _RHO) * g * g
-            p.value -= self.learning_rate * g / (np.sqrt(self._v[i]) + _EPS)
+            v *= _RHO
+            v += ((1.0 - _RHO) * g) * g
+            p.value -= self.learning_rate * g / (np.sqrt(v) + _EPS)
             p.zero_grad()
 
 

@@ -5,9 +5,14 @@ the one-sample oracles.  A batch must give each sample the oracle's
 output and input gradient, and the sum over samples of the oracle's
 parameter gradients, within BATCH_RTOL of the largest reference entry.
 The encoders (the conv and both cells) read token ids through the frozen
-embedding table and return no input gradient; the dense batches of most
-cases reach them through `per_sample.table`, and one case feeds them ids
-as the document store does: repeated, padded and shared across documents.
+embedding table and return no input gradient.  The conv pools over time
+itself, so its oracle is `per_sample.conv1d` followed by
+`per_sample.maxpool`; with two or more channels its output must match
+the oracle's bit for bit (at one channel numpy multiplies the oracle's
+strided windows as a matrix-vector product, which rounds differently).
+The dense batches of most cases reach the encoders through
+`per_sample.table`, and one case feeds them ids as the document store
+does: repeated, padded and shared across documents.
 Each case first runs an eval-mode forward on another batch, which must
 leave nothing that the train forward and backward could pick up.  The
 gradient checks run the package's battery, `gradcheck.STANDARD_CASES`,
@@ -46,15 +51,18 @@ def _role(p):
     return p.name.rsplit(".", 1)[1]
 
 
-def _check(layer, params, batched, oracle, B):
+def _check(layer, params, batched, oracle, B, exact=False):
     """`batched()` -> (output, input gradients) of the whole batch;
-    `oracle(b)` -> (output, input gradients, grads) of sample b."""
+    `oracle(b)` -> (output, input gradients, grads) of sample b.  With
+    `exact`, each sample's output must equal the oracle's bit for bit."""
     for p in params:
         p.zero_grad()
     out, dins = batched()
     expected = {_role(p): 0.0 for p in params}
     for b in range(B):
         out_b, dins_b, grads_b = oracle(b)
+        if exact:
+            np.testing.assert_array_equal(out[b], out_b)
         _assert_close(out[b], out_b)
         for din, din_b in zip(dins, dins_b):
             _assert_close(din[b], din_b)
@@ -84,6 +92,15 @@ def test_dense_matches_per_sample(B, n_in, n_out, activation, seed):
     _check(layer, layer.parameters(), batched, oracle, B)
 
 
+def conv_pool(layer, x, dpool):
+    """`per_sample.conv1d` followed by `per_sample.maxpool` on one (T, d)
+    document: its (C,) pooled output and the kernel and bias gradients
+    of `dpool`, the gradient of that output."""
+    relu, _ = per_sample.conv1d(layer, x, 0.0)
+    pooled, drelu, _ = per_sample.maxpool(relu, dpool)
+    return pooled, per_sample.conv1d(layer, x, drelu)[1]
+
+
 @given(B=batch_sizes, K=st.integers(1, 8), S=st.integers(1, 6),
        extra=st.integers(0, 40), d=st.integers(1, 4), C=st.integers(1, 4),
        seed=seeds)
@@ -96,7 +113,7 @@ def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
     rng = np.random.default_rng(seed)
     layer = Conv1d(d, C, kernel=K, stride=S, rng=rng)
     x = rng.standard_normal((B, K + extra, d))
-    dout = rng.standard_normal((B, layer.output_length(K + extra), C))
+    dout = rng.standard_normal((B, C))
     layer.forward(*table(rng.standard_normal((B + 1, K + extra + 3, d))))
 
     def batched():
@@ -105,29 +122,79 @@ def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
         return out, []
 
     def oracle(b):
-        out, grads = per_sample.conv1d(layer, x[b], dout[b])
+        out, grads = conv_pool(layer, x[b], dout[b])
         return out, [], grads
 
-    _check(layer, layer.parameters(), batched, oracle, B)
+    _check(layer, layer.parameters(), batched, oracle, B, exact=C > 1)
 
 
 @pytest.mark.parametrize("B,L", [(32, 49), (32, 10), (5, CHUNK_ROWS + 1)])
 def test_conv1d_forward_is_one_product_per_document(B, L):
-    """However the documents fall into chunks, each document's output has
-    the bits of its own (L, K*d) @ (K*d, C) im2col product, which the
-    BLAS thread check relies on.  B=32 is a micro-batch of 32 distinct
-    documents, at the paper's L=49 in 7 chunks of 5 documents or fewer,
-    and at the thread check's L=10 in chunks of 25, where one flat
+    """However the documents fall into chunks, each document's pooled
+    output has the bits of its own (L, K*d) @ (K*d, C) im2col product,
+    which the BLAS thread check relies on.  B=32 is a micro-batch of 32
+    distinct documents, at the paper's L=49 in 7 chunks of 5 documents or
+    fewer, and at the thread check's L=10 in chunks of 25, where one flat
     product per chunk rounds differently."""
     rng = np.random.default_rng(L)
     layer = Conv1d(50, 64, kernel=8, stride=6, rng=rng)
     matrix = _read_only_table(rng, 40, 50)
     ids = _token_ids(rng, B, 8 + 6 * (L - 1), 40)
     out = layer.forward(ids, matrix)
-    assert out.shape == (B, L, 64)
+    assert out.shape == (B, 64)
     for b in range(B):
-        expected, _ = per_sample.conv1d(layer, matrix[ids[b]], np.zeros((L, 64)))
+        expected, _ = conv_pool(layer, matrix[ids[b]], np.zeros(64))
         np.testing.assert_array_equal(out[b], expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conv1d_edges_match_the_oracles(seed):
+    """Ties, channels that never rise above 0 and a document of pad ids,
+    over 10 documents in 3 chunks of windows forward and 3 chunks of
+    argmax windows backward.  The table, kernels and bias hold small
+    integers, so every sum is exact in any order and equal windows, or
+    unequal ones, tie for a channel's maximum; the gradient goes to the
+    first.  Channel 0 stays below 0 and channel 1 at 0: neither takes a
+    gradient."""
+    rng = np.random.default_rng(seed)
+    K, S, d, C, L, B = 3, 2, 2, 64, 60, 10
+    assert len(range(0, B, chunk_steps(L))) == len(range(0, B, chunk_steps(C))) == 3
+    layer = Conv1d(d, C, kernel=K, stride=S, rng=rng)
+    layer.kernels.value[:] = rng.integers(-2, 3, (C, K, d))
+    layer.bias.value[:] = rng.integers(-3, 4, C)
+    layer.bias.value[0], layer.kernels.value[1], layer.bias.value[1] = -100.0, 0.0, 0.0
+    matrix = rng.integers(-2, 3, (6, d)).astype(np.float64)
+    matrix[0] = 0.0
+    matrix.setflags(write=False)
+    ids = rng.integers(1, 6, (B, K + S * (L - 1)))
+    ids[3] = 0                                           # pad ids only
+    dout = rng.standard_normal((B, C))
+
+    def batched():
+        out = layer.forward(ids, matrix)
+        assert layer.backward(dout) is None
+        return out, []
+
+    def oracle(b):
+        out, grads = conv_pool(layer, matrix[ids[b]], dout[b])
+        return out, [], grads
+
+    _check(layer, layer.parameters(), batched, oracle, B, exact=True)
+    assert not layer.kernels.grad[:2].any() and not layer.bias.grad[:2].any()
+    np.testing.assert_array_equal(layer.forward(ids[3:4], matrix)[0],
+                                  np.maximum(layer.bias.value, 0.0))
+    # The ties are there: some positive maximum is reached by two unequal
+    # windows, so taking the last would give another kernel gradient.
+    unequal_ties = 0
+    for b in range(B):
+        x = matrix[ids[b]]
+        relu, _ = per_sample.conv1d(layer, x, 0.0)
+        for c in np.flatnonzero(relu.max(axis=0) > 0.0):
+            tied = np.flatnonzero(relu[:, c] == relu[:, c].max())
+            first, last = tied[0], tied[-1]
+            unequal_ties += not np.array_equal(x[first * S:first * S + K],
+                                               x[last * S:last * S + K])
+    assert unequal_ties > 0
 
 
 @given(B=batch_sizes, L=st.integers(1, 20), C=st.integers(1, 5),
@@ -248,7 +315,7 @@ def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, masked, seed)
     if kind == "conv1d":
         layer = Conv1d(d, H, kernel=K, stride=S, rng=rng)
         params = layer.parameters()
-        dout = rng.standard_normal((B, layer.output_length(T), H))
+        dout = rng.standard_normal((B, H))
 
         def batched():
             out = layer.forward(ids, matrix)
@@ -256,7 +323,7 @@ def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, masked, seed)
             return out, []
 
         def oracle(b):
-            out, grads = per_sample.conv1d(layer, matrix[ids[b]], dout[b])
+            out, grads = conv_pool(layer, matrix[ids[b]], dout[b])
             return out, [], grads
     else:
         layer = (GruCell if kind == "gru" else LstmCell)(d, H, rng=rng)
@@ -274,7 +341,7 @@ def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, masked, seed)
                 layer, matrix[ids[b]], dh[b], None if mask is None else mask[b])
             return h, [], grads
 
-    _check(layer, params, batched, oracle, B)
+    _check(layer, params, batched, oracle, B, exact=kind == "conv1d" and H > 1)
 
 
 @given(B=batch_sizes, m=st.integers(1, 5), pure_dot=st.booleans(), seed=seeds)
@@ -344,7 +411,7 @@ def _chunked_conv_case(rng):
     layer = Conv1d(2, 3, kernel=4, stride=2, rng=rng)
     ids, matrix = table(rng.standard_normal((B, CHUNKED_T, 2)))
     return gradcheck._summed(lambda: layer.forward(ids, matrix), layer.backward,
-                             rng.standard_normal((B, CHUNKED_L, 3))), layer.parameters()
+                             rng.standard_normal((B, 3))), layer.parameters()
 
 
 def _shared_rows_case(kind, rng, T=12):

@@ -81,3 +81,19 @@ def test_one_backward_per_check_and_one_forward_per_evaluation():
     assert gradient_check(loss_fn, [x, y]) < 1e-9
     assert calls == {"forward": 1 + 2 * 4, "backward": 1}
     assert not x.grad.any() and not y.grad.any()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_every_case_gives_each_parameter_a_nonzero_gradient(batch, seed, monkeypatch):
+    """A parameter whose analytic gradient is all zero passes its check
+    without testing anything; a piecewise-linear case such as conv plus
+    max can read an error of exactly 0.  Seeds as `standard_checks`
+    draws them, case i at seed + i."""
+    monkeypatch.setattr(gradcheck, "BATCH", batch)
+    for i, (name, build) in enumerate(gradcheck.STANDARD_CASES):
+        loss_fn, params = build(np.random.default_rng(seed + i))
+        for p in params:
+            p.zero_grad()
+        loss_fn()[1]()
+        assert [p.name for p in params if not p.grad.any()] == [], name

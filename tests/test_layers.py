@@ -23,16 +23,18 @@ def _rng(seed=0):
 
 def _conv_grads_by_position(layer, x, dout):
     """Conv1d's kernel and bias gradients as a Python loop over the L output
-    positions: the reference for the one product in Conv1d.backward."""
+    positions that keeps each channel's first maximum and its window: the
+    reference for the argmax windows Conv1d.backward gathers."""
     K, S = layer.kernel, layer.stride
     kernels, bias = layer.kernels.value, layer.bias.value
-    dkernels, dbias = np.zeros_like(kernels), np.zeros_like(bias)
+    best, first = np.full(len(bias), -np.inf), np.zeros_like(kernels)
     for l in range(layer.output_length(len(x))):
         window = x[l * S:l * S + K]
-        dz = dout[l] * ((kernels * window).sum(axis=(1, 2)) + bias > 0.0)
-        dkernels += dz[:, None, None] * window
-        dbias += dz
-    return dkernels, dbias
+        z = (kernels * window).sum(axis=(1, 2)) + bias
+        higher = z > best
+        best[higher], first[higher] = z[higher], window
+    dz = dout * (best > 0.0)
+    return dz[:, None, None] * first, dz
 
 
 class TestDense:
@@ -81,14 +83,14 @@ class TestConv1d:
         layer = Conv1d(3, 2, kernel=8, stride=6, rng=_rng())
         assert layer.output_length(8) == 1
         out = layer.forward(*table(np.ones((1, 8, 3))))
-        assert out.shape == (1, 1, 2)
+        assert out.shape == (1, 2)
 
     def test_zero_kernels_zero_output(self):
         layer = Conv1d(3, 4, kernel=2, stride=1, rng=_rng())
         layer.kernels.value[:] = 0.0
         layer.bias.value[:] = 0.0
         out = layer.forward(*table(_rng(3).standard_normal((1, 6, 3))))
-        npt.assert_array_equal(out, np.zeros((1, 5, 4)))
+        npt.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_too_short_input(self):
         layer = Conv1d(3, 2, kernel=8, stride=6, rng=_rng())
@@ -105,7 +107,12 @@ class TestConv1d:
         else:
             L = layer.output_length(T)
             assert L == (T - K) // S + 1
-            assert layer.forward(*table(np.zeros((1, T, 2)))).shape == (1, L, 1)
+            # Token t's vector is (t, t), so the last of the L windows
+            # peaks: the pooled output is that window's sum.
+            layer.kernels.value[:] = 1.0
+            x = np.repeat(np.arange(T, dtype=np.float64), 2).reshape(1, T, 2)
+            last = S * (L - 1) + np.arange(K)
+            npt.assert_array_equal(layer.forward(*table(x)), [[2.0 * last.sum()]])
 
     @given(K=st.integers(1, 12), S=st.integers(1, 8), extra=st.integers(0, 40),
            seed=st.integers(0, 2**16))

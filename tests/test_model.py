@@ -122,7 +122,7 @@ class TestTower:
 
         def features(recurrent_mask):
             if kind == "cnn":
-                return tower.pool.forward(tower.conv.forward(*doc))
+                return tower.conv.forward(*doc)
             return tower.cell.forward(*doc, recurrent_mask)
 
         uniforms = iter(_rng(7).random((tower.n_masks, 4)))

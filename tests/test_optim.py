@@ -88,6 +88,42 @@ class TestRMSprop:
             RMSprop([p]).step()
 
 
+def _adam_reference(value, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One Adam step as out-of-place expressions; returns (value, m, v)."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def _rmsprop_reference(value, v, g, lr, rho=0.9, eps=1e-8):
+    """One RMSprop step as out-of-place expressions; returns (value, v)."""
+    v = rho * v + (1.0 - rho) * g * g
+    return value - lr * g / (np.sqrt(v) + eps), v
+
+
+@pytest.mark.parametrize("cls", [Adam, RMSprop])
+def test_in_place_steps_match_the_expressions_bit_for_bit(cls):
+    # A 0-d, a 1-d and a 3-d parameter, gradients over six decades.
+    rng = np.random.default_rng(3)
+    params = [_param(rng.standard_normal(shape), f"p{k}")
+              for k, shape in enumerate([(), (5,), (4, 3, 2)])]
+    values = [p.value.copy() for p in params]
+    m, v = [np.zeros(p.shape) for p in params], [np.zeros(p.shape) for p in params]
+    opt = cls(params, learning_rate=0.01)
+    for t in range(1, 101):
+        for k, p in enumerate(params):
+            p.grad[...] = g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3)
+            if cls is Adam:
+                values[k], m[k], v[k] = _adam_reference(values[k], m[k], v[k], g, t, 0.01)
+            else:
+                values[k], v[k] = _rmsprop_reference(values[k], v[k], g, 0.01)
+        opt.step()
+        for p, value in zip(params, values):
+            npt.assert_array_equal(p.value, value)
+
+
 @pytest.mark.parametrize("cls", [Adam, RMSprop])
 @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0])
 def test_learning_rate_must_be_finite_and_positive(cls, rate):

@@ -256,7 +256,8 @@ class TestFit:
     def test_cnn_fit_at_paper_shapes_keeps_a_small_peak(self, distinct):
         # Shaped like the train-cnn benchmark (DP head, Adam), on both
         # corpora above, as one micro-batch of 32.  The conv gathers one
-        # chunk of windows at a time and keeps only its ReLU output.
+        # chunk of windows at a time and keeps only its (B, C) argmax and
+        # pooled output.
         records = _shared_corpus() if distinct is None else _distinct_corpus()
         _assert_small_fit_peak("cnn", records, distinct, head="dp", optimizer="adam")
 
