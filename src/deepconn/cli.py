@@ -476,12 +476,13 @@ def _apply_config_file(path, commands, command):
 
 def _config_value_fits(action, value):
     """Whether a flag can take a JSON value as its default.  argparse
-    converts a string default as it would the flag's argument; any other
-    value reaches the program as it is."""
+    converts a string default as it would the flag's argument, but never
+    checks it against the flag's choices; any other value reaches the
+    program as it is."""
     if isinstance(action, argparse._StoreTrueAction):
         return isinstance(value, bool)
     if isinstance(value, str):
-        return True
+        return action.choices is None or value in action.choices
     if value is None:
         return action.default is None
     if action.type is float:

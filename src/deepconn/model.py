@@ -26,6 +26,14 @@ HEAD_KINDS = ("dp", "fm")
 PRESETS = ("comparison", "baseline-replica")
 
 
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass
 class TowerConfig:
     kind: str = "cnn"
@@ -42,13 +50,19 @@ class TowerConfig:
         if self.kind not in TOWER_KINDS:
             problems.append(f"tower kind must be one of {TOWER_KINDS}, got {self.kind!r}")
         for name in ("embedding_dim", "hidden_units", "kernel", "stride", "dense_units"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_int(value):
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < 1:
+                problems.append(f"{name} must be >= 1, got {value}")
         for name in ("dropout_rate", "recurrent_dropout_rate"):
             rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
+            if not _is_number(rate):
+                problems.append(f"{name} must be a number, got {rate!r}")
+            elif not 0.0 <= rate < 1.0:
                 problems.append(f"{name} must be in [0, 1), got {rate}")
-        if self.kind == "cnn" and self.recurrent_dropout_rate > 0.0:
+        if self.kind == "cnn" and _is_number(self.recurrent_dropout_rate) \
+                and self.recurrent_dropout_rate > 0.0:
             problems.append("recurrent_dropout_rate applies only to gru/lstm "
                             f"towers, got {self.recurrent_dropout_rate} with cnn")
         return problems
@@ -66,8 +80,12 @@ class ModelConfig:
         problems = self.tower.validate()
         if self.head not in HEAD_KINDS:
             problems.append(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
-        if self.fm_rank < 1:
+        if not _is_int(self.fm_rank):
+            problems.append(f"fm_rank must be an integer, got {self.fm_rank!r}")
+        elif self.fm_rank < 1:
             problems.append(f"fm_rank must be >= 1, got {self.fm_rank}")
+        if not isinstance(self.pure_dot, bool):
+            problems.append(f"pure_dot must be true or false, got {self.pure_dot!r}")
         if self.pure_dot and self.head != "dp":
             problems.append(
                 f"pure_dot applies only to the dp head, got head {self.head!r}")

@@ -172,7 +172,7 @@ class TrainReport:
                     None if val is None else float(val), float(e["seconds"])))
         except KeyError as exc:
             raise DataFormatError(f"report lacks the key {exc}") from exc
-        except (ValueError, TypeError, AttributeError) as exc:
+        except (ValueError, TypeError, AttributeError, OverflowError) as exc:
             raise DataFormatError(f"not a training report ({exc})") from exc
         return report
 
@@ -404,62 +404,67 @@ def _read_manifest(path, manifest):
         raise CheckpointError(f"{path}: malformed manifest (crc32 {crc!r})")
     try:
         entries = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-        return ModelConfig.from_dict(manifest["config"]), entries, crc
+        config = ModelConfig.from_dict(manifest["config"])
+        problems = config.validate()
     except KeyError as exc:
         raise CheckpointError(f"{path}: manifest lacks the key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed manifest ({exc})") from exc
+    if problems:
+        raise CheckpointError(
+            f"{path}: manifest config does not fit: {'; '.join(problems)}")
+    return config, entries, crc
 
 
 def load_checkpoint(path):
     """Rebuild a model from a checkpoint; bit-exact round trip.
 
-    The names and shapes of the parameters built from the manifest's config
-    must match the manifest's own list; a mismatch is a ShapeError naming
-    the parameter.  Parameter bytes whose crc32 differs from the manifest's
-    are a CheckpointError.
+    A manifest whose length runs past the end of the file, or whose config
+    does not validate, is a CheckpointError.  The names and shapes of the
+    parameters built from the manifest's config must match the manifest's
+    own list; a mismatch is a ShapeError naming the parameter.  Parameter
+    bytes whose crc32 differs from the manifest's are a CheckpointError.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        raw_len = fh.read(8)
-        if len(raw_len) != 8:
-            raise CheckpointError(f"{path}: truncated manifest length")
-        (manifest_len,) = struct.unpack("<Q", raw_len)
-        blob = fh.read(manifest_len)
-        if len(blob) != manifest_len:
-            raise CheckpointError(f"{path}: truncated manifest")
-        try:
-            manifest = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
-        config, entries, crc = _read_manifest(path, manifest)
-        model = DeepConn(config)
-        params = model.parameters()
-        if len(entries) != len(params):
+        data = fh.read()
+    if len(data) < 8:
+        raise CheckpointError(f"{path}: truncated manifest length")
+    (manifest_len,) = struct.unpack_from("<Q", data)
+    offset = 8 + manifest_len
+    if offset > len(data):
+        raise CheckpointError(f"{path}: truncated manifest")
+    try:
+        manifest = json.loads(data[8:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
+    config, entries, crc = _read_manifest(path, manifest)
+    model = DeepConn(config)
+    params = model.parameters()
+    if len(entries) != len(params):
+        raise ShapeError(
+            f"checkpoint has {len(entries)} parameters, model has {len(params)}")
+    payload_crc = 0
+    for p, (name, shape) in zip(params, entries):
+        if p.name != name:
             raise ShapeError(
-                f"checkpoint has {len(entries)} parameters, model has {len(params)}")
-        payload_crc = 0
-        for p, (name, shape) in zip(params, entries):
-            if p.name != name:
-                raise ShapeError(
-                    f"parameter order mismatch: model {p.name!r} vs "
-                    f"checkpoint {name!r}")
-            if p.value.shape != shape:
-                raise ShapeError(
-                    f"parameter {p.name!r}: checkpoint shape {shape}, "
-                    f"model shape {p.value.shape}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated data for {p.name!r}")
-            payload_crc = zlib.crc32(raw, payload_crc)
-            p.value[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after parameter data")
-        if crc is not None and crc != payload_crc:
-            raise CheckpointError(
-                f"{path}: parameter data fails its checksum "
-                f"(crc32 {payload_crc:#010x}, manifest {crc:#010x})")
+                f"parameter order mismatch: model {p.name!r} vs "
+                f"checkpoint {name!r}")
+        if p.value.shape != shape:
+            raise ShapeError(
+                f"parameter {p.name!r}: checkpoint shape {shape}, "
+                f"model shape {p.value.shape}")
+        raw = data[offset:offset + 8 * p.value.size]
+        offset += 8 * p.value.size
+        if offset > len(data):
+            raise CheckpointError(f"{path}: truncated data for {p.name!r}")
+        payload_crc = zlib.crc32(raw, payload_crc)
+        p.value[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if offset < len(data):
+        raise CheckpointError(f"{path}: trailing bytes after parameter data")
+    if crc is not None and crc != payload_crc:
+        raise CheckpointError(
+            f"{path}: parameter data fails its checksum "
+            f"(crc32 {payload_crc:#010x}, manifest {crc:#010x})")
     return model

@@ -15,15 +15,17 @@ from deepconn.baseline import RatingMatrix, item_similarity, predict_cf_with_sou
 from deepconn.cli import EXIT_OK, main
 from deepconn.gradcheck import standard_checks
 from deepconn.ingest import ReviewRecord, parse_reviews_file, split_dataset
-from deepconn.model import DeepConn, ModelConfig, Tower, TowerConfig, build_config
+from deepconn.model import DeepConn, ModelConfig, TowerConfig
 from deepconn.synthetic import make_micro_dataset
 from deepconn.text import load_embeddings
 from deepconn.train import (DocumentStore, TrainReport, evaluate, fit,
                             load_checkpoint, mean_predictor_mse,
                             pairs_from_records)
 
-from fm_oracle import fm_pairwise_reference
-from test_baseline import brute_force_predict
+from fm_oracle import check_random_fm_head
+from test_baseline import check_cf_matches_brute_force
+from test_model import (check_baseline_replica_stack, check_comparison_cnn_stack,
+                        check_comparison_recurrent_stack)
 
 
 @contextmanager
@@ -53,20 +55,10 @@ def test_criterion_1_gradient_verification():
 
 def test_criterion_2_fm_oracle_equivalence():
     with criterion(2, "fm low-rank vs double loop"):
-        from deepconn.model import FmHead
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             half = int(rng.integers(1, 6))       # |z| = 2*half <= 10
-            k = int(rng.integers(1, 5))
-            z = rng.standard_normal(2 * half)
-            head = FmHead(half, rank=k, rng=rng)
-            head.beta0.value[...] = rng.standard_normal()
-            head.w.value[:] = rng.standard_normal(2 * half)
-            head.V.value[:] = rng.standard_normal((2 * half, k))
-            fast = head.predict_z(z)
-            slow = fm_pairwise_reference(z, head.V.value, head.w.value,
-                                         float(head.beta0.value))
-            assert abs(fast - slow) < 1e-10
+            check_random_fm_head(rng, half, int(rng.integers(1, 5)))
 
 
 def test_criterion_3_overfit_capacity():
@@ -128,28 +120,7 @@ def test_criterion_5_cf_baseline_exactness():
         assert abs(predict_cf_with_source(wm, ws, "u", "t")[0] - 3.6) < 1e-12
 
         # brute-force agreement on 100 random 5x5 rating matrices
-        rng = np.random.default_rng(77)
-        compared = 0
-        for _ in range(100):
-            triples = [(f"u{u}", f"m{m}", int(rng.integers(1, 6)))
-                       for u in range(5) for m in range(5)
-                       if rng.random() < 0.5]
-            if not triples:
-                continue
-            records = [ReviewRecord(u, m, float(r), "") for u, m, r in triples]
-            mtx = RatingMatrix(records)
-            s = item_similarity(mtx)
-            ratings = {(u, m): float(r) for u, m, r in triples}
-            users = sorted({u for u, _, _ in triples})
-            items = sorted(mtx.item_index)
-            for user in users:
-                for item in items:
-                    expected = brute_force_predict(ratings, users, items,
-                                                   user, item)
-                    actual, _ = predict_cf_with_source(mtx, s, user, item)
-                    assert abs(actual - expected) < 1e-12
-                    compared += 1
-        assert compared > 500
+        check_cf_matches_brute_force(77)
 
 
 def test_criterion_6_ingestion_fidelity(sample_reviews_path, capsys):
@@ -207,25 +178,10 @@ def test_criterion_7_determinism(sample_reviews_path, toy_embeddings_path,
 def test_criterion_8_structure_conformance():
     with criterion(8, "preset layer stacks"):
         rng = np.random.default_rng(0)
-        base = Tower(build_config("baseline-replica").tower, rng, "t")
-        names = [name for name, _ in base.stack()]
-        assert names == ["conv1d", "maxpool_over_time", "flatten", "dense"]
-        props = dict(base.stack())
-        assert props["conv1d"]["kernel"] == 8 and props["conv1d"]["stride"] == 6
-        assert props["dense"]["units"] == 32
-
-        cnn = dict(Tower(build_config("comparison", kind="cnn").tower,
-                         rng, "t").stack())
-        assert cnn["conv1d"]["channels"] == 64
-        assert cnn["conv1d"]["activation"] == "relu"
-        assert cnn["dense"] == {"units": 64, "activation": "relu"}
-        assert cnn["dropout"]["rate"] == pytest.approx(0.10)
+        check_baseline_replica_stack(rng)
+        check_comparison_cnn_stack(rng)
         for kind in ("gru", "lstm"):
-            stack = Tower(build_config("comparison", kind=kind).tower,
-                          rng, "t").stack()
-            assert stack[0] == (kind, {"units": 64, "activation": "tanh"})
-            assert dict(stack)["dropout"]["rate"] == pytest.approx(0.10)
-            assert dict(stack)["dense"] == {"units": 64, "activation": "relu"}
+            check_comparison_recurrent_stack(kind, rng)
 
 
 def test_criterion_9_directional_architecture_cost():

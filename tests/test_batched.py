@@ -101,6 +101,35 @@ def conv_pool(layer, x, dpool):
     return pooled, per_sample.conv1d(layer, x, drelu)[1]
 
 
+def _check_conv_on(layer, ids, matrix, dout, exact):
+    """The conv on (B, T) token ids into `matrix` against `conv_pool` on
+    each document's rows matrix[ids[b]]."""
+
+    def batched():
+        out = layer.forward(ids, matrix)
+        assert layer.backward(dout) is None
+        return out, []
+
+    def oracle(b):
+        out, grads = conv_pool(layer, matrix[ids[b]], dout[b])
+        return out, [], grads
+
+    _check(layer, layer.parameters(), batched, oracle, len(ids), exact)
+
+
+def check_conv(B, K, S, extra, d, C, seed):
+    """The conv on a random batch of B documents of K + extra tokens
+    against `conv_pool`: each document's pooled output, bit for bit at
+    C > 1, and the summed kernel and bias gradients.  An eval-mode forward
+    over another batch runs first."""
+    rng = np.random.default_rng(seed)
+    layer = Conv1d(d, C, kernel=K, stride=S, rng=rng)
+    x = rng.standard_normal((B, K + extra, d))
+    dout = rng.standard_normal((B, C))
+    layer.forward(*table(rng.standard_normal((B + 1, K + extra + 3, d))))
+    _check_conv_on(layer, *table(x), dout, exact=C > 1)
+
+
 @given(B=batch_sizes, K=st.integers(1, 8), S=st.integers(1, 6),
        extra=st.integers(0, 40), d=st.integers(1, 4), C=st.integers(1, 4),
        seed=seeds)
@@ -110,22 +139,7 @@ def conv_pool(layer, x, dpool):
 @example(B=3, K=1, S=1, extra=CHUNK_ROWS, d=1, C=2, seed=2)
 @settings(max_examples=40, deadline=None)
 def test_conv1d_matches_per_sample(B, K, S, extra, d, C, seed):
-    rng = np.random.default_rng(seed)
-    layer = Conv1d(d, C, kernel=K, stride=S, rng=rng)
-    x = rng.standard_normal((B, K + extra, d))
-    dout = rng.standard_normal((B, C))
-    layer.forward(*table(rng.standard_normal((B + 1, K + extra + 3, d))))
-
-    def batched():
-        out = layer.forward(*table(x))
-        assert layer.backward(dout) is None
-        return out, []
-
-    def oracle(b):
-        out, grads = conv_pool(layer, x[b], dout[b])
-        return out, [], grads
-
-    _check(layer, layer.parameters(), batched, oracle, B, exact=C > 1)
+    check_conv(B, K, S, extra, d, C, seed)
 
 
 @pytest.mark.parametrize("B,L", [(32, 49), (32, 10), (5, CHUNK_ROWS + 1)])
@@ -169,17 +183,7 @@ def test_conv1d_edges_match_the_oracles(seed):
     ids = rng.integers(1, 6, (B, K + S * (L - 1)))
     ids[3] = 0                                           # pad ids only
     dout = rng.standard_normal((B, C))
-
-    def batched():
-        out = layer.forward(ids, matrix)
-        assert layer.backward(dout) is None
-        return out, []
-
-    def oracle(b):
-        out, grads = conv_pool(layer, matrix[ids[b]], dout[b])
-        return out, [], grads
-
-    _check(layer, layer.parameters(), batched, oracle, B, exact=True)
+    _check_conv_on(layer, ids, matrix, dout, exact=True)
     assert not layer.kernels.grad[:2].any() and not layer.bias.grad[:2].any()
     np.testing.assert_array_equal(layer.forward(ids[3:4], matrix)[0],
                                   np.maximum(layer.bias.value, 0.0))
@@ -245,6 +249,25 @@ def test_dropout_matches_per_sample(B, n, rate, masked, seed):
     _check(drop, [], batched, oracle, B)
 
 
+def _check_cell_on(cell, ids, matrix, dh, mask):
+    """The cell on (B, T) token ids into `matrix`, under a (B, H) mask or
+    None, against `per_sample.cell_unroll` on each document's rows
+    matrix[ids[b]]."""
+
+    def batched():
+        out = cell.forward(ids, matrix, mask)
+        assert cell.backward(dh) is None
+        return out, []
+
+    def oracle(b):
+        h, grads = per_sample.cell_unroll(
+            cell, matrix[ids[b]], dh[b], None if mask is None else mask[b])
+        return h, [], grads
+
+    stacked = [cell.U, cell.W] + ([cell.b] if isinstance(cell, LstmCell) else [])
+    _check(cell, stacked, batched, oracle, len(ids))
+
+
 def check_cell(cell_cls, B, T, d, H, masked, eval_T, seed):
     """The cell on a random (B, T, d) batch, masked or not, against
     `per_sample.cell_unroll`: each sample's final hidden vector and the
@@ -255,19 +278,7 @@ def check_cell(cell_cls, B, T, d, H, masked, eval_T, seed):
     x, dh = rng.standard_normal((B, T, d)), rng.standard_normal((B, H))
     mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
     cell.forward(*table(rng.standard_normal((B + 1, eval_T, d))))
-
-    def batched():
-        out = cell.forward(*table(x), mask)
-        assert cell.backward(dh) is None
-        return out, []
-
-    def oracle(b):
-        h, grads = per_sample.cell_unroll(
-            cell, x[b], dh[b], None if mask is None else mask[b])
-        return h, [], grads
-
-    stacked = [cell.U, cell.W] + ([cell.b] if cell_cls is LstmCell else [])
-    _check(cell, stacked, batched, oracle, B)
+    _check_cell_on(cell, *table(x), dh, mask)
 
 
 @pytest.mark.parametrize("cell_cls", [GruCell, LstmCell])
@@ -314,34 +325,12 @@ def test_encoders_read_shared_token_ids(kind, B, T, V, d, H, K, S, masked, seed)
     ids = _token_ids(rng, B, T, V)
     if kind == "conv1d":
         layer = Conv1d(d, H, kernel=K, stride=S, rng=rng)
-        params = layer.parameters()
-        dout = rng.standard_normal((B, H))
-
-        def batched():
-            out = layer.forward(ids, matrix)
-            assert layer.backward(dout) is None
-            return out, []
-
-        def oracle(b):
-            out, grads = conv_pool(layer, matrix[ids[b]], dout[b])
-            return out, [], grads
+        _check_conv_on(layer, ids, matrix, rng.standard_normal((B, H)), exact=H > 1)
     else:
-        layer = (GruCell if kind == "gru" else LstmCell)(d, H, rng=rng)
-        params = [layer.U, layer.W] + ([layer.b] if kind == "lstm" else [])
+        cell = (GruCell if kind == "gru" else LstmCell)(d, H, rng=rng)
         dh = rng.standard_normal((B, H))
         mask = (rng.random((B, H)) >= 0.3) / 0.7 if masked else None
-
-        def batched():
-            out = layer.forward(ids, matrix, mask)
-            assert layer.backward(dh) is None
-            return out, []
-
-        def oracle(b):
-            h, grads = per_sample.cell_unroll(
-                layer, matrix[ids[b]], dh[b], None if mask is None else mask[b])
-            return h, [], grads
-
-    _check(layer, params, batched, oracle, B, exact=kind == "conv1d" and H > 1)
+        _check_cell_on(cell, ids, matrix, dh, mask)
 
 
 @given(B=batch_sizes, m=st.integers(1, 5), pure_dot=st.booleans(), seed=seeds)

@@ -211,6 +211,18 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert "conv kernel (4)" in capsys.readouterr().err
 
+    def test_checkpoint_config_that_does_not_fit_is_io_error(self, tmp_path, capsys):
+        model = miniature_model("cnn")
+        model.config.tower.hidden_units = "4"  # written to the manifest as is
+        checkpoint = tmp_path / "mini.ckpt"
+        save_checkpoint(model, checkpoint)
+        code = main(["evaluate", "--checkpoint", str(checkpoint),
+                     "--data", str(tmp_path / "missing.jsonl"),
+                     "--embeddings", str(tmp_path / "missing.txt"), "--dim", "8"])
+        assert code == EXIT_IO
+        assert f"{checkpoint}: manifest config does not fit: hidden_units" \
+            in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_runs_and_is_deterministic(self, sample_reviews_path, capsys):
@@ -344,8 +356,10 @@ class TestExportCurves:
         b'{"config": {}, "seed": 0, "epochs": 3}', b"\xff\xfe{}",
         b'{"config": {}, "seed": 0, "epochs": [{"epoch": 1, "train_loss": 1.0, '
         b'"validation_loss": null, "seconds": null}]}',
+        b'{"config": {}, "seed": 0, "epochs": [{"epoch": 1e400, "train_loss": 1.0, '
+        b'"validation_loss": null, "seconds": 0.0}]}',
     ], ids=["not-json", "not-object", "no-epochs", "epoch-lacks-keys",
-            "epochs-not-list", "not-utf8", "seconds-null"])
+            "epochs-not-list", "not-utf8", "seconds-null", "epoch-inf"])
     def test_malformed_report_is_io_error(self, tmp_path, capsys, content):
         report = tmp_path / "report.json"
         report.write_bytes(content)
@@ -412,6 +426,21 @@ class TestConfigFile:
         assert f"config key {key!r} cannot take {json.dumps(value)}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "optimizer", "sgd"), ("stats", "split_mode", "weird"),
+        ("train", "oov_policy", "nope"), ("train", "tower", "rnn"),
+        ("train", "head", "sum"), ("train", "preset", "original")])
+    def test_value_outside_the_flag_choices_rejected_first(self, tmp_path, capsys,
+                                                           command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = [command, "--data", str(tmp_path / "missing.jsonl")]
+        if command == "train":
+            argv += ["--embeddings", str(tmp_path / "missing.txt")]
+        assert main(["--config", str(cfg), *argv]) == EXIT_CONFIG
+        assert f"config key {key!r} cannot take {json.dumps(value)}" \
+            in capsys.readouterr().err
 
     def test_string_value_converted_as_a_flag(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deepconn import gradcheck
 from deepconn.errors import ConfigError, NumericFault, ShapeError
 from deepconn.gradcheck import (DEFAULT_EPS, DEFAULT_THRESHOLD, gradient_check,
                                 miniature_model)
@@ -14,27 +15,17 @@ from deepconn.optim import Adam
 from deepconn.train import load_checkpoint, restore_parameters, save_checkpoint
 
 from per_sample import sigmoid, table
-from test_batched import check_cell
+from test_batched import check_cell, check_conv
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _conv_grads_by_position(layer, x, dout):
-    """Conv1d's kernel and bias gradients as a Python loop over the L output
-    positions that keeps each channel's first maximum and its window: the
-    reference for the argmax windows Conv1d.backward gathers."""
-    K, S = layer.kernel, layer.stride
-    kernels, bias = layer.kernels.value, layer.bias.value
-    best, first = np.full(len(bias), -np.inf), np.zeros_like(kernels)
-    for l in range(layer.output_length(len(x))):
-        window = x[l * S:l * S + K]
-        z = (kernels * window).sum(axis=(1, 2)) + bias
-        higher = z > best
-        best[higher], first[higher] = z[higher], window
-    dz = dout * (best > 0.0)
-    return dz[:, None, None] * first, dz
+def _battery_case(name, seed):
+    """The (loss_fn, params) that `gradcheck.STANDARD_CASES`' case `name`
+    builds from a generator seeded with `seed`, at one sample."""
+    return dict(gradcheck.STANDARD_CASES)[name](_rng(seed))
 
 
 class TestDense:
@@ -117,16 +108,8 @@ class TestConv1d:
     @given(K=st.integers(1, 12), S=st.integers(1, 8), extra=st.integers(0, 40),
            seed=st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
-    def test_backward_matches_per_position_loop(self, K, S, extra, seed):
-        rng = _rng(seed)
-        layer = Conv1d(3, 4, kernel=K, stride=S, rng=rng)
-        x = rng.standard_normal((1, K + extra, 3))
-        dout = rng.standard_normal(layer.forward(*table(x)).shape)
-        assert layer.backward(dout) is None
-        expected = _conv_grads_by_position(layer, x[0], dout[0])
-        for p, ref in zip(layer.parameters(), expected):
-            npt.assert_allclose(p.grad, ref, rtol=0,
-                                atol=1e-12 * np.max(np.abs(ref)))
+    def test_backward_matches_per_sample(self, K, S, extra, seed):
+        check_conv(1, K, S, extra, 3, 4, seed)
 
 
 class TestMaxPool:
@@ -152,18 +135,7 @@ class TestMaxPool:
         npt.assert_array_equal(dx, [[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]])
 
     def test_gradient_matches_finite_differences(self):
-        rng = _rng(13)
-        pre = Dense(6, 12, activation="identity", rng=rng)
-        pool = MaxPoolOverTime()
-        x = rng.standard_normal((1, 6))
-        w = rng.standard_normal((1, 3))
-
-        def loss_fn():
-            out = pool.forward(pre.forward(x).reshape(1, 4, 3))
-            return (float(np.sum(w * out)),
-                    lambda: pre.backward(pool.backward(w).reshape(1, 12)))
-
-        assert gradient_check(loss_fn, pre.parameters()) < 1e-6
+        assert gradient_check(*_battery_case("maxpool_over_time", 13)) < 1e-6
 
 
 class TestDropout:
@@ -200,30 +172,7 @@ class TestDropout:
         npt.assert_array_equal(drop.backward(np.ones((1, 4))), [[2.0, 0.0, 2.0, 0.0]])
 
     def test_gradient_with_fixed_mask(self):
-        rng = _rng(17)
-        pre = Dense(4, 6, activation="tanh", rng=rng)
-        drop = Dropout()
-        mask = (rng.random((1, 6)) >= 0.4) / 0.6
-        x = rng.standard_normal((1, 4))
-        w = rng.standard_normal((1, 6))
-
-        def loss_fn():
-            out = drop.forward(pre.forward(x), mask)
-            return float(np.sum(w * out)), lambda: pre.backward(drop.backward(w))
-
-        assert gradient_check(loss_fn, pre.parameters()) < 1e-6
-
-
-def _sign_split_sigmoid(x):
-    """The earlier sigmoid, split by sign so exp never overflows: the
-    reference for the tanh form."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+        assert gradient_check(*_battery_case("dropout_fixed_mask", 17)) < 1e-6
 
 
 def _cell_sigmoid(x):
@@ -237,9 +186,9 @@ def _cell_sigmoid(x):
 
 class TestSigmoid:
     @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=64))
-    def test_matches_sign_split_reference(self, xs):
+    def test_matches_per_sample_reference(self, xs):
         x = np.array(xs)
-        npt.assert_allclose(_cell_sigmoid(x), _sign_split_sigmoid(x),
+        npt.assert_allclose(_cell_sigmoid(x), sigmoid(x),
                             rtol=0, atol=2.3e-16)
 
     def test_exact_at_zero_and_the_float_extremes(self):

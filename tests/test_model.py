@@ -9,7 +9,7 @@ from deepconn.gradcheck import gradient_check, miniature_model
 from deepconn.model import (DeepConn, DpHead, FmHead, ModelConfig, Tower,
                             TowerConfig, build_config, mse)
 
-from fm_oracle import fm_pairwise_reference
+from fm_oracle import check_fm_head, check_random_fm_head
 from per_sample import table
 
 
@@ -204,25 +204,12 @@ class TestFmHead:
             beta0 = float(rng.standard_normal())
             if n % 2 == 1:
                 continue  # head input is a concatenation of two equal halves
-            head = FmHead(n // 2, rank=k, rng=rng)
-            head.beta0.value[...] = beta0
-            head.w.value[:] = w
-            head.V.value[:] = V
-            expected = fm_pairwise_reference(z, V, w, beta0)
-            assert head.predict_z(z[None]) == pytest.approx([expected], abs=1e-10)
+            check_fm_head(FmHead(n // 2, rank=k, rng=rng), z, V, w, beta0)
 
     @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_low_rank_identity_property(self, half, k, seed):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(2 * half)
-        head = FmHead(half, rank=k, rng=rng)
-        head.beta0.value[...] = rng.standard_normal()
-        head.w.value[:] = rng.standard_normal(2 * half)
-        head.V.value[:] = rng.standard_normal((2 * half, k))
-        expected = fm_pairwise_reference(z, head.V.value, head.w.value,
-                                         float(head.beta0.value))
-        assert head.predict_z(z[None]) == pytest.approx([expected], abs=1e-10)
+        check_random_fm_head(np.random.default_rng(seed), half, k)
 
 
 class TestMse:
@@ -348,35 +335,43 @@ class TestDeepConn:
             npt.assert_array_equal(p.value, v)
 
 
+# The presets' tower stacks, each checked in one place: here and by
+# acceptance criterion 8.
+
+def check_baseline_replica_stack(rng):
+    stack = Tower(build_config("baseline-replica").tower, rng, "t").stack()
+    assert [name for name, _ in stack] == ["conv1d", "maxpool_over_time",
+                                           "flatten", "dense"]
+    props = dict(stack)
+    assert props["conv1d"]["kernel"] == 8 and props["conv1d"]["stride"] == 6
+    assert props["dense"]["units"] == 32
+
+
+def check_comparison_cnn_stack(rng):
+    props = dict(Tower(build_config("comparison", kind="cnn").tower, rng, "t").stack())
+    assert props["conv1d"]["channels"] == 64
+    assert props["conv1d"]["activation"] == "relu"
+    assert props["dense"] == {"units": 64, "activation": "relu"}
+    assert props["dropout"]["rate"] == pytest.approx(0.10)
+
+
+def check_comparison_recurrent_stack(kind, rng):
+    stack = Tower(build_config("comparison", kind=kind).tower, rng, "t").stack()
+    assert stack[0] == (kind, {"units": 64, "activation": "tanh"})
+    assert dict(stack)["dropout"]["rate"] == pytest.approx(0.10)
+    assert dict(stack)["dense"] == {"units": 64, "activation": "relu"}
+
+
 class TestStructure:
     def test_baseline_replica_stack_matches_original_recipe(self):
-        config = build_config("baseline-replica")
-        tower = Tower(config.tower, _rng(), "t")
-        names = [name for name, _ in tower.stack()]
-        assert names == ["conv1d", "maxpool_over_time", "flatten", "dense"]
-        props = dict(tower.stack())
-        assert props["conv1d"]["kernel"] == 8
-        assert props["conv1d"]["stride"] == 6
-        assert props["dense"]["units"] == 32
+        check_baseline_replica_stack(_rng())
 
     def test_comparison_preset_cnn(self):
-        config = build_config("comparison", kind="cnn")
-        tower = Tower(config.tower, _rng(), "t")
-        props = dict(tower.stack())
-        assert props["conv1d"]["channels"] == 64
-        assert props["conv1d"]["activation"] == "relu"
-        assert props["dropout"]["rate"] == pytest.approx(0.10)
-        assert props["dense"]["units"] == 64
-        assert props["dense"]["activation"] == "relu"
+        check_comparison_cnn_stack(_rng())
 
     @pytest.mark.parametrize("kind", ["gru", "lstm"])
     def test_comparison_preset_recurrent(self, kind):
-        config = build_config("comparison", kind=kind)
-        tower = Tower(config.tower, _rng(), "t")
-        stack = tower.stack()
-        assert stack[0][0] == kind
-        assert stack[0][1] == {"units": 64, "activation": "tanh"}
-        assert dict(stack)["dropout"]["rate"] == pytest.approx(0.10)
+        check_comparison_recurrent_stack(kind, _rng())
 
     @pytest.mark.parametrize("kind, cell_names", [
         ("gru", ["U_z", "U_r", "U_h", "W_z", "W_r", "W_h"]),

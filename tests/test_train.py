@@ -370,6 +370,12 @@ class TestEvaluate:
                             "cold_start_item": 1}
 
 
+def _config_only(config):
+    """A version-1 manifest of no parameters whose model config is `config`."""
+    return {"format": "deepconn-checkpoint", "version": 1, "config": config,
+            "params": []}
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         model, store, pairs = _tiny_setup(seed=15)
@@ -399,6 +405,13 @@ class TestCheckpoint:
         for cut in (4, 12, len(data) - 5):
             path.write_bytes(data[:cut])
             with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+        # A manifest length past the end of the file, however large, is a
+        # truncated manifest too, not a MemoryError or an OverflowError.
+        start = len(CHECKPOINT_MAGIC) + 8
+        for length in (2**40, 2**64 - 1):
+            path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", length) + data[start:])
+            with pytest.raises(CheckpointError, match="truncated manifest$"):
                 load_checkpoint(path)
 
     def test_trailing_garbage_is_corrupt(self, tmp_path):
@@ -452,9 +465,24 @@ class TestCheckpoint:
           "config": {"tower": {"depth": 3}}, "params": []}, "malformed manifest"),
         ({"format": "deepconn-checkpoint", "version": 1, "config": {},
           "params": [], "crc32": "0"}, "malformed manifest"),
+        (_config_only({"tower": {"hidden_units": "4"}}),
+         "does not fit: hidden_units must be an integer"),
+        (_config_only({"tower": {"hidden_units": 4.0}}),
+         "does not fit: hidden_units must be an integer"),
+        (_config_only({"tower": {}, "fm_rank": 2.5}),
+         "does not fit: fm_rank must be an integer"),
+        (_config_only({"tower": {"kind": "rnn"}}), "does not fit: tower kind must be"),
+        (_config_only({"tower": {"dropout_rate": True}}),
+         "does not fit: dropout_rate must be a number"),
+        (_config_only({"tower": {"recurrent_dropout_rate": "0"}}),
+         "does not fit: recurrent_dropout_rate must be a number"),
+        (_config_only({"tower": {}, "pure_dot": "false"}),
+         "does not fit: pure_dot must be true or false"),
     ], ids=["not-object", "version-99", "version-string", "no-version",
             "no-config", "no-params", "no-name", "no-shape", "no-tower",
-            "unknown-tower-field", "crc32-not-int"])
+            "unknown-tower-field", "crc32-not-int", "size-string", "size-float",
+            "fm-rank-float", "unknown-kind", "rate-bool", "rate-string",
+            "pure-dot-string"])
     def test_malformed_manifest_is_checkpoint_error(self, tmp_path, manifest, match):
         blob = json.dumps(manifest).encode("utf-8")
         path = tmp_path / "model.ckpt"
