@@ -146,6 +146,10 @@ class Dense:
     def parameters(self):
         return [self.W, self.b]
 
+    def release(self):
+        """Drop what the latest forward kept for its backward."""
+        self._cache = None
+
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_in:
@@ -181,6 +185,11 @@ class Conv1d:
     et al. 2016, arXiv 1604.06174).  Backward gathers the B*C argmax
     windows channel-major, `chunk_steps(C)` documents at a time, for one
     (C, 1, n) @ (C, n, K*d) kernel-gradient product per chunk.
+
+    Each pass gathers its chunks into one buffer, a local of the call
+    sized for the largest chunk, so the layer keeps none between calls.  A
+    fresh window array per chunk went back to the system after each call,
+    and the next call took hundreds of page faults to map it again.
     """
 
     def __init__(self, in_dim, channels, kernel, stride, rng, name="conv"):
@@ -198,28 +207,31 @@ class Conv1d:
     def parameters(self):
         return [self.kernels, self.bias]
 
+    def release(self):
+        """Drop what the latest forward kept for its backward."""
+        self._cache = None
+
     def output_length(self, T):
         if T < self.kernel:
             raise ShapeError(
                 f"conv1d needs T >= kernel ({self.kernel}), got T={T}")
         return (T - self.kernel) // self.stride + 1
 
-    def _windows(self, ids, matrix):
-        """The (n, L, K*d) im2col windows of n documents' (n, T) ids."""
-        S, L = self.stride, self.output_length(ids.shape[1])
-        rows = np.arange(0, S * L, S)[:, None] + np.arange(self.kernel)
-        return matrix[ids[:, rows]].reshape(len(ids), L, -1)
-
     def forward(self, ids, matrix):
         _check_table(self, ids, matrix, self.in_dim)
-        C = self.channels
+        C, K, S = self.channels, self.kernel, self.stride
+        L = self.output_length(ids.shape[1])
         kernels = self.kernels.value.reshape(C, -1).T
         argmax, out = np.empty((len(ids), C), dtype=np.intp), np.empty((len(ids), C))
-        n = chunk_steps(self.output_length(ids.shape[1]))
+        rows = np.arange(0, S * L, S)[:, None] + np.arange(K)
+        n = chunk_steps(L)
+        windows = np.empty((min(n, len(ids)) * L * K, self.in_dim), matrix.dtype)
         for b in range(0, len(ids), n):
+            chunk = ids[b:b + n]
+            x = _gather(matrix, chunk[:, rows], windows)
             # One product per document: a single (n*L, K*d) GEMM changes
             # its bits with the BLAS thread count.
-            z = self._windows(ids[b:b + n], matrix) @ kernels
+            z = x.reshape(len(chunk), L, -1) @ kernels
             z += self.bias.value
             argmax[b:b + n], out[b:b + n] = _max_over_time(z)
         np.maximum(out, 0.0, out=out)
@@ -228,19 +240,29 @@ class Conv1d:
 
     def backward(self, dout):
         ids, matrix, argmax, out = self._cache
-        self._cache = None
+        self.release()
         C, K, d = self.kernels.shape
         # The ReLU's output is positive exactly where its input is.
         g = np.asarray(dout) * (out > 0.0)
         self.bias.grad += g.sum(axis=0)
         n = chunk_steps(C)
+        windows = np.empty((C * min(n, len(ids)) * K, d), matrix.dtype)
         for b in range(0, len(ids), n):
             # Channel c's window of document j starts at argmax[j, c] * S.
             docs = np.arange(b, min(b + n, len(ids)))
             starts = argmax[docs].T[..., None] * self.stride
-            rows = ids[docs[:, None], starts + np.arange(K)]
-            windows = matrix[rows].reshape(C, len(docs), K * d)
-            self.kernels.grad += (g[docs].T[:, None] @ windows).reshape(C, K, d)
+            x = _gather(matrix, ids[docs[:, None], starts + np.arange(K)], windows)
+            x = x.reshape(C, len(docs), K * d)
+            self.kernels.grad += (g[docs].T[:, None] @ x).reshape(C, K, d)
+
+
+def _gather(matrix, rows, buffer):
+    """matrix[rows.ravel()], written over the first rows.size rows of
+    `buffer` and returned as that C-contiguous leading slice.  `clip` never
+    moves an id: `_check_table` has bounded them all."""
+    out = buffer[:rows.size]
+    np.take(matrix, rows.ravel(), axis=0, out=out, mode="clip")
+    return out
 
 
 def _max_over_time(x):
@@ -360,6 +382,12 @@ class _RecurrentCell:
     def parameters(self):
         return list(self._parameters)
 
+    def release(self):
+        """Drop what the latest forward kept for its backward: the ids, the
+        table, the mask, the checkpoints and the last chunk."""
+        self._table = self._mask = self._checkpoints = self._x_rows = None
+        self._states = self._gates = self._dA = self._W_columns = None
+
     def _masked(self, hidden):
         """`hidden` as the recurrent products read it: times the mask, if any."""
         return hidden if self._mask is None else hidden * self._mask
@@ -422,8 +450,7 @@ class _RecurrentCell:
             self.U.grad += _gate_first(self._x_rows.T @ dA.reshape(tc * B, G * H), G)
             s_in = self._masked(self._states[:-1, 0]).reshape(tc * B, H)
             self._recurrent_grads(dA, s_in)
-        self._table = self._mask = self._checkpoints = self._x_rows = None
-        self._states = self._gates = self._dA = self._W_columns = None
+        self.release()
 
 
 class GruCell(_RecurrentCell):

@@ -174,6 +174,12 @@ class Tower:
         encoder = self.conv if self.kind == "cnn" else self.cell
         return encoder.parameters() + self.dense.parameters()
 
+    def release(self):
+        """Drop the encoder's and the dense layer's caches of the latest
+        forward, whose backward can then no longer run."""
+        (self.conv if self.kind == "cnn" else self.cell).release()
+        self.dense.release()
+
     def stack(self):
         """Layer descriptors in forward order, for structural inspection."""
         c = self.config
@@ -410,6 +416,31 @@ class DeepConn:
         x_u = self.user_tower.forward(np.arange(len(user))[None], user)
         x_i = self.item_tower.forward(np.arange(len(item))[None], item)
         return float(self.head.predict(x_u, x_i)[0])
+
+
+def parameter_shapes(config):
+    """The (name, shape) of each array `DeepConn(config).parameters()`
+    returns, in that order, worked out from the config alone so that a
+    checkpoint can be sized before any model is built."""
+    t = config.tower
+    d, H, m = t.embedding_dim, t.hidden_units, t.dense_units
+    shapes = []
+    for tower in ("user_tower", "item_tower"):
+        if t.kind == "cnn":
+            shapes += [(f"{tower}.conv.kernels", (H, t.kernel, d)),
+                       (f"{tower}.conv.bias", (H,))]
+        elif t.kind == "gru":
+            shapes += [(f"{tower}.gru.{w}_{g}", shape)
+                       for w, shape in (("U", (d, H)), ("W", (H, H))) for g in "zrh"]
+        else:
+            shapes += [(f"{tower}.lstm.{w}_{g}", shape) for g in LstmCell.GATES
+                       for w, shape in (("U", (d, H)), ("W", (H, H)), ("b", (H,)))]
+        shapes += [(f"{tower}.dense.W", (H, m)), (f"{tower}.dense.b", (m,))]
+    if not config.pure_dot:
+        shapes += [("head.beta0", ()), ("head.w", (2 * m,))]
+    if config.head == "fm":
+        shapes.append(("head.V", (2 * m, config.fm_rank)))
+    return shapes
 
 
 def mse(predictions, targets):

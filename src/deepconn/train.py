@@ -22,6 +22,7 @@ user or an item, the worst case.
 """
 
 import json
+import math
 import os
 import struct
 import time
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      NumericFault, ShapeError, UnknownEntityError)
 from .ingest import group_reviews
-from .model import DeepConn, ModelConfig, mse
+from .model import DeepConn, ModelConfig, mse, parameter_shapes
 from .optim import make_optimizer
 from .text import EmbeddingTable, EncodedDocument, build_document, embed
 
@@ -283,7 +284,8 @@ def evaluate(model, store, pairs, clamp=False):
 
     Users or items without documents fall back to the store's global mean
     rating.  Returns (mse, counters); counters tallies "predicted",
-    "cold_start_user", "cold_start_item".  Side-effect free.
+    "cold_start_user", "cold_start_item".  It changes no parameter, and
+    leaves the towers holding no layer cache, so no backward can follow it.
 
     Eval-mode towers are deterministic, so each distinct user and item is
     encoded once, MICRO_BATCH documents at a time, and the head runs
@@ -319,10 +321,12 @@ def evaluate(model, store, pairs, clamp=False):
 
 def _encode(tower, tokens, matrix, entity_ids):
     """Eval-mode latents, one row per id: each distinct entity is encoded
-    once, MICRO_BATCH documents at a time."""
+    once, MICRO_BATCH documents at a time.  No backward follows, so the
+    tower keeps none of its layers' caches afterwards."""
     distinct, rows = _distinct(entity_ids)
     latents = [tower.forward(tokens(distinct[k:k + MICRO_BATCH]), matrix)
                for k in range(0, len(distinct), MICRO_BATCH)]
+    tower.release()
     return np.concatenate(latents)[rows]
 
 
@@ -420,10 +424,12 @@ def load_checkpoint(path):
     """Rebuild a model from a checkpoint; bit-exact round trip.
 
     A manifest whose length runs past the end of the file, or whose config
-    does not validate, is a CheckpointError.  The names and shapes of the
-    parameters built from the manifest's config must match the manifest's
-    own list; a mismatch is a ShapeError naming the parameter.  Parameter
-    bytes whose crc32 differs from the manifest's are a CheckpointError.
+    does not validate, is a CheckpointError.  Before any model is built,
+    the manifest's parameter list must match `parameter_shapes` of its
+    config: a list of another length is a CheckpointError, another name or
+    shape a ShapeError naming the parameter.  So must the payload's length,
+    or it is a CheckpointError.  Parameter bytes whose crc32 differs from
+    the manifest's are a CheckpointError.
     """
     with open(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -440,29 +446,34 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest ({exc})") from exc
     config, entries, crc = _read_manifest(path, manifest)
-    model = DeepConn(config)
-    params = model.parameters()
-    if len(entries) != len(params):
-        raise ShapeError(
-            f"checkpoint has {len(entries)} parameters, model has {len(params)}")
-    payload_crc = 0
-    for p, (name, shape) in zip(params, entries):
-        if p.name != name:
+    # Sized from the config before DeepConn(config) allocates anything, so
+    # a small file cannot make it build a model the file does not hold.
+    expected = parameter_shapes(config)
+    if len(entries) != len(expected):
+        raise CheckpointError(f"{path}: checkpoint has {len(entries)} "
+                              f"parameters, its config implies {len(expected)}")
+    for (name, shape), (model_name, model_shape) in zip(entries, expected):
+        if model_name != name:
             raise ShapeError(
-                f"parameter order mismatch: model {p.name!r} vs "
+                f"parameter order mismatch: model {model_name!r} vs "
                 f"checkpoint {name!r}")
-        if p.value.shape != shape:
+        if model_shape != shape:
             raise ShapeError(
-                f"parameter {p.name!r}: checkpoint shape {shape}, "
-                f"model shape {p.value.shape}")
+                f"parameter {model_name!r}: checkpoint shape {shape}, "
+                f"model shape {model_shape}")
+    payload = 8 * sum(math.prod(shape) for _, shape in expected)
+    if len(data) - offset < payload:
+        raise CheckpointError(f"{path}: truncated parameter data "
+                              f"({len(data) - offset} of {payload} bytes)")
+    if len(data) - offset > payload:
+        raise CheckpointError(f"{path}: trailing bytes after parameter data")
+    model = DeepConn(config)
+    payload_crc = 0
+    for p in model.parameters():
         raw = data[offset:offset + 8 * p.value.size]
         offset += 8 * p.value.size
-        if offset > len(data):
-            raise CheckpointError(f"{path}: truncated data for {p.name!r}")
         payload_crc = zlib.crc32(raw, payload_crc)
-        p.value[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if offset < len(data):
-        raise CheckpointError(f"{path}: trailing bytes after parameter data")
+        p.value[...] = np.frombuffer(raw, dtype="<f8").reshape(p.value.shape)
     if crc is not None and crc != payload_crc:
         raise CheckpointError(
             f"{path}: parameter data fails its checksum "

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from deepconn.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY, main)
 from deepconn.gradcheck import miniature_model
-from deepconn.train import TrainReport, save_checkpoint
+from deepconn.train import CHECKPOINT_MAGIC, TrainReport, save_checkpoint
 
 FAST_MODEL = ["--doc-length", "32", "--hidden-units", "8", "--dense-units", "8",
               "--dropout", "0", "--batch-size", "64"]
@@ -222,6 +223,30 @@ class TestEvaluate:
         assert code == EXIT_IO
         assert f"{checkpoint}: manifest config does not fit: hidden_units" \
             in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs RLIMIT_AS as Linux applies it")
+    def test_checkpoint_config_larger_than_its_file_is_io_error(self, tmp_path):
+        # A valid config whose conv kernel alone would take 2.98 GiB, in a
+        # 125-byte file that holds no parameter.
+        manifest = {"format": "deepconn-checkpoint", "version": 1,
+                    "config": {"tower": {"hidden_units": 1000000}}, "params": []}
+        blob = json.dumps(manifest).encode("utf-8")
+        checkpoint = tmp_path / "huge.ckpt"
+        checkpoint.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+        limited = ("import resource, sys\n"
+                   "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                   "from deepconn.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", limited, "evaluate", "--checkpoint", str(checkpoint),
+             "--data", str(tmp_path / "missing.jsonl"),
+             "--embeddings", str(tmp_path / "missing.txt")],
+            # One BLAS thread, so that the limit bounds the model, not thread buffers.
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True)
+        assert proc.returncode == EXIT_IO, proc.stderr
+        assert "checkpoint has 0 parameters, its config implies 10" in proc.stderr
 
 
 class TestBaseline:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from deepconn.errors import ConfigError, ShapeError
 from deepconn.gradcheck import gradient_check, miniature_model
 from deepconn.model import (DeepConn, DpHead, FmHead, ModelConfig, Tower,
-                            TowerConfig, build_config, mse)
+                            TowerConfig, build_config, mse, parameter_shapes)
 
 from fm_oracle import check_fm_head, check_random_fm_head
 from per_sample import table
@@ -239,6 +239,17 @@ class TestMse:
 
 
 class TestDeepConn:
+    @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
+    @pytest.mark.parametrize("head, pure_dot", [("dp", False), ("dp", True),
+                                                ("fm", False)])
+    def test_parameter_shapes_match_the_built_model(self, kind, head, pure_dot):
+        # Every size differs from every other, so a swapped axis shows.
+        config = ModelConfig(tower=TowerConfig(
+            kind=kind, embedding_dim=5, hidden_units=3, kernel=7, stride=2,
+            dense_units=4), head=head, fm_rank=2, pure_dot=pure_dot)
+        built = [(p.name, p.shape) for p in DeepConn(config).parameters()]
+        assert parameter_shapes(config) == built
+
     def _docs(self, seed=12, T=12, d=8):
         rng = _rng(seed)
         return rng.standard_normal((T, d)), rng.standard_normal((T, d))

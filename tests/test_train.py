@@ -337,6 +337,19 @@ class TestEvaluate:
         for p, v in zip(model.parameters(), before):
             npt.assert_array_equal(p.value, v)
 
+    @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
+    def test_towers_keep_no_layer_cache(self, kind):
+        records, _, store = _text_store(T=12)
+        model = miniature_model(kind, "fm", seed=6)
+        evaluate(model, store, pairs_from_records(records))
+        cached = ("_cache",) if kind == "cnn" else \
+            ("_table", "_checkpoints", "_x_rows", "_gates", "_states")
+        for tower in (model.user_tower, model.item_tower):
+            encoder = tower.conv if kind == "cnn" else tower.cell
+            for name in cached:
+                assert getattr(encoder, name) is None, name
+            assert tower.dense._cache is None
+
     def test_clamp_restricts_range(self):
         model, store, pairs = _tiny_setup(seed=14)
         for p in model.head.parameters():
