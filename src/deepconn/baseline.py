@@ -5,36 +5,59 @@ restricted to users who rated BOTH items (not zero-filled full columns —
 the two conventions disagree whenever co-raters are a strict subset).
 Prediction is a similarity-weighted average over the user's rated items,
 with mean-rating fallbacks when no positive-similarity neighbor exists.
+
+Everything works from the matrix's nonzeros, so the cost follows the
+ratings that exist rather than the matrix's size: the similarities walk
+each user's pairs of co-rated items (Linden, Smith & York 2003), and the
+evaluator scores every test pair in one batched pass.
 """
+
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, UnknownEntityError
 
+# At most this many co-rated pairs are generated at once (three int64 and
+# three float64 arrays of this length); a user with more pairs of their
+# own forms a block alone.
+PAIR_BLOCK = 1 << 18
+
+SOURCES = ("cf", "user_mean", "global_mean")
+
 
 class RatingMatrix:
-    """User x item ratings from review records; 0 marks "unrated".
+    """User x item ratings from review records, kept as their nonzeros.
 
-    Duplicate (user, item) pairs keep the last rating and are counted in
-    `n_overwritten`.
+    Row u's rated items are `columns[indptr[u]:indptr[u + 1]]`, ascending,
+    with their `ratings` alongside (row-major order).  Duplicate (user,
+    item) pairs keep the last rating and are counted in `n_overwritten`.
+    Ratings are positive (ingest keeps [1, 5]); a rating <= 0 leaves the
+    pair unrated.
     """
 
     def __init__(self, records):
         self.user_index = {}
         self.item_index = {}
+        users, items, ratings = [], [], []
         for r in records:
-            self.user_index.setdefault(r.user_id, len(self.user_index))
-            self.item_index.setdefault(r.item_id, len(self.item_index))
-        self.values = np.zeros((len(self.user_index), len(self.item_index)))
-        self.n_overwritten = 0
-        for r in records:
-            u = self.user_index[r.user_id]
-            i = self.item_index[r.item_id]
-            if self.values[u, i] != 0.0:
-                self.n_overwritten += 1
-            self.values[u, i] = r.rating
-        rated = self.values > 0
-        self.global_mean = float(self.values[rated].mean()) if rated.any() else 0.0
+            users.append(self.user_index.setdefault(r.user_id, len(self.user_index)))
+            items.append(self.item_index.setdefault(r.item_id, len(self.item_index)))
+            ratings.append(r.rating)
+        keys = np.array(users, dtype=np.int64) * self.n_items \
+            + np.array(items, dtype=np.int64)
+        ratings = np.array(ratings, dtype=np.float64)
+        order = np.argsort(keys, kind="stable")   # equal keys keep record order
+        keys, ratings = keys[order], ratings[order]
+        repeated = keys[1:] == keys[:-1]
+        self.n_overwritten = int(np.count_nonzero(repeated & (ratings[:-1] != 0.0)))
+        last = np.append(~repeated, True)
+        rated = last & (ratings > 0)
+        keys = keys[rated]
+        self.ratings = ratings[rated]
+        self.columns = keys % self.n_items
+        self.indptr = np.searchsorted(keys // self.n_items, np.arange(self.n_users + 1))
+        self.global_mean = float(self.ratings.mean()) if len(self.ratings) else 0.0
 
     @property
     def n_users(self):
@@ -44,11 +67,42 @@ class RatingMatrix:
     def n_items(self):
         return len(self.item_index)
 
+    @cached_property
+    def values(self):
+        """The dense (n_users, n_items) matrix; 0 marks "unrated"."""
+        values = np.zeros((self.n_users, self.n_items))
+        rows = np.repeat(np.arange(self.n_users), np.diff(self.indptr))
+        values[rows, self.columns] = self.ratings
+        return values
+
     def user_mean(self, user_id):
-        u = self.user_index[user_id]
-        row = self.values[u]
-        rated = row > 0
-        return float(row[rated].mean()) if rated.any() else self.global_mean
+        return self._row_mean(self.user_index[user_id])
+
+    def _row_mean(self, u):
+        row = self.ratings[self.indptr[u]:self.indptr[u + 1]]
+        return float(row.mean()) if len(row) else self.global_mean
+
+
+def _ranges(starts, lengths):
+    """The concatenation of arange(s, s + n) for each (s, n)."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _co_rated_pairs(indptr):
+    """(first, second) positions into the nonzeros of every pair of items
+    one user rated, first < second, a block of users at a time: a block
+    holds at most PAIR_BLOCK pairs, or one user who has more."""
+    n = np.diff(indptr)
+    through = np.cumsum(n * (n - 1) // 2)   # pairs of users 0..u
+    lo = 0
+    while lo < len(n):
+        before = through[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(through, before + PAIR_BLOCK, "right")))
+        first = np.arange(indptr[lo], indptr[hi])
+        partners = np.repeat(indptr[lo + 1:hi + 1], n[lo:hi]) - first - 1
+        yield np.repeat(first, partners), _ranges(first + 1, partners)
+        lo = hi
 
 
 def item_similarity(matrix):
@@ -58,23 +112,69 @@ def item_similarity(matrix):
     by users who rated both items; no co-raters gives 0 by convention.
     Returned matrix is exactly symmetric with ones on the diagonal for
     rated items.
+
+    For each user and each pair i < j of their rated items, r_i r_j, r_i^2
+    and r_j^2 are summed into the pair's three totals, so the work grows
+    with sum_u n_u^2, the number of co-rated pairs; only the totals and the
+    result are M x M.
     """
-    R = matrix.values
-    mask = (R > 0).astype(np.float64)
-    # Unrated entries are 0, so the plain product already restricts the
-    # numerator to co-raters; only the norms need explicit restriction.
-    dots = R.T @ R
-    sq = R * R
-    restricted_sqnorm = sq.T @ mask  # [i, j] = sum_u R_ui^2 over raters of j
-    denom = np.sqrt(restricted_sqnorm * restricted_sqnorm.T)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where(denom > 0.0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    # one value per unordered pair: mirror the upper triangle
-    upper = np.triu(sims, 1)
+    M = matrix.n_items
+    columns, ratings = matrix.columns, matrix.ratings
+    dots, denom, sq_j = totals = np.zeros((3, M * M))   # denom sums r_i^2 first
+    for first, second in _co_rated_pairs(matrix.indptr):
+        keys = columns[first] * M + columns[second]   # row-major: i < j
+        r_i, r_j = ratings[first], ratings[second]
+        for total, w in zip(totals, (r_i * r_j, r_i * r_i, r_j * r_j)):
+            total += np.bincount(keys, w, minlength=M * M)
+    denom *= sq_j
+    np.sqrt(denom, out=denom)
+    # cosines only where the pair has co-raters; the lower triangle stays 0
+    upper = np.divide(dots, denom, out=np.zeros(M * M), where=denom > 0.0)
+    upper = upper.reshape(M, M)
     sims = upper + upper.T
-    rated_items = mask.any(axis=0)
+    rated_items = np.bincount(columns, minlength=M) > 0
     np.fill_diagonal(sims, np.where(rated_items, 1.0, 0.0))
     return sims
+
+
+def _check_k(k):
+    if k is not None and k < 1:
+        raise ConfigError(f"neighborhood size k must be >= 1, got {k}")
+
+
+def _score(matrix, sims, users, targets, k):
+    """(values, sources) for known user rows `users` and item columns
+    `targets` (-1 for an item the matrix lacks); sources index SOURCES.
+
+    Each pair's neighbors are its user's rated items other than the target
+    with positive similarity to it, ordered by similarity descending and
+    then column, and cut to the first k when k is given.
+    """
+    P = len(users)
+    lengths = np.where(targets >= 0, matrix.indptr[users + 1] - matrix.indptr[users], 0)
+    pair = np.repeat(np.arange(P), lengths)
+    positions = _ranges(matrix.indptr[users], lengths)
+    columns = matrix.columns[positions]
+    weights = sims[targets[pair], columns]
+    keep = (columns != targets[pair]) & (weights > 0.0)
+    pair, columns, weights = pair[keep], columns[keep], weights[keep]
+    ratings = matrix.ratings[positions[keep]]
+    order = np.lexsort((columns, -weights, pair))
+    pair, weights, ratings = pair[order], weights[order], ratings[order]
+    if k is not None:
+        first = np.searchsorted(pair, pair)   # each pair's first neighbor
+        top = np.arange(len(pair)) - first < k
+        pair, weights, ratings = pair[top], weights[top], ratings[top]
+    has_neighbors = np.bincount(pair, minlength=P) > 0
+    values = np.empty(P)
+    sources = np.zeros(P, dtype=np.intp)
+    numerators = np.bincount(pair, weights * ratings, minlength=P)
+    denominators = np.bincount(pair, weights, minlength=P)
+    values[has_neighbors] = numerators[has_neighbors] / denominators[has_neighbors]
+    for n in np.flatnonzero(~has_neighbors):
+        values[n] = matrix._row_mean(users[n])
+        sources[n] = 1 if matrix.indptr[users[n] + 1] > matrix.indptr[users[n]] else 2
+    return values, sources
 
 
 def predict_cf_with_source(matrix, sims, user_id, item_id, k=None):
@@ -86,31 +186,13 @@ def predict_cf_with_source(matrix, sims, user_id, item_id, k=None):
     similar when k is given.  Empty neighborhood falls back to the user's
     mean rating, then to the global mean.
     """
-    if k is not None and k < 1:
-        raise ConfigError(f"neighborhood size k must be >= 1, got {k}")
+    _check_k(k)
     if user_id not in matrix.user_index:
         raise UnknownEntityError(f"unknown user {user_id!r}")
-    u = matrix.user_index[user_id]
-    target = matrix.item_index.get(item_id)
-
-    if target is not None:
-        row = matrix.values[u]
-        rated = np.nonzero(row > 0)[0]
-        neighbors = [(float(sims[target, j]), j) for j in rated
-                     if j != target and sims[target, j] > 0.0]
-        if neighbors:
-            # deterministic top-k: similarity descending, column index tie-break
-            neighbors.sort(key=lambda sj: (-sj[0], sj[1]))
-            if k is not None:
-                neighbors = neighbors[:k]
-            weights = np.array([s for s, _ in neighbors])
-            ratings = np.array([row[j] for _, j in neighbors])
-            return float(weights @ ratings / weights.sum()), "cf"
-
-    row = matrix.values[u]
-    if (row > 0).any():
-        return matrix.user_mean(user_id), "user_mean"
-    return matrix.global_mean, "global_mean"
+    values, sources = _score(matrix, sims,
+                             np.array([matrix.user_index[user_id]]),
+                             np.array([matrix.item_index.get(item_id, -1)]), k)
+    return float(values[0]), SOURCES[sources[0]]
 
 
 def similarity_table_text(matrix, sims):
@@ -131,18 +213,19 @@ def evaluate_cf(matrix, sims, pairs, k=None):
 
     Users absent from the training matrix fall back to the global mean.
     Returns (mse, counters) where counters tallies the prediction source.
+    Every pair is scored in one batched pass, as `predict_cf_with_source`
+    scores one.
     """
     if not pairs:
         raise ConfigError("cannot evaluate on an empty pair list")
-    counters = {"cf": 0, "user_mean": 0, "global_mean": 0, "unknown_user": 0}
-    errors = np.empty(len(pairs))
-    for n, record in enumerate(pairs):
-        if record.user_id in matrix.user_index:
-            value, source = predict_cf_with_source(
-                matrix, sims, record.user_id, record.item_id, k)
-            counters[source] += 1
-        else:
-            value = matrix.global_mean
-            counters["unknown_user"] += 1
-        errors[n] = record.rating - value
+    _check_k(k)
+    users = np.array([matrix.user_index.get(p.user_id, -1) for p in pairs])
+    targets = np.array([matrix.item_index.get(p.item_id, -1) for p in pairs])
+    known = users >= 0
+    values = np.full(len(pairs), matrix.global_mean)
+    values[known], sources = _score(matrix, sims, users[known], targets[known], k)
+    tally = np.bincount(sources, minlength=len(SOURCES))
+    counters = {name: int(n) for name, n in zip(SOURCES, tally)}
+    counters["unknown_user"] = int(np.count_nonzero(~known))
+    errors = np.array([p.rating for p in pairs]) - values
     return float(np.mean(errors ** 2)), counters

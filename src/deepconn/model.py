@@ -266,6 +266,10 @@ class DpHead:
     def parameters(self):
         return [] if self.pure_dot else [self.beta0, self.w]
 
+    def release(self):
+        """Drop the latents the latest predict kept for its backward."""
+        self._cache = None
+
     def predict(self, x_u, x_i):
         """(B,) ratings from (B, m) user and item latents."""
         x_u = np.asarray(x_u, dtype=np.float64)
@@ -316,6 +320,11 @@ class FmHead:
 
     def parameters(self):
         return [self.beta0, self.w, self.V]
+
+    def release(self):
+        """Drop the input and factor sums the latest predict kept for its
+        backward."""
+        self._cache = None
 
     def predict_z(self, z):
         """(B,) ratings from the (B, 2m) concatenated latents; the sums run

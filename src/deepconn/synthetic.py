@@ -1,50 +1,12 @@
 """Synthetic corpora with planted, learnable structure.
 
-Two generators live here: a tiny text-free micro-dataset driven by a
-bilinear rating rule (capacity and timing experiments), and a review-text
-corpus with a 50-token vocabulary whose embedding file and JSON-lines
-dump exercise the full ingest/tokenize/embed pipeline offline.
+A review-text corpus with a 50-token vocabulary whose embedding file and
+JSON-lines dump exercise the full ingest/tokenize/embed pipeline offline.
 """
 
 import numpy as np
 
 from .ingest import ReviewRecord
-from .train import DocumentStore, RatedPair
-
-
-def make_micro_dataset(n_users=20, n_items=10, noise=0.1, doc_length=16,
-                       dim=8, seed=0):
-    """Planted bilinear rule: rating = 3 + a_u . b_i + N(0, noise).
-
-    Every row of a user's document carries the user latent a_u in the
-    first coordinates (items likewise), plus light clutter, so a twin
-    tower reading the documents can recover the rule.  Returns
-    (pairs, store) with one pair per (user, item) combination; the store's
-    table rows are the documents' rows, one block of ids per entity.
-    """
-    rng = np.random.default_rng(seed)
-    latent = 2
-    a = rng.uniform(-0.7, 0.7, (n_users, latent))
-    b = rng.uniform(-0.7, 0.7, (n_items, latent))
-
-    def document(entity_latent):
-        doc = 0.02 * rng.standard_normal((doc_length, dim))
-        doc[:, :latent] += entity_latent
-        return doc
-
-    user_documents = {f"u{k}": document(a_u) for k, a_u in enumerate(a)}
-    item_documents = {f"m{k}": document(b_i) for k, b_i in enumerate(b)}
-    pairs = []
-    for u in range(n_users):
-        for i in range(n_items):
-            rating = 3.0 + float(a[u] @ b[i]) + noise * rng.standard_normal()
-            pairs.append(RatedPair(f"u{u}", f"m{i}", float(np.clip(rating, 1.0, 5.0))))
-    mean = float(np.mean([p.rating for p in pairs]))
-    return pairs, DocumentStore.from_documents(user_documents, item_documents, mean)
-
-
-# ---------------------------------------------------------------------------
-# Review-text corpus with a 50-token vocabulary.
 
 POSITIVE_TOKENS = ["great", "excellent", "loved", "perfect", "wonderful",
                    "amazing", "fantastic", "brilliant", "superb", "enjoyable"]

@@ -38,7 +38,7 @@ from .errors import (CheckpointError, ConfigError, DataFormatError,
 from .ingest import group_reviews
 from .model import DeepConn, ModelConfig, mse, parameter_shapes
 from .optim import make_optimizer
-from .text import EmbeddingTable, EncodedDocument, build_document, embed
+from .text import build_document, embed
 
 # Pairs per forward/backward pass of `fit`, documents per tower pass of `evaluate`.
 MICRO_BATCH = 32
@@ -76,24 +76,6 @@ class DocumentStore:
             for by_entity in (groups.by_user, groups.by_item))
         ratings = [r.rating for r in records]
         self.global_mean = float(np.mean(ratings)) if ratings else 0.0
-
-    @classmethod
-    def from_documents(cls, user_documents, item_documents, global_mean):
-        """A store over precomputed (T, d) matrices keyed by entity id: its
-        table holds their rows, and each entity's ids are its own block."""
-        store = cls.__new__(cls)
-        store._user_documents, store._item_documents = {}, {}
-        rows = []
-        for documents, matrices in ((store._user_documents, user_documents),
-                                    (store._item_documents, item_documents)):
-            for entity_id, matrix in matrices.items():
-                start = 1 + len(rows)
-                ids = np.arange(start, start + len(matrix), dtype=np.int32)
-                documents[entity_id] = EncodedDocument(ids, len(matrix), entity_id)
-                rows.extend(matrix)
-        store.table = EmbeddingTable(len(rows[0]), enumerate(rows))
-        store.global_mean = global_mean
-        return store
 
     def has_user(self, user_id):
         return user_id in self._user_documents
@@ -285,7 +267,8 @@ def evaluate(model, store, pairs, clamp=False):
     Users or items without documents fall back to the store's global mean
     rating.  Returns (mse, counters); counters tallies "predicted",
     "cold_start_user", "cold_start_item".  It changes no parameter, and
-    leaves the towers holding no layer cache, so no backward can follow it.
+    leaves neither the towers nor the head holding a cache, so no backward
+    can follow it.
 
     Eval-mode towers are deterministic, so each distinct user and item is
     encoded once, MICRO_BATCH documents at a time, and the head runs
@@ -314,6 +297,7 @@ def evaluate(model, store, pairs, clamp=False):
         x_i = _encode(model.item_tower, store.item_tokens, store.table.matrix,
                       [pairs[j].item_id for j in rows])
         preds[rows] = model.head.predict(x_u, x_i)
+        model.head.release()
     if clamp:
         preds = np.clip(preds, 1.0, 5.0)
     return mse(preds, targets), counters

@@ -16,13 +16,13 @@ from deepconn.cli import EXIT_OK, main
 from deepconn.gradcheck import standard_checks
 from deepconn.ingest import ReviewRecord, parse_reviews_file, split_dataset
 from deepconn.model import DeepConn, ModelConfig, TowerConfig
-from deepconn.synthetic import make_micro_dataset
 from deepconn.text import load_embeddings
 from deepconn.train import (DocumentStore, TrainReport, evaluate, fit,
                             load_checkpoint, mean_predictor_mse,
                             pairs_from_records)
 
 from fm_oracle import check_random_fm_head
+from micro import make_micro_dataset
 from test_baseline import check_cf_matches_brute_force
 from test_model import (check_baseline_replica_stack, check_comparison_cnn_stack,
                         check_comparison_recurrent_stack)

@@ -520,3 +520,19 @@ def test_outputs_identical_across_blas_thread_counts(sample_reviews_path,
         outputs.append([(out / name).read_bytes()
                         for name in ("report.json", "curves.csv", "model.ckpt")])
     assert outputs[0] == outputs[1]
+
+
+def test_baseline_identical_across_blas_thread_counts(sample_reviews_path, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        sims = tmp_path / f"threads{threads}" / "sims.txt"
+        sims.parent.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepconn.cli", "baseline",
+             "--data", str(sample_reviews_path), "--seed", "7",
+             "--export-sims", str(sims)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout.replace(str(sims), "SIMS"), sims.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -12,13 +12,14 @@ from deepconn.errors import (CheckpointError, ConfigError, NumericFault,
 from deepconn.gradcheck import miniature_model
 from deepconn.ingest import ReviewRecord, group_reviews, split_dataset
 from deepconn.model import DeepConn, ModelConfig, TowerConfig, build_config, mse
-from deepconn.synthetic import (make_micro_dataset, make_sample_corpus,
-                                make_token_vectors)
+from deepconn.synthetic import make_sample_corpus, make_token_vectors
 from deepconn.text import EmbeddingTable, build_document, embed
 from deepconn.train import (CHECKPOINT_MAGIC, MICRO_BATCH, DocumentStore,
                             RatedPair, TrainReport, evaluate, fit, load_checkpoint,
                             mean_predictor_mse, pairs_from_records,
                             restore_parameters, save_checkpoint)
+
+from micro import make_micro_dataset, store_from_documents
 
 
 def _tiny_setup(seed=0, n_users=6, n_items=4, T=10, dim=8):
@@ -29,7 +30,7 @@ def _tiny_setup(seed=0, n_users=6, n_items=4, T=10, dim=8):
              for u in range(n_users) for i in range(n_items)]
     mean = float(np.mean([p.rating for p in pairs]))
     return (miniature_model(seed=seed),
-            DocumentStore.from_documents(users, items, mean), pairs)
+            store_from_documents(users, items, mean), pairs)
 
 
 def _text_store(T=12, dim=8):
@@ -104,7 +105,7 @@ class TestDocumentStore:
         rng = np.random.default_rng(2)
         users = {"a": rng.standard_normal((3, 2)), "b": rng.standard_normal((3, 2))}
         items = {"a": rng.standard_normal((3, 2))}  # ids are per kind
-        store = DocumentStore.from_documents(users, items, 3.5)
+        store = store_from_documents(users, items, 3.5)
         assert store.table.matrix.shape == (1 + 9, 2)
         for accessor, docs in ((store.user_embedding, users),
                                (store.item_embedding, items)):
@@ -349,6 +350,16 @@ class TestEvaluate:
             for name in cached:
                 assert getattr(encoder, name) is None, name
             assert tower.dense._cache is None
+
+    @pytest.mark.parametrize("head,pure_dot", [("dp", False), ("dp", True),
+                                               ("fm", False)])
+    def test_head_keeps_no_cache(self, head, pure_dot):
+        records, _, store = _text_store(T=12)
+        config = miniature_model("cnn", head).config
+        model = DeepConn(ModelConfig(tower=config.tower, head=head, fm_rank=2,
+                                     pure_dot=pure_dot), seed=6)
+        evaluate(model, store, pairs_from_records(records))
+        assert model.head._cache is None
 
     def test_clamp_restricts_range(self):
         model, store, pairs = _tiny_setup(seed=14)
