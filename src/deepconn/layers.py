@@ -1,7 +1,8 @@
 """Differentiable building blocks on float64 numpy arrays.
 
-Every layer implements `forward(...)` caching whatever the backward pass
-needs, and `backward(dout)` accumulating parameter gradients with `+=`.
+Every layer is a `Layer`: `forward(...)` keeps whatever the backward pass
+needs in `_cache`, `release()` drops it, and `backward(dout)` accumulates
+parameter gradients with `+=`.
 Gradients therefore add up across calls until `zero_grad()` is invoked,
 which is what the optimizers and the finite-difference checker rely on.
 `backward` returns the gradient w.r.t. the layer's input, except in the
@@ -23,12 +24,12 @@ runs in chunks of `chunk_steps(B)` steps, about CHUNK_ROWS rows each: it
 projects a chunk's documents onto the gates with one matmul per gate and
 takes the weight gradients with a few matmuls per chunk, so a step runs
 only the recurrent product and the gates' elementwise work for the whole
-batch.  Forward keeps one entering state per chunk and the last chunk's
-states and activations; backward re-runs each earlier chunk's steps from
-its entering state, so the activations it differentiates are forward's
-bit for bit.  The cells' sigmoid is tanh-based, so it needs no branch on
-the sign of its input.  Conv1d ends in its ReLU and max over time, so its
-backward reads one window per document and channel.
+batch.  Forward keeps only one entering state per chunk; backward
+re-runs every chunk's steps from its entering state, so the activations
+it differentiates are forward's bit for bit.  The cells' sigmoid is
+tanh-based, so it needs no branch on the sign of its input.  Conv1d ends
+in its ReLU and max over time, so its backward reads one window per
+document and channel.
 
 Layers draw no random numbers after construction: the model draws every
 dropout mask, the recurrent one and the feature one, scales its kept
@@ -130,7 +131,21 @@ def _check_table(layer, ids, matrix, dim):
                          f"{len(matrix)}-row table (min {ids.min()}, max {ids.max()})")
 
 
-class Dense:
+class Layer:
+    """What every layer shares: `_cache` holds what the latest forward kept
+    for its backward, and `release()` drops it."""
+
+    _cache = None
+
+    def parameters(self):
+        return []
+
+    def release(self):
+        """Drop what the latest forward kept for its backward."""
+        self._cache = None
+
+
+class Dense(Layer):
     """Fully connected layer over a (B, n_in) batch: activation(x @ W + b)."""
 
     def __init__(self, n_in, n_out, activation, rng, name="dense"):
@@ -141,14 +156,9 @@ class Dense:
         self.activation = activation
         self.W = Parameter(glorot_uniform((n_in, n_out), rng), f"{name}.W")
         self.b = Parameter(np.zeros(n_out), f"{name}.b")
-        self._cache = None
 
     def parameters(self):
         return [self.W, self.b]
-
-    def release(self):
-        """Drop what the latest forward kept for its backward."""
-        self._cache = None
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -168,7 +178,7 @@ class Dense:
         return dz @ self.W.value.T
 
 
-class Conv1d:
+class Conv1d(Layer):
     """Valid temporal convolution over (B, T) token ids, then ReLU and the
     max over time, which commute: (B, T) ids -> (B, C) features.
 
@@ -202,14 +212,9 @@ class Conv1d:
         self.kernels = Parameter(
             glorot_uniform((channels, kernel, in_dim), rng), f"{name}.kernels")
         self.bias = Parameter(np.zeros(channels), f"{name}.bias")
-        self._cache = None
 
     def parameters(self):
         return [self.kernels, self.bias]
-
-    def release(self):
-        """Drop what the latest forward kept for its backward."""
-        self._cache = None
 
     def output_length(self, T):
         if T < self.kernel:
@@ -271,14 +276,8 @@ def _max_over_time(x):
     return argmax, x[np.arange(len(x))[:, None], argmax, np.arange(x.shape[2])]
 
 
-class MaxPoolOverTime:
+class MaxPoolOverTime(Layer):
     """Per-channel maximum over all temporal positions of a (B, L, C) batch."""
-
-    def __init__(self):
-        self._cache = None
-
-    def parameters(self):
-        return []
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -296,23 +295,21 @@ class MaxPoolOverTime:
         return dx
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: the input times a mask whose kept entries hold
     1/(1 - rate) and dropped ones 0.  The model draws and scales the (B, n)
     mask in train mode and passes none in eval mode, where the layer is
-    the identity."""
-
-    _mask = None
+    the identity.  The mask is its cache."""
 
     def forward(self, x, mask=None):
         """x times `mask`; x itself when there is no mask."""
         x = np.asarray(x, dtype=np.float64)
-        self._mask = mask
+        self._cache = mask
         return x if mask is None else x * mask
 
     def backward(self, dout):
         dout = np.asarray(dout, dtype=np.float64)
-        return dout if self._mask is None else dout * self._mask
+        return dout if self._cache is None else dout * self._cache
 
 
 def _gate_stacked(gates, name, gate_names):
@@ -338,7 +335,12 @@ def _gate_first(columns, G):
     return columns.reshape(len(columns), G, -1).transpose(1, 0, 2)
 
 
-class _RecurrentCell:
+def _masked(hidden, mask):
+    """`hidden` as the recurrent products read it: times the mask, if any."""
+    return hidden if mask is None else hidden * mask
+
+
+class _RecurrentCell(Layer):
     """The unroll shared by GruCell and LstmCell, over (B, T) token ids.
 
     Only the recurrent product `h_prev @ W` depends on the previous step,
@@ -349,108 +351,109 @@ class _RecurrentCell:
     - A chunk gathers its (tc*B, d) time-major rows from the table and
       projects them onto the gates with one matmul per gate, LSTM's `b`
       added once, into a gate-major (tc, G, B, H) array.  A step,
-      `step(state, a_t)`, adds the recurrent product to its (G, B, H) row,
-      turns the row into the gate activations in place and returns the
-      next state.  The chunk keeps its (tc + 1, n_state, B, H) states: the
+      `step(state, a_t, mask)`, adds the recurrent product to its (G, B, H)
+      row, turns the row into the gate activations in place and returns
+      the next state.  The chunk's (tc + 1, n_state, B, H) states hold the
       state entering each step and the chunk's final one.
-    - Forward runs the chunks in turn and keeps each chunk's entering
+    - Forward runs the chunks in turn and keeps only each chunk's entering
       state, a checkpoint, in a (n_chunks + 1, n_state, B, H) array whose
-      last row is the final state.  Of the chunks, it keeps only the last
-      one's rows, states and activations, the first that backward needs.
-    - Backward walks the chunks in reverse.  It re-runs each earlier chunk
-      from its checkpoint with the steps forward ran, so the chunk's
-      activations are forward's bit for bit, and holds only one chunk at a
-      time (the checkpointing of Chen et al. 2016, arXiv 1604.06174, and
-      Gruslys et al. 2016, arXiv 1606.03401).  Between the passes the cell
-      keeps the ids and the table, not a copy of its input.
-      `backward_step(dstate, k)` fills row k of the chunk's (tc, B, G, H)
-      dA with the gradients of step k's gate pre-activations and returns
-      those of the state entering it.  After the steps, `dU` and the
-      recurrent weight (and bias) gradients are a few products over its
-      (tc*B, G*H) rows.
+      last row is the final state.  Its cache is the ids, the table, the
+      mask and the checkpoints, not a copy of its input.
+    - Backward walks the chunks in reverse and re-runs every chunk, the
+      last one included, from its checkpoint with the steps forward ran,
+      so the chunk's activations are forward's bit for bit.  It holds one
+      chunk at a time (the checkpointing of Chen et al. 2016, arXiv
+      1604.06174, and Gruslys et al. 2016, arXiv 1606.03401).
+      `backward_step(dstate, a, states, da, W_columns, mask)` fills `da`,
+      step k's row of the chunk's (tc, B, G, H) dA, with the gradients of
+      its gate pre-activations, from its activations `a` and the states
+      entering and leaving it, and returns those of the state entering
+      it.  After the steps, `dU` and the recurrent weight (and bias)
+      gradients are a few products over dA's (tc*B, G*H) rows.
+    - Each pass makes its gate and state arrays, and backward its dA,
+      once, sized for the largest chunk, and runs every chunk in them.
+      Arrays made and dropped per chunk went back to the system between
+      chunks and took hundreds of page faults to map again.
 
     The checkpoints grow with B*T/tc, that is B**2 * T / CHUNK_ROWS.  A
     cell's state is a sequence of (B, H) arrays whose first entry is the
     hidden state.  A recurrent-dropout `mask` (B, H) scales the hidden
     state where the recurrent products read it (`_masked`), the variational
     dropout of Gal & Ghahramani 2016, arXiv 1512.05287; the states the
-    cell keeps and carries from step to step are unmasked.
+    cell carries from step to step are unmasked.
     """
-
-    _mask = None
 
     def parameters(self):
         return list(self._parameters)
 
-    def release(self):
-        """Drop what the latest forward kept for its backward: the ids, the
-        table, the mask, the checkpoints and the last chunk."""
-        self._table = self._mask = self._checkpoints = self._x_rows = None
-        self._states = self._gates = self._dA = self._W_columns = None
-
-    def _masked(self, hidden):
-        """`hidden` as the recurrent products read it: times the mask, if any."""
-        return hidden if self._mask is None else hidden * self._mask
-
-    def _project(self, x_rows, B):
+    def _project(self, x_rows, out):
         """A chunk's (tc*B, d) time-major input rows projected onto the
-        gates, one product per gate, as a C-contiguous (tc, G, B, H) array:
-        step t's gates are then contiguous (B, H) blocks."""
+        gates, one product per gate, written over the C-contiguous
+        (tc, G, B, H) `out`: step t's gates are then contiguous (B, H)
+        blocks."""
         xu = x_rows @ self.U.value
         G, _, H = xu.shape
-        return xu.reshape(G, -1, B, H).transpose(1, 0, 2, 3).copy()
+        out[...] = xu.reshape(G, len(out), -1, H).transpose(1, 0, 2, 3)
+        return out
 
-    def _run_chunk(self, t0, entering):
+    def _buffers(self, B, T):
+        """The (tc, G, B, H) gate and (tc + 1, n_state, B, H) state arrays
+        of the largest chunk over B documents of T steps: a pass makes them
+        once and runs each chunk in their leading rows."""
+        tc, (G, _, H) = min(chunk_steps(B), T), self.U.shape
+        return np.empty((tc, G, B, H)), np.empty((tc + 1, self.n_state, B, H))
+
+    def _run_chunk(self, ids, matrix, mask, t0, entering, buffers):
         """Run the chunk from step t0 out of its (n_state, B, H) entering
-        state, keeping its input rows, states and activations; returns its
-        final state."""
-        ids, matrix = self._table
-        B = len(ids)
-        # Free the previous chunk's arrays before this one's are made.
-        self._x_rows = self._gates = self._states = None
-        chunk_ids = ids[:, t0:t0 + chunk_steps(B)].T
-        self._x_rows = matrix[chunk_ids].reshape(-1, matrix.shape[1])
-        self._gates = gates = self._project(self._x_rows, B)
-        self._states = states = np.empty((len(gates) + 1,) + entering.shape)
+        state in the pass's `buffers`; returns its input rows, and its
+        activations and states as views of the buffers."""
+        chunk_ids = ids[:, t0:t0 + chunk_steps(len(ids))].T
+        x_rows = matrix[chunk_ids].reshape(-1, matrix.shape[1])
+        gates = self._project(x_rows, buffers[0][:len(chunk_ids)])
+        states = buffers[1][:len(chunk_ids) + 1]
         states[0] = entering
         for k, a_k in enumerate(gates):
-            states[k + 1] = self.step(states[k], a_k)
-        return states[-1]
+            states[k + 1] = self.step(states[k], a_k, mask)
+        return x_rows, gates, states
 
     def forward(self, ids, matrix, mask=None):
         """Run over the (B, T) ids' documents, whose vectors are the rows of
         the (V, input_dim) `matrix`; returns the (B, H) final hidden states."""
         _check_table(self, ids, matrix, self.input_dim)
         B, T = ids.shape
-        self._table, self._mask = (ids, matrix), mask
         starts = range(0, T, chunk_steps(B))
         checkpoints = np.zeros((len(starts) + 1, self.n_state, B, self.hidden_dim))
+        buffers = self._buffers(B, T)
         for c, t0 in enumerate(starts):
-            checkpoints[c + 1] = self._run_chunk(t0, checkpoints[c])
-        self._checkpoints = checkpoints
+            checkpoints[c + 1] = self._run_chunk(ids, matrix, mask, t0, checkpoints[c],
+                                                 buffers)[2][-1]
+        self._cache = (ids, matrix, mask, checkpoints)
         return checkpoints[-1, 0].copy()
 
     def backward(self, dh):
         """Accumulate the weight gradients, given the (B, H) gradient of the
         final hidden states; returns nothing."""
-        checkpoints = self._checkpoints
+        ids, matrix, mask, checkpoints = self._cache
+        self.release()
         B, H = checkpoints.shape[2:]
-        G = len(self.U.value)
-        n_chunks = len(checkpoints) - 1
-        self._W_columns = _columns(self.W.value)
+        W_columns = _columns(self.W.value)
         dstate = (np.asarray(dh, dtype=np.float64),) + \
             (np.zeros((B, H)),) * (self.n_state - 1)
-        for c in reversed(range(n_chunks)):
-            if c < n_chunks - 1:                # forward kept the last chunk
-                self._run_chunk(c * chunk_steps(B), checkpoints[c])
-            tc = len(self._gates)
-            self._dA = dA = np.empty((tc, B, G, H))
+        buffers = self._buffers(B, ids.shape[1])
+        dA_buffer = np.empty((len(buffers[0]), B, len(self.U.value), H))
+        for c in reversed(range(len(checkpoints) - 1)):
+            x_rows, gates, states = self._run_chunk(
+                ids, matrix, mask, c * chunk_steps(B), checkpoints[c], buffers)
+            tc, G = gates.shape[:2]
+            dA = dA_buffer[:tc]
             for k in reversed(range(tc)):
-                dstate = self.backward_step(dstate, k)
-            self.U.grad += _gate_first(self._x_rows.T @ dA.reshape(tc * B, G * H), G)
-            s_in = self._masked(self._states[:-1, 0]).reshape(tc * B, H)
-            self._recurrent_grads(dA, s_in)
-        self.release()
+                dstate = self.backward_step(dstate, gates[k], states[k:k + 2],
+                                            dA[k], W_columns, mask)
+            self.U.grad += _gate_first(x_rows.T @ dA.reshape(tc * B, G * H), G)
+            s_in = _masked(states[:-1, 0], mask).reshape(tc * B, H)
+            self._recurrent_grads(dA, s_in, gates)
+            # Free this chunk's rows before the next one is gathered.
+            del x_rows, s_in
 
 
 class GruCell(_RecurrentCell):
@@ -476,11 +479,11 @@ class GruCell(_RecurrentCell):
         self.W, W_gates = _gate_stacked(W, f"{name}.W", "zrh")
         self._parameters = U_gates + W_gates
 
-    def step(self, state, xu_t):
+    def step(self, state, xu_t, mask):
         """The next state from `xu_t` = x_t @ U, a (3, B, H) row that is
         overwritten with the gate activations z, r, h."""
         s_prev, W, a = state[0], self.W.value, xu_t
-        s_in = self._masked(s_prev)
+        s_in = _masked(s_prev, mask)
         a[:2] += s_in @ W[:2]
         _sigmoid_in_place(a[:2])
         h = a[2]
@@ -489,28 +492,27 @@ class GruCell(_RecurrentCell):
         z = a[0]
         return ((1.0 - z) * s_prev + z * h,)
 
-    def backward_step(self, dstate, k):
-        """Gradient of the chunk's step k: fills row k of the chunk's dA
-        with the (B, 3, H) gate gradients and returns (ds_prev,)."""
-        a = self._gates[k]
+    def backward_step(self, dstate, a, states, da, W_columns, mask):
+        """Gradient of one step, from its activations `a` (z, r, h) and the
+        (2, 1, B, H) states entering and leaving it: fills its (B, 3, H)
+        row `da` of dA with the gate gradients and returns (ds_prev,)."""
         z, r, h = a[0], a[1], a[2]
-        s_prev = self._states[k, 0]
+        s_prev = states[0, 0]
         (ds_t,) = dstate
         B, H = s_prev.shape
-        da = self._dA[k]
         da_h = ds_t * z * (1.0 - h * h)                    # h = tanh(a_h)
         dsr = da_h @ self.W.value[2].T
         da[:, 0] = ds_t * (h - s_prev) * z * (1.0 - z)     # z = sigmoid(a_z)
-        da[:, 1] = dsr * self._masked(s_prev) * r * (1.0 - r)  # r = sigmoid(a_r)
+        da[:, 1] = dsr * _masked(s_prev, mask) * r * (1.0 - r)  # r = sigmoid(a_r)
         da[:, 2] = da_h
-        ds_zr = da[:, :2].reshape(B, 2 * H) @ self._W_columns[:, :2 * H].T
-        return (ds_t * (1.0 - z) + self._masked(dsr * r) + self._masked(ds_zr),)
+        ds_zr = da[:, :2].reshape(B, 2 * H) @ W_columns[:, :2 * H].T
+        return (ds_t * (1.0 - z) + _masked(dsr * r, mask) + _masked(ds_zr, mask),)
 
-    def _recurrent_grads(self, dA, s_prev):
+    def _recurrent_grads(self, dA, s_prev, gates):
         tc, B, _, H = dA.shape
         rows = dA.reshape(tc * B, 3, H)
         self.W.grad[:2] += _gate_first(s_prev.T @ rows[:, :2].reshape(tc * B, -1), 2)
-        self.W.grad[2] += (s_prev * self._gates[:, 1].reshape(tc * B, H)).T @ rows[:, 2]
+        self.W.grad[2] += (s_prev * gates[:, 1].reshape(tc * B, H)).T @ rows[:, 2]
 
 
 class LstmCell(_RecurrentCell):
@@ -545,38 +547,38 @@ class LstmCell(_RecurrentCell):
         self.b, b_gates = _gate_stacked(b, f"{name}.b", self.GATES)
         self._parameters = [p for ps in zip(U_gates, W_gates, b_gates) for p in ps]
 
-    def _project(self, x_rows, B):
-        xu = super()._project(x_rows, B)
-        xu += self.b.value[:, None]
-        return xu
+    def _project(self, x_rows, out):
+        super()._project(x_rows, out)
+        out += self.b.value[:, None]
+        return out
 
-    def step(self, state, xu_t):
+    def step(self, state, xu_t, mask):
         """The next state from `xu_t` = x_t @ U + b, a (4, B, H) row that is
         overwritten with the gate activations i, f, o, g."""
         a = xu_t
-        a += self._masked(state[0]) @ self.W.value
+        a += _masked(state[0], mask) @ self.W.value
         _sigmoid_in_place(a[:3])
         np.tanh(a[3], out=a[3])
         c = a[1] * state[1] + a[0] * a[3]                  # f * c_prev + i * g
         return a[2] * np.tanh(c), c                        # o * tanh(c)
 
-    def backward_step(self, dstate, k):
-        """Gradient of the chunk's step k: fills row k of the chunk's dA
-        with the (B, 4, H) gate gradients and returns (dh_prev, dc_prev)."""
-        a = self._gates[k]
+    def backward_step(self, dstate, a, states, da, W_columns, mask):
+        """Gradient of one step, from its activations `a` (i, f, o, g) and
+        the (2, 2, B, H) states entering and leaving it: fills its
+        (B, 4, H) row `da` of dA with the gate gradients and returns
+        (dh_prev, dc_prev)."""
         i, f, o, g = a[0], a[1], a[2], a[3]
-        c_prev, c = self._states[k, 1], self._states[k + 1, 1]
+        c_prev, c = states[0, 1], states[1, 1]
         tc = np.tanh(c)
         dh, dc = dstate
         dc = dc + dh * o * (1.0 - tc * tc)
-        da = self._dA[k]
         da[:, 0] = dc * g * i * (1.0 - i)
         da[:, 1] = dc * c_prev * f * (1.0 - f)
         da[:, 2] = dh * tc * o * (1.0 - o)
         da[:, 3] = dc * i * (1.0 - g * g)
-        return self._masked(da.reshape(len(c), -1) @ self._W_columns.T), dc * f
+        return _masked(da.reshape(len(c), -1) @ W_columns.T, mask), dc * f
 
-    def _recurrent_grads(self, dA, h_prev):
+    def _recurrent_grads(self, dA, h_prev, gates):
         tc, B, G, H = dA.shape
         rows = dA.reshape(tc * B, G * H)
         self.W.grad += _gate_first(h_prev.T @ rows, G)

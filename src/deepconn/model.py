@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, NumericFault, ShapeError
-from .layers import (Conv1d, Dense, Dropout, GruCell, LstmCell, Parameter,
+from .layers import (Conv1d, Dense, Dropout, GruCell, Layer, LstmCell, Parameter,
                      glorot_uniform)
 
 TOWER_KINDS = ("cnn", "lstm", "gru")
@@ -157,13 +157,12 @@ class Tower:
         self.name = name
         self.kind = config.kind
         d = config.embedding_dim
-        self.conv = self.cell = None
         if self.kind == "cnn":
-            self.conv = Conv1d(d, config.hidden_units, config.kernel,
-                               config.stride, rng, f"{name}.conv")
+            self.encoder = Conv1d(d, config.hidden_units, config.kernel,
+                                  config.stride, rng, f"{name}.conv")
         else:
             cell_cls = GruCell if self.kind == "gru" else LstmCell
-            self.cell = cell_cls(d, config.hidden_units, rng, f"{name}.{self.kind}")
+            self.encoder = cell_cls(d, config.hidden_units, rng, f"{name}.{self.kind}")
         self.dropout = Dropout() if config.dropout_rate > 0 else None
         self.dense = Dense(config.hidden_units, config.dense_units, "relu", rng,
                            f"{name}.dense")
@@ -171,14 +170,14 @@ class Tower:
             + int(self.dropout is not None)
 
     def parameters(self):
-        encoder = self.conv if self.kind == "cnn" else self.cell
-        return encoder.parameters() + self.dense.parameters()
+        return self.encoder.parameters() + self.dense.parameters()
 
     def release(self):
-        """Drop the encoder's and the dense layer's caches of the latest
-        forward, whose backward can then no longer run."""
-        (self.conv if self.kind == "cnn" else self.cell).release()
-        self.dense.release()
+        """Drop every layer's cache of the latest forward, whose backward
+        can then no longer run."""
+        for layer in (self.encoder, self.dropout, self.dense):
+            if layer is not None:
+                layer.release()
 
     def stack(self):
         """Layer descriptors in forward order, for structural inspection."""
@@ -211,11 +210,11 @@ class Tower:
         if rows is not None and draws is not None and rate > 0.0:
             ids, rows = ids[rows], None
         if self.kind == "cnn":
-            feat = self.conv.forward(ids, matrix)
+            feat = self.encoder.forward(ids, matrix)
         else:
             # One mask per sequence, applied to the state input at every step.
             mask = _keep_mask(draws, 0, rate) if rate > 0.0 else None
-            feat = self.cell.forward(ids, matrix, mask)
+            feat = self.encoder.forward(ids, matrix, mask)
         self._rows, self._documents = rows, len(ids)
         if rows is not None:
             feat = feat[rows]
@@ -237,10 +236,7 @@ class Tower:
             per_document = np.zeros((self._documents, dfeat.shape[1]))
             np.add.at(per_document, self._rows, dfeat)
             dfeat = per_document
-        if self.kind == "cnn":
-            self.conv.backward(dfeat)
-        else:
-            self.cell.backward(dfeat)
+        self.encoder.backward(dfeat)
 
 
 def _keep_mask(draws, row, rate):
@@ -248,7 +244,7 @@ def _keep_mask(draws, row, rate):
     return None if draws is None else (draws[:, row] >= rate) / (1.0 - rate)
 
 
-class DpHead:
+class DpHead(Layer):
     """Dot-product coupling: y = beta0 + w . z + x_u . x_i, z = concat(x_u, x_i).
 
     pure_dot drops the trainable first-order part and predicts x_u . x_i alone.
@@ -261,14 +257,9 @@ class DpHead:
         self.pure_dot = pure_dot
         self.beta0 = Parameter(0.0, f"{name}.beta0")
         self.w = Parameter(np.zeros(2 * latent_dim), f"{name}.w")
-        self._cache = None
 
     def parameters(self):
         return [] if self.pure_dot else [self.beta0, self.w]
-
-    def release(self):
-        """Drop the latents the latest predict kept for its backward."""
-        self._cache = None
 
     def predict(self, x_u, x_i):
         """(B,) ratings from (B, m) user and item latents."""
@@ -299,7 +290,7 @@ class DpHead:
         return dx_u, dx_i
 
 
-class FmHead:
+class FmHead(Layer):
     """Factorization-machine coupling over z = concat(x_u, x_i):
 
         y = beta0 + w . z + sum_{i<j} <v_i, v_j> z_i z_j
@@ -316,15 +307,9 @@ class FmHead:
         self.beta0 = Parameter(0.0, f"{name}.beta0")
         self.w = Parameter(np.zeros(2 * latent_dim), f"{name}.w")
         self.V = Parameter(glorot_uniform((2 * latent_dim, rank), rng), f"{name}.V")
-        self._cache = None
 
     def parameters(self):
         return [self.beta0, self.w, self.V]
-
-    def release(self):
-        """Drop the input and factor sums the latest predict kept for its
-        backward."""
-        self._cache = None
 
     def predict_z(self, z):
         """(B,) ratings from the (B, 2m) concatenated latents; the sums run

@@ -15,10 +15,10 @@ pair.
 Every tower runs up to 32 documents per pass: at 4 a recurrent step is
 mostly numpy per-call overhead, and few pairs of 4 share a document.
 Each encoder gathers one chunk of about layers.CHUNK_ROWS rows at a
-time; a cell also keeps one state per chunk, so its memory grows with
-B**2 * T / layers.CHUNK_ROWS.  The cap of 32 keeps `fit` over 32 pairs
-at T=300 and H=64 near 5.9 MB at its peak when no two pairs share a
-user or an item, the worst case.
+time; a cell keeps only one state per chunk between its passes, so its
+memory grows with B**2 * T / layers.CHUNK_ROWS.  The cap of 32 keeps
+`fit` over 32 pairs at T=300 and H=64 near 5.3 MB at its peak when no
+two pairs share a user or an item, the worst case.
 """
 
 import json

@@ -199,7 +199,7 @@ class TestDropout:
                                   stride=1, dense_units=1, dropout_rate=0.1),
                       _rng(), "t")
         tower.forward(*table(np.ones((1, 2, 3))), _rng(5).random((1, 1, 100_000)))
-        mask = tower.dropout._mask
+        mask = tower.dropout._cache
         assert set(np.unique(mask)) == {0.0, 1.0 / 0.9}
         assert abs(mask.mean() - 1.0) < 0.01
 
@@ -241,14 +241,14 @@ class TestGruCell:
         for p in cell.parameters():
             p.value[:] = 0.0
         s_prev = np.array([[1.0, -2.0, 0.5, 4.0]])
-        (s_t,) = cell.step((s_prev,), _projected(cell, np.ones((1, 3))))
+        (s_t,) = cell.step((s_prev,), _projected(cell, np.ones((1, 3))), None)
         npt.assert_allclose(s_t, 0.5 * s_prev, rtol=0, atol=1e-15)
 
     def test_zero_state_zero_weights(self):
         cell = GruCell(3, 4, rng=_rng())
         for p in cell.parameters():
             p.value[:] = 0.0
-        (s_t,) = cell.step((np.zeros((1, 4)),), _projected(cell, np.ones((1, 3))))
+        (s_t,) = cell.step((np.zeros((1, 4)),), _projected(cell, np.ones((1, 3))), None)
         npt.assert_array_equal(s_t, np.zeros((1, 4)))
 
     def test_gates_stay_in_unit_interval(self):
@@ -260,7 +260,7 @@ class TestGruCell:
             z = sigmoid(x @ cell.U.value[0] + s @ cell.W.value[0])
             r = sigmoid(x @ cell.U.value[1] + s @ cell.W.value[1])
             assert np.all((z > 0) & (z < 1)) and np.all((r > 0) & (r < 1))
-            (s,) = cell.step((s,), _projected(cell, x))
+            (s,) = cell.step((s,), _projected(cell, x), None)
             # convex combination of s_prev and |h| < 1 keeps the sup norm bounded
             assert np.max(np.abs(s)) <= 1.0 + 1e-12
 
@@ -269,13 +269,22 @@ class TestGruCell:
     @settings(max_examples=40, deadline=None)
     def test_state_stays_in_unit_ball_under_any_mask(self, B, T, rate, seed):
         # The carry (1 - z) * s_prev + z * h reads the unmasked state, so a
-        # recurrent-dropout mask cannot grow it past |h| < 1.
+        # recurrent-dropout mask cannot grow it past |h| < 1.  Every step's
+        # state is checked as `step` returns it, and so are the checkpoints.
         rng = _rng(seed)
         cell = GruCell(3, 4, rng=rng)
         mask = (rng.random((B, 4)) >= rate) / (1.0 - rate)
+        step, states = cell.step, []
+
+        def recording_step(*args):
+            states.append(step(*args))
+            return states[-1]
+
+        cell.step = recording_step
         s = cell.forward(*table(5.0 * rng.standard_normal((B, T, 3))), mask)
-        for states in (s, cell._checkpoints, cell._states):
-            assert np.max(np.abs(states)) <= 1.0 + 1e-12
+        assert len(states) == T
+        for state in (s, cell._cache[3], *states):
+            assert np.max(np.abs(state)) <= 1.0 + 1e-12
 
     def test_shape_mismatch(self):
         cell = GruCell(3, 4, rng=_rng())
@@ -315,7 +324,8 @@ class TestLstmCell:
             p.value[:] = 0.0
         cell.b.value[1] = 1.0
         c_prev = np.array([[1.0, -1.0, 2.0, 0.25]])
-        h, c = cell.step((np.zeros((1, 4)), c_prev), _projected(cell, np.ones((1, 3))))
+        h, c = cell.step((np.zeros((1, 4)), c_prev), _projected(cell, np.ones((1, 3))),
+                         None)
         npt.assert_allclose(c, sigmoid(np.ones(4)) * c_prev, atol=1e-15)
         npt.assert_allclose(h, 0.5 * np.tanh(c), atol=1e-15)
 
@@ -324,7 +334,7 @@ class TestLstmCell:
         for p in cell.parameters():
             p.value[:] = 0.0
         h, c = cell.step((np.zeros((1, 4)), np.zeros((1, 4))),
-                         _projected(cell, np.zeros((1, 3))))
+                         _projected(cell, np.zeros((1, 3))), None)
         npt.assert_array_equal(c, np.zeros((1, 4)))
         npt.assert_array_equal(h, np.zeros((1, 4)))
 
@@ -338,7 +348,8 @@ class TestLstmCell:
         cell = LstmCell(3, 4, rng=rng)
         h, c = np.zeros((1, 4)), np.zeros((1, 4))
         for t in range(100):
-            h, c = cell.step((h, c), _projected(cell, 5.0 * rng.standard_normal((1, 3))))
+            h, c = cell.step((h, c), _projected(cell, 5.0 * rng.standard_normal((1, 3))),
+                             None)
         assert np.isfinite(c).all() and np.isfinite(h).all()
 
 
@@ -378,10 +389,10 @@ def test_gate_stacked_cell_matches_per_gate_equations(cell_cls, T, d, H, masked)
 @pytest.mark.parametrize("B", [1, 3, 4, 32])
 @pytest.mark.parametrize("masked", [False, True])
 def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeypatch):
-    """Backward keeps the last chunk's activations and re-runs each earlier
-    chunk once from its entering state: the rows and states of every step
-    it re-runs and differentiates are, bit for bit, the ones forward's
-    `step` saw and wrote.  T spans three whole chunks and a partial one."""
+    """Backward re-runs every chunk once from its entering state, the
+    partial last one first: the rows and states of every step it re-runs
+    and differentiates are, bit for bit, the ones forward's `step` saw and
+    wrote.  T spans three whole chunks and a partial one."""
     rng = _rng(59)
     tc = chunk_steps(B)
     T, H = 3 * tc + tc // 2 + 1, 4
@@ -391,15 +402,15 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
     stepped, read = [], []
     step, backward_step = cell.step, cell.backward_step
 
-    def recording_step(state, xu_t):
+    def recording_step(state, xu_t, mask):
         entering = np.array(state)
-        out = step(state, xu_t)
+        out = step(state, xu_t, mask)
         stepped.append((entering, xu_t.copy()))
         return out
 
-    def recording_backward_step(dstate, k):
-        read.append((cell._states[k].copy(), cell._gates[k].copy()))
-        return backward_step(dstate, k)
+    def recording_backward_step(dstate, a, states, *args):
+        read.append((states[0].copy(), a.copy()))
+        return backward_step(dstate, a, states, *args)
 
     monkeypatch.setattr(cell, "step", recording_step)
     monkeypatch.setattr(cell, "backward_step", recording_backward_step)
@@ -409,7 +420,7 @@ def test_backward_reads_the_activations_forward_ran(cell_cls, B, masked, monkeyp
     cell.backward(rng.standard_normal((B, H)))
     assert len(forward) == len(read) == T
     # Chunks re-run last to first, each one's steps in order.
-    rerun = [t for c0 in reversed(range(0, 3 * tc, tc)) for t in range(c0, c0 + tc)]
+    rerun = [t for c0 in reversed(range(0, T, tc)) for t in range(c0, min(c0 + tc, T))]
     assert len(stepped) == len(rerun)
     for (state, row), t in zip(stepped, rerun):
         npt.assert_array_equal(state, forward[t][0])
@@ -429,7 +440,7 @@ def _stacked_role(cell, p):
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
     model = miniature_model(kind, seed=3)
-    cell = model.user_tower.cell
+    cell = model.user_tower.encoder
     params = cell.parameters()
     roles = [cell.U, cell.W] + ([cell.b] if kind == "lstm" else [])
     for p in params:
@@ -453,8 +464,8 @@ def test_per_gate_parameters_are_views_of_the_stack(kind, tmp_path):
 
     saved = miniature_model(kind, seed=4)
     save_checkpoint(saved, tmp_path / "m.ckpt")
-    loaded = load_checkpoint(tmp_path / "m.ckpt").user_tower.cell
-    for p, q in zip(loaded.parameters(), saved.user_tower.cell.parameters()):
+    loaded = load_checkpoint(tmp_path / "m.ckpt").user_tower.encoder
+    for p, q in zip(loaded.parameters(), saved.user_tower.encoder.parameters()):
         stacked, k = _stacked_role(loaded, p)
         npt.assert_array_equal(stacked.value[k], q.value)
 

@@ -63,7 +63,7 @@ class TestTower:
         config = TowerConfig(kind="cnn", embedding_dim=50, hidden_units=64,
                              dense_units=64, dropout_rate=0.0)
         tower = Tower(config, _rng(), "t")
-        assert tower.conv.output_length(300) == 49
+        assert tower.encoder.output_length(300) == 49
         out = tower.forward(*table(_rng(1).standard_normal((1, 300, 50))))
         assert out.shape == (1, 64)
 
@@ -122,8 +122,8 @@ class TestTower:
 
         def features(recurrent_mask):
             if kind == "cnn":
-                return tower.conv.forward(*doc)
-            return tower.cell.forward(*doc, recurrent_mask)
+                return tower.encoder.forward(*doc)
+            return tower.encoder.forward(*doc, recurrent_mask)
 
         uniforms = iter(_rng(7).random((tower.n_masks, 4)))
         mask = None

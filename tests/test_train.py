@@ -11,6 +11,7 @@ from deepconn.errors import (CheckpointError, ConfigError, NumericFault,
                              ShapeError, UnknownEntityError)
 from deepconn.gradcheck import miniature_model
 from deepconn.ingest import ReviewRecord, group_reviews, split_dataset
+from deepconn.layers import Layer
 from deepconn.model import DeepConn, ModelConfig, TowerConfig, build_config, mse
 from deepconn.synthetic import make_sample_corpus, make_token_vectors
 from deepconn.text import EmbeddingTable, build_document, embed
@@ -283,7 +284,7 @@ def _distinct_corpus():
 def _assert_small_fit_peak(kind, records, distinct=None, head="fm",
                            optimizer="rmsprop"):
     """`fit` over the 32 training pairs of a 0.81/0.09 split of 40 records,
-    at the paper's shapes, peaks under 6 MB of traced allocations."""
+    at the paper's shapes, peaks under 5.5 MB of traced allocations."""
     split = split_dataset(records, 0.81, 0.09, seed=11)
     table = EmbeddingTable(50, make_token_vectors(dim=50, seed=11))
     store = DocumentStore(split.train + split.validation, table, doc_length=300)
@@ -302,7 +303,7 @@ def _assert_small_fit_peak(kind, records, distinct=None, head="fm",
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak < 5.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestEvaluate:
@@ -338,28 +339,41 @@ class TestEvaluate:
         for p, v in zip(model.parameters(), before):
             npt.assert_array_equal(p.value, v)
 
-    @pytest.mark.parametrize("kind", ["cnn", "gru", "lstm"])
-    def test_towers_keep_no_layer_cache(self, kind):
+    @staticmethod
+    def _assert_evaluate_drops_caches(kind, head, pure_dot):
+        # A train forward with no backward fills every layer's cache, the
+        # head's included; evaluate leaves none of them behind.
         records, _, store = _text_store(T=12)
-        model = miniature_model(kind, "fm", seed=6)
-        evaluate(model, store, pairs_from_records(records))
-        cached = ("_cache",) if kind == "cnn" else \
-            ("_table", "_checkpoints", "_x_rows", "_gates", "_states")
-        for tower in (model.user_tower, model.item_tower):
-            encoder = tower.conv if kind == "cnn" else tower.cell
-            for name in cached:
-                assert getattr(encoder, name) is None, name
-            assert tower.dense._cache is None
+        tower = TowerConfig(kind=kind, embedding_dim=8, hidden_units=4, kernel=4,
+                            stride=2, dense_units=4, dropout_rate=0.3)
+        model = DeepConn(ModelConfig(tower=tower, head=head, fm_rank=2,
+                                     pure_dot=pure_dot), seed=6)
+        layers = [model.head] + [layer for t in (model.user_tower, model.item_tower)
+                                 for layer in (t.encoder, t.dropout, t.dense)]
+        pairs = pairs_from_records(records)
+        model.forward(store.user_tokens([p.user_id for p in pairs[:4]]),
+                      store.item_tokens([p.item_id for p in pairs[:4]]),
+                      store.table.matrix, np.random.default_rng(0))
+        assert all(isinstance(layer, Layer) and layer._cache is not None
+                   for layer in layers)
+        evaluate(model, store, pairs)
+        for layer in layers:
+            assert layer._cache is None, layer
+
+    @pytest.mark.parametrize("kind,head,pure_dot", [
+        pytest.param(kind, head, pure_dot, id=kind + suffix)
+        for kind in ("cnn", "gru", "lstm")
+        for head, pure_dot, suffix in (("fm", False, ""), ("dp", False, "-dp"),
+                                       ("dp", True, "-dp-pure"))
+        if kind != "cnn" or head == "fm"])
+    def test_towers_keep_no_layer_cache(self, kind, head, pure_dot):
+        # The cnn tower's dp cases are test_head_keeps_no_cache's.
+        self._assert_evaluate_drops_caches(kind, head, pure_dot)
 
     @pytest.mark.parametrize("head,pure_dot", [("dp", False), ("dp", True),
                                                ("fm", False)])
     def test_head_keeps_no_cache(self, head, pure_dot):
-        records, _, store = _text_store(T=12)
-        config = miniature_model("cnn", head).config
-        model = DeepConn(ModelConfig(tower=config.tower, head=head, fm_rank=2,
-                                     pure_dot=pure_dot), seed=6)
-        evaluate(model, store, pairs_from_records(records))
-        assert model.head._cache is None
+        self._assert_evaluate_drops_caches("cnn", head, pure_dot)
 
     def test_clamp_restricts_range(self):
         model, store, pairs = _tiny_setup(seed=14)
