@@ -115,22 +115,33 @@ def item_similarity(matrix):
 
     For each user and each pair i < j of their rated items, r_i r_j, r_i^2
     and r_j^2 are summed into the pair's three totals, so the work grows
-    with sum_u n_u^2, the number of co-rated pairs; only the totals and the
-    result are M x M.
+    with sum_u n_u^2, the number of co-rated pairs.  At most three M x M
+    float64 arrays are alive at once: the totals (a fourth, one block's
+    sums, while a later block is added), then the cosines and the result.
     """
     M = matrix.n_items
     columns, ratings = matrix.columns, matrix.ratings
-    dots, denom, sq_j = totals = np.zeros((3, M * M))   # denom sums r_i^2 first
+    totals = [None, None, None]   # dots, sum r_i^2 and sum r_j^2 per pair i < j
     for first, second in _co_rated_pairs(matrix.indptr):
         keys = columns[first] * M + columns[second]   # row-major: i < j
         r_i, r_j = ratings[first], ratings[second]
-        for total, w in zip(totals, (r_i * r_j, r_i * r_i, r_j * r_j)):
-            total += np.bincount(keys, w, minlength=M * M)
+        for k, w in enumerate((r_i * r_j, r_i * r_i, r_j * r_j)):
+            if totals[k] is None:   # float64 even for a block without pairs
+                totals[k] = np.bincount(keys, w, minlength=M * M).astype(float, copy=False)
+            else:
+                totals[k] += np.bincount(keys, w, minlength=M * M)
+    if totals[0] is None:
+        totals = [np.zeros(M * M) for _ in totals]
+    dots, denom, sq_j = totals
+    del totals
     denom *= sq_j
+    del sq_j
     np.sqrt(denom, out=denom)
-    # cosines only where the pair has co-raters; the lower triangle stays 0
-    upper = np.divide(dots, denom, out=np.zeros(M * M), where=denom > 0.0)
-    upper = upper.reshape(M, M)
+    # cosines only where the pair has co-raters; elsewhere, the lower
+    # triangle included, dots is already 0
+    np.divide(dots, denom, out=dots, where=denom > 0.0)
+    del denom
+    upper = dots.reshape(M, M)
     sims = upper + upper.T
     rated_items = np.bincount(columns, minlength=M) > 0
     np.fill_diagonal(sims, np.where(rated_items, 1.0, 0.0))

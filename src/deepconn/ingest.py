@@ -7,6 +7,7 @@ dumps contain irregular rows.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ def _validate_line(obj):
         rating = float(rating)
     except OverflowError:
         return None, "overall out of range [1, 5]: too large for a float"
-    if not np.isfinite(rating) or not 1.0 <= rating <= 5.0:
+    if not math.isfinite(rating) or not 1.0 <= rating <= 5.0:
         return None, f"overall out of range [1, 5]: {rating}"
     return ReviewRecord(user_id, item_id, rating, text), None
 

@@ -5,7 +5,6 @@ user (or one item), encoded as exactly T token ids: truncated at T or
 post-padded with the reserved pad id 0, whose vector is all zeros.
 """
 
-import re
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -14,7 +13,10 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, ShapeError
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Every byte but [a-z0-9] becomes a space; non-ASCII characters reach the
+# table as "?" from the ASCII encoder, so they separate too.
+_SEPARATE = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                  for b in range(256))
 
 PAD_ID = 0
 OOV_POLICIES = ("zero", "hash_bucket")
@@ -25,10 +27,13 @@ _OOV_BUCKET_SEED = 0
 def tokenize(text):
     """Lowercase tokens; anything outside [a-z0-9] separates.
 
-    Duplicates are kept and order is preserved — the encoders consume
-    sequences, not vocabularies.
+    The maximal runs of [a-z0-9] in `text.lower()`, so a non-ASCII
+    character that lowercases to ASCII (the Kelvin sign to "k") joins its
+    neighbours.  Duplicates are kept and order is preserved — the encoders
+    consume sequences, not vocabularies.
     """
-    return _TOKEN_RE.findall(text.lower())
+    return text.lower().encode("ascii", "replace").translate(_SEPARATE) \
+        .decode("ascii").split()
 
 
 class EmbeddingTable:
@@ -136,24 +141,38 @@ class EncodedDocument:
     owner: str = ""
 
 
-def build_document(texts, length, table, owner=""):
+def _text_ids(text, table):
+    """The ids of one text's tokens, in order."""
+    tokens = tokenize(text)
+    ids = list(map(table._ids.get, tokens))
+    if None in ids:
+        ids = [table.id_for(token) if i is None else i for i, token in zip(ids, tokens)]
+    return ids
+
+
+def build_document(texts, length, table, owner="", memo=None):
     """Concatenate the texts' tokens in list order, map to ids, pad/truncate.
 
     The first `length` tokens are kept; shorter streams are post-padded
     with the pad id.  Texts after the one that fills the document are not
-    tokenized.
+    tokenized.  `memo`, a dict from text to ids that the caller keeps for
+    one `table`, lets documents that share a text tokenize it once.
     """
     if length < 1:
         raise ConfigError(f"document length must be >= 1, got {length}")
-    tokens = []
+    if memo is None:
+        memo = {}
+    kept = []
     for text in texts:
-        tokens.extend(tokenize(text))
-        if len(tokens) >= length:
+        text_ids = memo.get(text)
+        if text_ids is None:
+            text_ids = memo[text] = _text_ids(text, table)
+        kept.extend(text_ids)
+        if len(kept) >= length:
+            del kept[length:]
             break
-    kept = tokens[:length]
     ids = np.full(length, PAD_ID, dtype=np.int32)
-    known = table._ids.get
-    ids[:len(kept)] = [known(token) or table.id_for(token) for token in kept]
+    ids[:len(kept)] = kept
     ids.setflags(write=False)
     return EncodedDocument(ids=ids, n_real_tokens=len(kept), owner=owner)
 

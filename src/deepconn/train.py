@@ -69,9 +69,10 @@ class DocumentStore:
     def __init__(self, records, table, doc_length):
         groups = group_reviews(records)
         self.table = table
+        memo = {}   # each review joins two documents but is tokenized once
         self._user_documents, self._item_documents = (
             {entity_id: build_document([text for _, text in reviews], doc_length,
-                                       table, owner=entity_id)
+                                       table, owner=entity_id, memo=memo)
              for entity_id, reviews in by_entity.items()}
             for by_entity in (groups.by_user, groups.by_item))
         ratings = [r.rating for r in records]

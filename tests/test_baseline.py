@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -188,6 +189,19 @@ class TestItemSimilarity:
         npt.assert_array_equal(np.concatenate([b[0] for b in blocks]), first)
         npt.assert_array_equal(np.concatenate([b[1] for b in blocks]), second)
         npt.assert_array_equal(item_similarity(matrix), whole)
+
+    def test_keeps_at_most_three_m_by_m_arrays(self):
+        # 1,200 items and 1,200 co-rated pairs: the M x M arrays dominate.
+        M = 1200
+        matrix = RatingMatrix(_records([(f"u{u}", f"m{m}", 1 + (u + m) % 5)
+                                        for u in range(M) for m in (u, (u + 1) % M)]))
+        tracemalloc.start()
+        try:
+            item_similarity(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * M * M * 8, f"peak {peak / (M * M * 8):.2f} M x M arrays"
 
 
 class TestPredictCf:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from deepconn import ingest, synthetic, text, train
+
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
@@ -17,7 +19,8 @@ def _load_spans():
     return module
 
 
-TARGETS = _load_spans().TARGETS
+SPANS_MODULE = _load_spans()
+TARGETS = SPANS_MODULE.TARGETS
 
 
 @pytest.mark.parametrize("owner, attr, span", TARGETS,
@@ -25,3 +28,19 @@ TARGETS = _load_spans().TARGETS
 def test_span_target_is_defined_on_its_owner(owner, attr, span):
     assert callable(vars(owner).get(attr)), \
         f"{owner.__name__}.{attr} (span {span}) is not defined on {owner.__name__}"
+
+
+def test_a_traced_store_build_spans_one_build_document_per_document():
+    records = synthetic.make_sample_corpus(n_reviews=60, n_users=8, n_items=6, seed=3)
+    table = text.EmbeddingTable(8, synthetic.make_token_vectors(dim=8, seed=4))
+    tracer = SPANS_MODULE.Tracer()
+    undo = SPANS_MODULE.instrument(tracer)
+    try:
+        train.DocumentStore(records, table, doc_length=12)
+    finally:
+        undo()
+    names, codes, *_ = tracer.arrays()
+    groups = ingest.group_reviews(records)
+    counted = [names[c] for c in codes]
+    assert counted.count("text.build_document") == len(groups.by_user) + len(groups.by_item)
+    assert counted.count("train.store_build") == 1

@@ -50,7 +50,8 @@ class TestParse:
         assert result.records == []
         assert "reviewText" in result.skips[0][1]
 
-    @pytest.mark.parametrize("rating", [0.5, 5.5, -1, float("nan"), "five", True])
+    @pytest.mark.parametrize("rating", [0.5, 5.5, -1, float("nan"), float("inf"),
+                                        float("-inf"), "five", True])
     def test_bad_rating_skipped(self, rating):
         result = parse_reviews(_jsonl(_record(rating=rating)))
         assert result.records == []

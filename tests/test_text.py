@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,6 +27,17 @@ class TestTokenize:
 
     def test_duplicates_kept_in_order(self):
         assert tokenize("good good bad good") == ["good", "good", "bad", "good"]
+
+    def test_characters_that_lowercase_to_ascii_join_tokens(self):
+        # the Kelvin sign lowercases to "k"; "İ" to "i" and a combining dot
+        assert tokenize("\u212aey ß ﬁne İt") == ["key", "ne", "i", "t"]
+
+    @given(st.text(st.one_of(st.characters(exclude_categories=()),
+                             st.sampled_from("azAZ09 -'\u0130\u212a\u00df\ufb01"))))
+    @settings(max_examples=500, deadline=None)
+    def test_tokens_are_the_alphanumeric_runs_of_the_lowered_text(self, text):
+        # the definition, as the regular expression it is written in
+        assert tokenize(text) == re.findall(r"[a-z0-9]+", text.lower())
 
     @given(st.text(max_size=200))
     @settings(max_examples=100, deadline=None)

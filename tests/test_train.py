@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from deepconn import text as text_module
 from deepconn.errors import (CheckpointError, ConfigError, NumericFault,
                              ShapeError, UnknownEntityError)
 from deepconn.gradcheck import miniature_model
@@ -14,7 +15,7 @@ from deepconn.ingest import ReviewRecord, group_reviews, split_dataset
 from deepconn.layers import Layer
 from deepconn.model import DeepConn, ModelConfig, TowerConfig, build_config, mse
 from deepconn.synthetic import make_sample_corpus, make_token_vectors
-from deepconn.text import EmbeddingTable, build_document, embed
+from deepconn.text import OOV_POLICIES, EmbeddingTable, build_document, embed
 from deepconn.train import (CHECKPOINT_MAGIC, MICRO_BATCH, DocumentStore,
                             RatedPair, TrainReport, evaluate, fit, load_checkpoint,
                             mean_predictor_mse, pairs_from_records,
@@ -101,6 +102,57 @@ class TestDocumentStore:
         assert tokens.shape == (3, 12) and tokens.dtype == np.int32
         for row, item_id in zip(tokens, ["item003", "item000", "item003"]):
             npt.assert_array_equal(table.matrix[row], store.item_embedding(item_id))
+
+    def test_tokenizes_each_needed_text_once(self, monkeypatch):
+        records = make_sample_corpus(n_reviews=60, n_users=8, n_items=6, seed=3)
+        # one text in four documents: a copy of the first record's text
+        # leads user007's and item005's
+        records.insert(0, ReviewRecord("user007", "item005", 2.0, records[0].text))
+        tokenize = text_module.tokenize
+        needed = set()   # texts up to the one that fills the document
+        groups = group_reviews(records)
+        for by_entity in (groups.by_user, groups.by_item):
+            for reviews in by_entity.values():
+                n_tokens = 0
+                for _, review in reviews:
+                    needed.add(review)
+                    n_tokens += len(tokenize(review))
+                    if n_tokens >= 12:
+                        break
+        calls = []
+        monkeypatch.setattr(text_module, "tokenize",
+                            lambda review: calls.append(review) or tokenize(review))
+        DocumentStore(records, EmbeddingTable(8, make_token_vectors(dim=8, seed=4)),
+                      doc_length=12)
+        assert sorted(calls) == sorted(needed)
+        assert len(needed) < len(records)
+
+    @pytest.mark.parametrize("oov_policy", OOV_POLICIES)
+    def test_documents_are_the_memo_less_documents(self, oov_policy):
+        # half the vocabulary is out of the table, and one text leads five
+        # documents, twice in item001's
+        vectors = make_token_vectors(dim=8, seed=4)
+        table = EmbeddingTable(8, dict(list(vectors.items())[::2]), oov_policy=oov_policy)
+        shared = "unheard good film unheard bad"
+        records = [ReviewRecord(u, m, 4.0, shared)
+                   for u, m in (("user000", "item001"), ("user003", "item001"),
+                                ("user005", "item004"))]
+        records += make_sample_corpus(n_reviews=60, n_users=8, n_items=6, seed=3)
+        store = DocumentStore(records, table, doc_length=150)
+        groups = group_reviews(records)
+        for by_entity, documents in ((groups.by_user, store._user_documents),
+                                     (groups.by_item, store._item_documents)):
+            assert documents.keys() == by_entity.keys()
+            for entity_id, reviews in by_entity.items():
+                expected = build_document([t for _, t in reviews], 150, table,
+                                          owner=entity_id)
+                doc = documents[entity_id]
+                npt.assert_array_equal(doc.ids, expected.ids)
+                assert (doc.n_real_tokens, doc.owner) == (expected.n_real_tokens, entity_id)
+        # some documents are cut at T, some padded
+        assert {doc.n_real_tokens < 150 for doc in store._item_documents.values()} \
+            | {doc.n_real_tokens < 150 for doc in store._user_documents.values()} \
+            == {True, False}
 
     def test_from_documents_reads_the_matrices_back(self):
         rng = np.random.default_rng(2)
