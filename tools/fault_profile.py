@@ -14,20 +14,30 @@ split): fit with validation, then the test evaluation.
 Each workload runs once unmeasured, so that first-touch faults stay out,
 and once measured.  For each wrapped call site the table gives the calls,
 the minor faults (`ru_minflt`, every thread of the process) and the
-seconds spent inside, and a last row gives the whole run.  The counts
-need Linux.
+seconds spent inside, and a last row gives the whole run.
+
+A last workload, shaped like the benchmark's `evaluate-large` (20,000
+reviews, 1,000 users, 800 items, a CNN tower and DP head), counts the
+faults of the set-up that follows an `evaluate`: parse, split, embedding
+table, store build and checkpoint load.  Its rows compare the set-up after
+an evaluate that forks its item tower (`train.SPLIT_ABOVE`) with the set-up
+after one that stays in this process; the difference is what the fork's
+copy-on-write costs the parent afterwards.  The counts need Linux.
 """
 
 import resource
+import tempfile
 import time
 from collections import defaultdict
+from pathlib import Path
 
-from deepconn import layers
-from deepconn.ingest import split_dataset
+from deepconn import layers, train
+from deepconn.ingest import parse_reviews_file, serialize_reviews, split_dataset
 from deepconn.model import DeepConn, build_config
 from deepconn.synthetic import make_sample_corpus, make_token_vectors
 from deepconn.text import EmbeddingTable
-from deepconn.train import DocumentStore, evaluate, fit, pairs_from_records
+from deepconn.train import (DocumentStore, evaluate, fit, load_checkpoint,
+                            pairs_from_records, save_checkpoint)
 
 WORKLOADS = {
     "cnn": dict(head="dp", optimizer="adam", epochs=2,
@@ -84,8 +94,46 @@ def run(kind, seed):
     evaluate(model, store, pairs_from_records(split.test))
 
 
+def evaluate_large_setup(workdir):
+    """The set-up of an `evaluate-large` iteration; returns the model, the
+    store and the test pairs."""
+    split = split_dataset(parse_reviews_file(workdir / "reviews.jsonl").records,
+                          0.81, 0.09, seed=3)
+    table = EmbeddingTable(50, make_token_vectors(dim=50, seed=3))
+    store = DocumentStore(split.train + split.validation, table, 300)
+    return (load_checkpoint(workdir / "model.ckpt"), store,
+            pairs_from_records(split.test))
+
+
+def profile_evaluate_large(rounds=5):
+    """Rows of faults in the set-up after a split and after a serial evaluate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        records = make_sample_corpus(20000, 1000, 800, seed=3)
+        (workdir / "reviews.jsonl").write_text(serialize_reviews(records),
+                                               encoding="utf-8")
+        config = build_config("comparison", kind="cnn", embedding_dim=50, head="dp")
+        save_checkpoint(DeepConn(config, seed=3), workdir / "model.ckpt")
+        split_above = train.SPLIT_ABOVE
+        try:
+            for label, threshold in (("split", split_above), ("serial", 10 ** 9)):
+                train.SPLIT_ABOVE = threshold
+                faults, seconds = [], []
+                for _ in range(rounds + 1):
+                    evaluate(*evaluate_large_setup(workdir))
+                    before, started = minor_faults(), time.perf_counter()
+                    evaluate_large_setup(workdir)
+                    faults.append(minor_faults() - before)
+                    seconds.append(time.perf_counter() - started)
+                # The first round warms up and is left out.
+                yield (f"set-up after {label}", rounds, sum(faults[1:]),
+                       sum(seconds[1:]))
+        finally:
+            train.SPLIT_ABOVE = split_above
+
+
 def main():
-    print(f"{'workload':<9}{'site':<18}{'calls':>7}{'faults':>9}"
+    print(f"{'workload':<15}{'site':<25}{'calls':>7}{'faults':>9}"
           f"{'per call':>10}{'seconds':>9}")
     for kind in WORKLOADS:
         run(kind, 0)
@@ -98,9 +146,13 @@ def main():
         finally:
             restore()
         for (site, name), (calls, n, seconds) in sorted(tally.items()):
-            print(f"{kind:<9}{site + '.' + name:<18}{calls:>7}{n:>9}"
+            print(f"{kind:<15}{site + '.' + name:<25}{calls:>7}{n:>9}"
                   f"{n / calls:>10.1f}{seconds:>9.3f}")
-        print(f"{kind:<9}{'whole run':<18}{'':>7}{total[0]:>9}{'':>10}{total[1]:>9.3f}")
+        print(f"{kind:<15}{'whole run':<25}{'':>7}{total[0]:>9}{'':>10}"
+              f"{total[1]:>9.3f}")
+    for site, calls, n, seconds in profile_evaluate_large():
+        print(f"{'evaluate-large':<15}{site:<25}{calls:>7}{n:>9}"
+              f"{n / calls:>10.1f}{seconds:>9.3f}")
 
 
 if __name__ == "__main__":
