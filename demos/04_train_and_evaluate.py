@@ -11,7 +11,7 @@ from pathlib import Path
 
 from deepconn import (DeepConn, DocumentStore, ModelConfig, TowerConfig,
                       evaluate, fit, load_embeddings, mean_predictor_mse,
-                      pairs_from_records, parse_reviews_file, split_dataset)
+                      parse_reviews_file, split_dataset)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,17 +28,15 @@ def main():
                         kernel=8, stride=6, dense_units=32, dropout_rate=0.0)
     model = DeepConn(ModelConfig(tower=tower, head="dp"), seed=11)
 
-    report = fit(model, store, pairs_from_records(split.train),
-                 validation_pairs=pairs_from_records(split.validation),
+    report = fit(model, store, split.train, validation_pairs=split.validation,
                  optimizer="adam", epochs=6, batch_size=32, seed=3)
     print("epoch  train_loss  val_loss  seconds")
     for e in report.epochs:
         print(f"{e.epoch:>5}  {e.train_loss:>10.4f}  {e.validation_loss:>8.4f}"
               f"  {e.seconds:>7.1f}")
 
-    test_pairs = pairs_from_records(split.test)
-    test_mse, counters = evaluate(model, store, test_pairs)
-    reference = mean_predictor_mse(test_pairs, store.global_mean)
+    test_mse, counters = evaluate(model, store, split.test)
+    reference = mean_predictor_mse(split.test, store.global_mean)
     print(f"\ntest MSE:        {test_mse:.4f}   ({counters})")
     print(f"global-mean MSE: {reference:.4f}")
     print(f"beats the mean: {test_mse < reference}")

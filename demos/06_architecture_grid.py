@@ -11,8 +11,8 @@ quality at this scale.
 from pathlib import Path
 
 from deepconn import (DeepConn, DocumentStore, ModelConfig, TowerConfig,
-                      evaluate, fit, load_embeddings, pairs_from_records,
-                      parse_reviews_file, split_dataset)
+                      evaluate, fit, load_embeddings, parse_reviews_file,
+                      split_dataset)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,8 +27,6 @@ def main():
     split = split_dataset(records, 0.81, 0.09, seed=7)
     table = load_embeddings(ROOT / "data" / "toy_embeddings_50d.txt", 50)
     store = DocumentStore(split.train + split.validation, table, doc_length=48)
-    train_pairs = pairs_from_records(split.train)
-    test_pairs = pairs_from_records(split.test)
 
     print("tower | embedding | training time | test MSE")
     for kind in ("cnn", "gru", "lstm"):
@@ -36,8 +34,8 @@ def main():
                             kernel=8, stride=6, dense_units=16,
                             dropout_rate=0.10)
         model = DeepConn(ModelConfig(tower=tower, head="dp"), seed=11)
-        report = fit(model, store, train_pairs, epochs=2, batch_size=32, seed=3)
-        test_mse, _ = evaluate(model, store, test_pairs)
+        report = fit(model, store, split.train, epochs=2, batch_size=32, seed=3)
+        test_mse, _ = evaluate(model, store, split.test)
         seconds = report.epochs[-1].seconds
         print(f"{kind.upper():<5} | 50d       | {hms(seconds):<13} | {test_mse:.4f}")
 

@@ -23,8 +23,7 @@ from .model import (DeepConn, DpHead, FmHead, ModelConfig, Tower, TowerConfig,
 from .optim import Adam, RMSprop, make_optimizer
 from .text import (EmbeddingTable, EncodedDocument, build_document, embed,
                    load_embeddings, tokenize)
-from .train import (DocumentStore, RatedPair, TrainReport, evaluate, fit,
-                    load_checkpoint, mean_predictor_mse, pairs_from_records,
-                    restore_parameters, save_checkpoint)
+from .train import (DocumentStore, TrainReport, evaluate, fit, load_checkpoint,
+                    mean_predictor_mse, restore_parameters, save_checkpoint)
 
 __version__ = "0.1.0"

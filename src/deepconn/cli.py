@@ -26,8 +26,8 @@ from .model import (HEAD_KINDS, PRESETS, TOWER_KINDS, DeepConn, TowerConfig,
                     build_config)
 from .text import OOV_POLICIES, load_embeddings
 from .train import (DocumentStore, TrainReport, atomic_open, evaluate, fit,
-                    load_checkpoint, mean_predictor_mse, pairs_from_records,
-                    restore_parameters, save_checkpoint)
+                    load_checkpoint, mean_predictor_mse, restore_parameters,
+                    save_checkpoint)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -247,9 +247,9 @@ def _read_reviews(args):
 
 
 def _split(args, records):
-    """The run's split of `records`; None when there are none."""
+    """The run's split of `records`; a ConfigError when there are none."""
     if not records:
-        return None
+        raise ConfigError(f"{args.data}: no valid records to split")
     return split_dataset(records, args.train_fraction, args.val_fraction,
                          seed=args.seed, mode=args.split_mode)
 
@@ -275,12 +275,13 @@ def _run_echo(args, keys):
 def cmd_stats(args):
     _validate_run(args)
     result = _read_reviews(args)
+    split = None
     try:
-        split = _split(args, result.records)
+        if result.records:
+            split = _split(args, result.records)
     except InfeasibleSplitError as exc:
         # The counts of a corpus too small for this split still print.
         print(f"no split: {exc}", file=sys.stderr)
-        split = None
     stats = dataset_stats(result.records, split)
     print(f"reviews: {stats.n_reviews}")
     print(f"users:   {stats.n_users}")
@@ -295,18 +296,14 @@ def _train_once(args):
     """Shared by train and compare: returns (model, store, report, split)."""
     config = _validate_run(args)
     split = _split(args, _read_reviews(args).records)
-    if split is None:
-        raise ConfigError(f"{args.data}: no valid records to train on")
     store = _document_store(args, split)
     model = DeepConn(config, seed=args.seed)
-    report = fit(model, store,
-                 pairs_from_records(split.train),
-                 validation_pairs=pairs_from_records(split.validation),
+    report = fit(model, store, split.train, validation_pairs=split.validation,
                  optimizer=args.optimizer, learning_rate=args.lr,
                  epochs=args.epochs, batch_size=args.batch_size,
                  seed=args.seed, record_timing=not args.no_timing)
     report.test_mse, report.cold_start_counts = evaluate(
-        model, store, pairs_from_records(split.test), clamp=args.clamp)
+        model, store, split.test, clamp=args.clamp)
     report.config["run"] = _run_echo(args, (
         "data", "embeddings", "train_fraction", "val_fraction", "split_mode",
         "seed", "preset", "tower", "head", "dim", "doc_length", "oov_policy",
@@ -315,10 +312,10 @@ def _train_once(args):
     return model, store, report, split
 
 
-def _print_test_summary(test_mse, counters, test_pairs, store):
+def _print_test_summary(test_mse, counters, test_records, store):
     print(f"test MSE: {test_mse:.6f}")
     print(f"global-mean reference MSE: "
-          f"{mean_predictor_mse(test_pairs, store.global_mean):.6f}")
+          f"{mean_predictor_mse(test_records, store.global_mean):.6f}")
     print(f"cold-start fallbacks: {counters}")
 
 
@@ -352,7 +349,7 @@ def cmd_train(args):
         print(f"  epoch {e.epoch}: train {e.train_loss:.6f}  val {val}  "
               f"{e.seconds:.1f}s")
     _print_test_summary(report.test_mse, report.cold_start_counts,
-                        pairs_from_records(split.test), store)
+                        split.test, store)
     print(f"wrote {out / 'report.json'}, {out / 'curves.csv'}, {out / 'model.ckpt'}")
     return EXIT_OK
 
@@ -369,20 +366,15 @@ def cmd_evaluate(args):
     if problem:
         raise ConfigError(f"{args.checkpoint}: {problem}")
     split = _split(args, _read_reviews(args).records)
-    if split is None:
-        raise ConfigError(f"{args.data}: no valid records to split")
     store = _document_store(args, split)
-    test_pairs = pairs_from_records(split.test)
-    test_mse, counters = evaluate(model, store, test_pairs, clamp=args.clamp)
-    _print_test_summary(test_mse, counters, test_pairs, store)
+    test_mse, counters = evaluate(model, store, split.test, clamp=args.clamp)
+    _print_test_summary(test_mse, counters, split.test, store)
     return EXIT_OK
 
 
 def cmd_baseline(args):
     _validate_run(args)
     split = _split(args, _read_reviews(args).records)
-    if split is None:
-        raise ConfigError(f"{args.data}: no valid records to split")
     matrix, sims, cf_mse, counters = _item_cf(args, split)
     print(f"item-cf test MSE: {cf_mse:.6f}")
     print(f"prediction sources: {counters}")
@@ -401,8 +393,7 @@ def cmd_baseline(args):
 def cmd_compare(args):
     model, store, report, split = _train_once(args)
     _, _, cf_mse, cf_counters = _item_cf(args, split)
-    test_pairs = pairs_from_records(split.test)
-    mean_mse = mean_predictor_mse(test_pairs, store.global_mean)
+    mean_mse = mean_predictor_mse(split.test, store.global_mean)
     print("model                 test MSE")
     print(f"deepconn-{args.head:<12} {report.test_mse:.6f}")
     print(f"item-cf               {cf_mse:.6f}")

@@ -9,6 +9,7 @@ dumps contain irregular rows.
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,7 @@ REQUIRED_KEYS = ("reviewerID", "asin", "reviewText", "overall")
 SPLIT_MODES = ("by_review", "by_user_holdout")
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+class ReviewRecord(NamedTuple):
     user_id: str
     item_id: str
     rating: float

@@ -1,7 +1,9 @@
 """Training loop, evaluation, checkpointing, and run reports.
 
-Documents are kept as token ids; the towers read a micro-batch's (B, T)
-ids through the frozen embedding table and gather the rows themselves.
+`fit` and `evaluate` read the user, item and rating of each parsed
+`ingest.ReviewRecord`, never its text.  Documents are kept as token ids;
+the towers read a micro-batch's (B, T) ids through the frozen embedding
+table and gather the rows themselves.
 `fit` runs each mini-batch as micro-batches of MICRO_BATCH pairs, one
 forward and one backward each; the gradients add up and the optimizer
 steps once per mini-batch.  Within a micro-batch each tower encodes each
@@ -53,15 +55,10 @@ MICRO_BATCH = 32
 SPLIT_ABOVE = 2 * MICRO_BATCH
 
 
-@dataclass(frozen=True)
-class RatedPair:
-    user_id: str
-    item_id: str
-    rating: float
-
-
 def pairs_from_records(records):
-    return [RatedPair(r.user_id, r.item_id, r.rating) for r in records]
+    """The records as a list: `fit` and `evaluate` take records as they are,
+    and only the benchmark still calls this."""
+    return list(records)
 
 
 class DocumentStore:
@@ -173,13 +170,13 @@ class TrainReport:
 def fit(model, store, train_pairs, validation_pairs=None, optimizer="adam",
         learning_rate=0.001, epochs=10, batch_size=32, seed=0,
         record_timing=True):
-    """Mini-batch training; returns a TrainReport.
+    """Mini-batch training on review records; returns a TrainReport.
 
     Per epoch: shuffle under the seed, iterate batches, run each batch as
     micro-batches of MICRO_BATCH pairs (train-mode forward over the
     micro-batch's distinct documents, MSE gradient, backward), step the
     optimizer once per batch, then run a full eval-mode validation pass.
-    A training pair whose user or item has no document is an
+    A training record whose user or item has no document is an
     UnknownEntityError before any step.  Deterministic
     given (model, data, seed); wall-clock can be suppressed
     (record_timing=False) when byte-identical reports matter more than
@@ -272,7 +269,8 @@ def restore_parameters(model, snapshot):
 
 
 def evaluate(model, store, pairs, clamp=False):
-    """Eval-mode MSE over (user, item, rating) pairs.
+    """Eval-mode MSE over review records, each one (user, item, rating)
+    pair; a record's text is not read.
 
     Users or items without documents fall back to the store's global mean
     rating.  Returns (mse, counters); counters tallies "predicted",
@@ -425,7 +423,8 @@ def _distinct(entity_ids):
 
 
 def mean_predictor_mse(pairs, mean):
-    """MSE of the constant predictor at `mean` — the beats-the-mean reference."""
+    """MSE of the constant predictor at `mean` over the records' ratings —
+    the beats-the-mean reference."""
     targets = np.array([p.rating for p in pairs])
     return mse(np.full(len(pairs), float(mean)), targets)
 

@@ -4,8 +4,9 @@ timing experiments)."""
 
 import numpy as np
 
+from deepconn.ingest import ReviewRecord
 from deepconn.text import EmbeddingTable, EncodedDocument
-from deepconn.train import DocumentStore, RatedPair
+from deepconn.train import DocumentStore
 
 
 def store_from_documents(user_documents, item_documents, global_mean):
@@ -33,8 +34,8 @@ def make_micro_dataset(n_users=20, n_items=10, noise=0.1, doc_length=16,
     Every row of a user's document carries the user latent a_u in the
     first coordinates (items likewise), plus light clutter, so a twin
     tower reading the documents can recover the rule.  Returns
-    (pairs, store) with one pair per (user, item) combination; the store's
-    table rows are the documents' rows, one block of ids per entity.
+    (records, store) with one text-free record per (user, item) pair; the
+    store's table rows are the documents' rows, one block of ids per entity.
     """
     rng = np.random.default_rng(seed)
     latent = 2
@@ -48,10 +49,11 @@ def make_micro_dataset(n_users=20, n_items=10, noise=0.1, doc_length=16,
 
     user_documents = {f"u{k}": document(a_u) for k, a_u in enumerate(a)}
     item_documents = {f"m{k}": document(b_i) for k, b_i in enumerate(b)}
-    pairs = []
+    records = []
     for u in range(n_users):
         for i in range(n_items):
             rating = 3.0 + float(a[u] @ b[i]) + noise * rng.standard_normal()
-            pairs.append(RatedPair(f"u{u}", f"m{i}", float(np.clip(rating, 1.0, 5.0))))
-    mean = float(np.mean([p.rating for p in pairs]))
-    return pairs, store_from_documents(user_documents, item_documents, mean)
+            rating = float(np.clip(rating, 1.0, 5.0))
+            records.append(ReviewRecord(f"u{u}", f"m{i}", rating, ""))
+    mean = float(np.mean([r.rating for r in records]))
+    return records, store_from_documents(user_documents, item_documents, mean)

@@ -18,8 +18,7 @@ from deepconn.ingest import ReviewRecord, parse_reviews_file, split_dataset
 from deepconn.model import DeepConn, ModelConfig, TowerConfig
 from deepconn.text import load_embeddings
 from deepconn.train import (DocumentStore, TrainReport, evaluate, fit,
-                            load_checkpoint, mean_predictor_mse,
-                            pairs_from_records)
+                            load_checkpoint, mean_predictor_mse)
 
 from fm_oracle import check_random_fm_head
 from micro import make_micro_dataset
@@ -87,12 +86,10 @@ def test_criterion_4_beats_the_mean(sample_reviews_path, toy_embeddings_path):
         tower = TowerConfig(kind="cnn", embedding_dim=50, hidden_units=32,
                             kernel=8, stride=6, dense_units=32, dropout_rate=0.0)
         model = DeepConn(ModelConfig(tower=tower, head="dp"), seed=11)
-        fit(model, store, pairs_from_records(split.train),
-            validation_pairs=pairs_from_records(split.validation),
+        fit(model, store, split.train, validation_pairs=split.validation,
             epochs=8, batch_size=32, seed=3)
-        test_pairs = pairs_from_records(split.test)
-        test_mse, _ = evaluate(model, store, test_pairs)
-        reference = mean_predictor_mse(test_pairs, store.global_mean)
+        test_mse, _ = evaluate(model, store, split.test)
+        reference = mean_predictor_mse(split.test, store.global_mean)
         elapsed = time.monotonic() - started
         assert test_mse < reference
         assert elapsed < 600.0
@@ -171,7 +168,7 @@ def test_criterion_7_determinism(sample_reviews_path, toy_embeddings_path,
         split = split_dataset(records, 0.81, 0.09, seed=9)
         table = load_embeddings(toy_embeddings_path, 50)
         store = DocumentStore(split.train + split.validation, table, 32)
-        test_mse, _ = evaluate(model, store, pairs_from_records(split.test))
+        test_mse, _ = evaluate(model, store, split.test)
         assert test_mse == report.test_mse  # exact, not approximate
 
 

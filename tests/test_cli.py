@@ -48,6 +48,24 @@ class TestStats:
         assert "reviews: 1" in captured.out
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "baseline", "compare"])
+def test_corpus_without_records_is_one_config_error(command, tmp_path,
+                                                    toy_embeddings_path, capsys):
+    data = tmp_path / "dirty.jsonl"
+    data.write_text("not json at all\n")
+    checkpoint = tmp_path / "mini.ckpt"
+    save_checkpoint(miniature_model("cnn"), checkpoint)
+    extra = {"train": ["--embeddings", str(toy_embeddings_path),
+                       "--out", str(tmp_path / "run")],
+             "evaluate": ["--checkpoint", str(checkpoint), "--dim", "8",
+                          "--embeddings", str(toy_embeddings_path)],
+             "baseline": [],
+             "compare": ["--embeddings", str(toy_embeddings_path)]}[command]
+    assert main([command, "--data", str(data)] + extra) == EXIT_CONFIG
+    assert f"{data}: no valid records to split" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, checkpoint])   # no run dir
+
+
 class TestTrain:
     def test_writes_report_curves_checkpoint(self, sample_reviews_path,
                                              toy_embeddings_path, tmp_path, capsys):

@@ -9,6 +9,7 @@ from deepconn.errors import ConfigError, InfeasibleSplitError
 from deepconn.ingest import (SPLIT_MODES, DatasetStats, ReviewRecord,
                              dataset_stats, group_reviews, parse_reviews,
                              serialize_reviews, split_dataset)
+from deepconn.synthetic import make_sample_corpus
 
 
 def _jsonl(*objs):
@@ -84,6 +85,42 @@ class TestParse:
                    ReviewRecord("u2", "m2", 1.0, "unicode café ok")]
         again = parse_reviews(io.StringIO(serialize_reviews(records)))
         assert again.records == records and again.skips == []
+
+
+class TestRecord:
+    """`ReviewRecord` is the one record type from parse to prediction."""
+
+    def test_fields_cannot_be_assigned(self):
+        record = ReviewRecord("u1", "m1", 4.0, "fine")
+        for name in ("user_id", "item_id", "rating", "text"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "changed")
+        assert record == ReviewRecord("u1", "m1", 4.0, "fine")
+
+    def test_equal_records_hash_equal_and_dedupe(self):
+        a = ReviewRecord("u1", "m1", 4.0, "fine")
+        b = ReviewRecord("u1", "m1", 4.0, "fine")
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert {a, b, ReviewRecord("u1", "m1", 4.0, "other")} == {
+            a, ReviewRecord("u1", "m1", 4.0, "other")}
+        assert a != ReviewRecord("u1", "m1", 5.0, "fine")
+        assert a == ("u1", "m1", 4.0, "fine")   # a record is a plain 4-tuple too
+
+    def test_positional_order_is_user_item_rating_text(self):
+        # make_sample_corpus and the parser build records by position;
+        # serialize_reviews reads them by name.
+        assert ReviewRecord._fields == ("user_id", "item_id", "rating", "text")
+        record = ReviewRecord("u1", "m1", 4.0, "fine")
+        assert (record.user_id, record.item_id, record.rating, record.text) == \
+            ("u1", "m1", 4.0, "fine")
+        assert json.loads(serialize_reviews([record])) == _record(
+            user="u1", item="m1", rating=4.0, text="fine")
+        assert parse_reviews(_jsonl(_record(user="u2", item="m2", rating=2, text="t"))
+                             ).records == [ReviewRecord("u2", "m2", 2.0, "t")]
+        for r in make_sample_corpus(n_reviews=20, n_users=4, n_items=3, seed=1):
+            assert r.user_id.startswith("user") and r.item_id.startswith("item")
+            assert isinstance(r.rating, float) and 1.0 <= r.rating <= 5.0
+            assert isinstance(r.text, str) and r.text
 
 
 class TestGroup:

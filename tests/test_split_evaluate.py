@@ -16,11 +16,11 @@ import pytest
 from deepconn import cli, train
 from deepconn.errors import ShapeError
 from deepconn.layers import Layer
+from deepconn.ingest import ReviewRecord
 from deepconn.model import DeepConn, ModelConfig, TowerConfig
 from deepconn.synthetic import make_sample_corpus, make_token_vectors
 from deepconn.text import EmbeddingTable
-from deepconn.train import (DocumentStore, RatedPair, evaluate,
-                            pairs_from_records, save_checkpoint)
+from deepconn.train import DocumentStore, evaluate, save_checkpoint
 
 needs_split = pytest.mark.skipif(
     not hasattr(os, "fork") or train._openblas_threads() is None,
@@ -68,8 +68,8 @@ def _setup(kind="cnn", head="dp", seed=5):
     tower = TowerConfig(kind=kind, embedding_dim=8, hidden_units=4, kernel=4,
                         stride=2, dense_units=4, dropout_rate=0.2)
     model = DeepConn(ModelConfig(tower=tower, head=head, fm_rank=2), seed=seed)
-    pairs = pairs_from_records(records) + [
-        RatedPair("nobody", "item000", 4.0), RatedPair("user001", "nothing", 2.0)]
+    pairs = records + [ReviewRecord("nobody", "item000", 4.0, ""),
+                       ReviewRecord("user001", "nothing", 2.0, "")]
     return model, store, pairs
 
 
@@ -257,10 +257,10 @@ split = ingest.split_dataset(records, 0.81, 0.09, seed=9)
 store = train.DocumentStore(split.train + split.validation, table, 300)
 net = model.DeepConn(model.build_config("comparison", kind="cnn",
                                         embedding_dim=50, head="dp"), seed=9)
-pairs = [p for p in train.pairs_from_records(split.test)
+pairs = [p for p in split.test
          if store.has_user(p.user_id) and store.has_item(p.item_id)]
 print(min(len({p.user_id for p in pairs}), len({p.item_id for p in pairs})))
-print(repr(train.evaluate(net, store, train.pairs_from_records(split.test))[0]))
+print(repr(train.evaluate(net, store, split.test)[0]))
 """
 
 

@@ -17,9 +17,9 @@ from deepconn.model import DeepConn, ModelConfig, TowerConfig, build_config, mse
 from deepconn.synthetic import make_sample_corpus, make_token_vectors
 from deepconn.text import OOV_POLICIES, EmbeddingTable, build_document, embed
 from deepconn.train import (CHECKPOINT_MAGIC, MICRO_BATCH, DocumentStore,
-                            RatedPair, TrainReport, evaluate, fit, load_checkpoint,
-                            mean_predictor_mse, pairs_from_records,
-                            restore_parameters, save_checkpoint)
+                            TrainReport, evaluate, fit, load_checkpoint,
+                            mean_predictor_mse, restore_parameters,
+                            save_checkpoint)
 
 from micro import make_micro_dataset, store_from_documents
 
@@ -28,7 +28,7 @@ def _tiny_setup(seed=0, n_users=6, n_items=4, T=10, dim=8):
     rng = np.random.default_rng(seed)
     users = {f"u{k}": rng.standard_normal((T, dim)) for k in range(n_users)}
     items = {f"m{k}": rng.standard_normal((T, dim)) for k in range(n_items)}
-    pairs = [RatedPair(f"u{u}", f"m{i}", float(rng.uniform(1, 5)))
+    pairs = [ReviewRecord(f"u{u}", f"m{i}", float(rng.uniform(1, 5)), "")
              for u in range(n_users) for i in range(n_items)]
     mean = float(np.mean([p.rating for p in pairs]))
     return (miniature_model(seed=seed),
@@ -248,8 +248,7 @@ class TestFit:
             kind="cnn", embedding_dim=4, hidden_units=4, kernel=2, stride=1,
             dense_units=4, dropout_rate=0.0), head="dp")
         model = DeepConn(config, seed=3)
-        fit(model, store, pairs_from_records(records), epochs=3,
-            batch_size=4, seed=2)
+        fit(model, store, records, epochs=3, batch_size=4, seed=2)
         assert table.matrix.tobytes() == before
 
     def test_non_finite_parameter_faults_with_context(self):
@@ -282,8 +281,8 @@ class TestFit:
     def test_pair_without_a_document_rejected_before_any_step(self):
         model, store, pairs = _tiny_setup(seed=24)
         before = [p.value.copy() for p in model.parameters()]
-        for stranger, missing in ((RatedPair("stranger", "m0", 4.0), "user"),
-                                  (RatedPair("u0", "nothing", 2.0), "item")):
+        for stranger, missing in ((ReviewRecord("stranger", "m0", 4.0, ""), "user"),
+                                  (ReviewRecord("u0", "nothing", 2.0, ""), "item")):
             with pytest.raises(UnknownEntityError,
                                match=rf"pair {len(pairs)} \(user '{stranger.user_id}', "
                                      rf"item '{stranger.item_id}'\).*its {missing}"):
@@ -342,15 +341,13 @@ def _assert_small_fit_peak(kind, records, distinct=None, head="fm",
     store = DocumentStore(split.train + split.validation, table, doc_length=300)
     config = build_config("comparison", kind=kind, embedding_dim=50, head=head)
     model = DeepConn(config, seed=11)
-    train_pairs = pairs_from_records(split.train)
-    assert len(train_pairs) == 32 and config.tower.hidden_units == 64
+    assert len(split.train) == 32 and config.tower.hidden_units == 64
     if distinct is not None:
-        assert len({p.user_id for p in train_pairs}) == distinct
-        assert len({p.item_id for p in train_pairs}) == distinct
+        assert len({r.user_id for r in split.train}) == distinct
+        assert len({r.item_id for r in split.train}) == distinct
     tracemalloc.start()
     try:
-        fit(model, store, train_pairs,
-            validation_pairs=pairs_from_records(split.validation),
+        fit(model, store, split.train, validation_pairs=split.validation,
             optimizer=optimizer, epochs=1, batch_size=32, seed=11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -361,9 +358,9 @@ def _assert_small_fit_peak(kind, records, distinct=None, head="fm",
 class TestEvaluate:
     def test_perfect_oracle_gives_zero(self):
         model, store, pairs = _tiny_setup(seed=10)
-        sized = [RatedPair(p.user_id, p.item_id,
-                           model.predict(store.user_embedding(p.user_id),
-                                         store.item_embedding(p.item_id)))
+        sized = [ReviewRecord(p.user_id, p.item_id,
+                              model.predict(store.user_embedding(p.user_id),
+                                            store.item_embedding(p.item_id)), "")
                  for p in pairs]
         value, counters = evaluate(model, store, sized)
         assert value == pytest.approx(0.0, abs=1e-24)
@@ -377,7 +374,8 @@ class TestEvaluate:
 
     def test_cold_start_falls_back_to_global_mean(self):
         model, store, pairs = _tiny_setup(seed=12)
-        strange = [RatedPair("nobody", "m0", 4.0), RatedPair("u0", "nothing", 2.0)]
+        strange = [ReviewRecord("nobody", "m0", 4.0, ""),
+                   ReviewRecord("u0", "nothing", 2.0, "")]
         value, counters = evaluate(model, store, pairs[:2] + strange)
         assert counters["cold_start_user"] == 1
         assert counters["cold_start_item"] == 1
@@ -402,13 +400,12 @@ class TestEvaluate:
                                      pure_dot=pure_dot), seed=6)
         layers = [model.head] + [layer for t in (model.user_tower, model.item_tower)
                                  for layer in (t.encoder, t.dropout, t.dense)]
-        pairs = pairs_from_records(records)
-        model.forward(store.user_tokens([p.user_id for p in pairs[:4]]),
-                      store.item_tokens([p.item_id for p in pairs[:4]]),
+        model.forward(store.user_tokens([r.user_id for r in records[:4]]),
+                      store.item_tokens([r.item_id for r in records[:4]]),
                       store.table.matrix, np.random.default_rng(0))
         assert all(isinstance(layer, Layer) and layer._cache is not None
                    for layer in layers)
-        evaluate(model, store, pairs)
+        evaluate(model, store, records)
         for layer in layers:
             assert layer._cache is None, layer
 
@@ -450,14 +447,35 @@ class TestEvaluate:
             dense_units=4, dropout_rate=0.2), head=head, fm_rank=2)
         model = DeepConn(config, seed=5)
         model.head.w.value[:] = 0.1  # exercise the first-order term too
-        pairs = pairs_from_records(records) + [
-            RatedPair("nobody", "item000", 4.0), RatedPair("user001", "nothing", 2.0),
-            RatedPair("nobody", "nothing", 1.0)]
+        pairs = records + [ReviewRecord("nobody", "item000", 4.0, ""),
+                           ReviewRecord("user001", "nothing", 2.0, ""),
+                           ReviewRecord("nobody", "nothing", 1.0, "")]
         assert len({p.user_id for p in pairs}) < len(pairs) // 2  # users repeat
         value, counters = evaluate(model, store, pairs)
         assert (value, counters) == _per_pair_evaluate(model, store, pairs)
         assert counters == {"predicted": 60, "cold_start_user": 2,
                             "cold_start_item": 1}
+
+
+@pytest.mark.parametrize("kind", ["cnn", "lstm"])
+def test_fit_and_evaluate_never_read_text(kind):
+    # The records' text reaches the towers only through the store, so the
+    # same records with blank texts train and score to the same bits.
+    records, _, store = _text_store(T=12)
+    split = split_dataset(records, 0.7, 0.1, seed=2)
+    outputs = []
+    for blank in (False, True):
+        parts = [[r._replace(text="") if blank else r for r in part]
+                 for part in (split.train, split.validation, split.test)]
+        assert blank == all(r.text == "" for part in parts for r in part)
+        model = DeepConn(ModelConfig(tower=TowerConfig(
+            kind=kind, embedding_dim=8, hidden_units=4, kernel=4, stride=2,
+            dense_units=4, dropout_rate=0.2), head="fm", fm_rank=2), seed=8)
+        report = fit(model, store, parts[0], validation_pairs=parts[1], epochs=2,
+                     batch_size=8, seed=3, record_timing=False)
+        report.test_mse, report.cold_start_counts = evaluate(model, store, parts[2])
+        outputs.append((report.to_json(), report.test_mse.hex()))
+    assert outputs[0] == outputs[1]
 
 
 def _config_only(config):

@@ -37,7 +37,7 @@ from deepconn.model import DeepConn, build_config
 from deepconn.synthetic import make_sample_corpus, make_token_vectors
 from deepconn.text import EmbeddingTable
 from deepconn.train import (DocumentStore, evaluate, fit, load_checkpoint,
-                            pairs_from_records, save_checkpoint)
+                            save_checkpoint)
 
 WORKLOADS = {
     "cnn": dict(head="dp", optimizer="adam", epochs=2,
@@ -87,22 +87,20 @@ def run(kind, seed):
     store = DocumentStore(split.train + split.validation, table, 300)
     config = build_config("comparison", kind=kind, embedding_dim=50, head=spec["head"])
     model = DeepConn(config, seed=seed)
-    fit(model, store, pairs_from_records(split.train),
-        validation_pairs=pairs_from_records(split.validation),
+    fit(model, store, split.train, validation_pairs=split.validation,
         optimizer=spec["optimizer"], learning_rate=0.001, epochs=spec["epochs"],
         batch_size=32, seed=seed)
-    evaluate(model, store, pairs_from_records(split.test))
+    evaluate(model, store, split.test)
 
 
 def evaluate_large_setup(workdir):
     """The set-up of an `evaluate-large` iteration; returns the model, the
-    store and the test pairs."""
+    store and the test records."""
     split = split_dataset(parse_reviews_file(workdir / "reviews.jsonl").records,
                           0.81, 0.09, seed=3)
     table = EmbeddingTable(50, make_token_vectors(dim=50, seed=3))
     store = DocumentStore(split.train + split.validation, table, 300)
-    return (load_checkpoint(workdir / "model.ckpt"), store,
-            pairs_from_records(split.test))
+    return load_checkpoint(workdir / "model.ckpt"), store, split.test
 
 
 def profile_evaluate_large(rounds=5):
